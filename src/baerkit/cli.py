@@ -266,24 +266,24 @@ def cmd_lyndon(config: RunConfig, echo) -> int:
             f"degree-{m} basis over {n} letters needs {n ** m} monomials, "
             f"budget is {config.cap_guard}"
         )
-    words = lyndon_words(n, m)
+    rows = [
+        (
+            "".join(_LETTER_NAMES[i] if i < 26 else f"(g{i})" for i in w),
+            _shape_str(bracket_shape(w)),
+        )
+        for w in lyndon_words(n, m)
+    ]
     if config.fmt == "machine":
         echo("command=lyndon")
         echo(f"letters={n}")
         echo(f"weight={m}")
         echo(f"witt={witt_dimension(n, m)}")
-        for w in words:
-            spelled = "".join(
-                _LETTER_NAMES[i] if i < 26 else f"(g{i})" for i in w
-            )
-            echo(f"word={spelled} bracketing={_shape_str(bracket_shape(w))}")
+        for spelled, shape in rows:
+            echo(f"word={spelled} bracketing={shape}")
     else:
         echo(f"letters={n} weight={m} witt={witt_dimension(n, m)}")
-        for w in words:
-            spelled = "".join(
-                _LETTER_NAMES[i] if i < 26 else f"(g{i})" for i in w
-            )
-            echo(f"  {spelled}  {_shape_str(bracket_shape(w))}")
+        for spelled, shape in rows:
+            echo(f"  {spelled}  {shape}")
     return EXIT_OK
 
 

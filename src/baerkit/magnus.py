@@ -96,42 +96,17 @@ class TruncatedSeries:
     def homogeneous(self, m: int) -> dict:
         return {mono: c for mono, c in self.terms.items() if len(mono) == m}
 
-    def invert_unit(self) -> "TruncatedSeries":
-        """Inverse of a series with constant term 1, by the finite geometric
-        series in (self - 1); exact at the cap."""
-        if self.constant() != 1:
-            raise ValueError("only series with constant term 1 are inverted")
-        cap = self.cap
-        u = {m: c for m, c in self.terms.items() if m}
-        out = {(): 1}
-        power = TruncatedSeries(cap, {(): 1})
-        u_series = TruncatedSeries(cap, u)
-        sign = 1
-        for _ in range(cap):
-            power = power * u_series
-            if not power.terms:
-                break
-            sign = -sign
-            for mono, c in power.terms.items():
-                val = out.get(mono, 0) + sign * c
-                if val:
-                    out[mono] = val
-                else:
-                    del out[mono]
-        return TruncatedSeries(cap, out)
-
 
 class GroupElement:
     """An element of the free nilpotent group of class `cap`: a truncated
-    series with constant term 1, optionally remembering a defining word."""
+    series with constant term 1."""
 
-    __slots__ = ("series", "word", "_weight")
+    __slots__ = ("series", "_weight")
 
-    def __init__(self, series: TruncatedSeries, word=None):
+    def __init__(self, series: TruncatedSeries):
         if series.constant() != 1:
             raise ValueError("group elements have constant term exactly 1")
         self.series = series
-        self.word = word
         self._weight = False  # not yet computed
 
     @property
@@ -158,21 +133,38 @@ class GroupElement:
         return GroupElement(self.series * other.series)
 
     def inverse(self) -> "GroupElement":
-        return GroupElement(self.series.invert_unit())
+        return self ** -1
 
     def __pow__(self, e: int) -> "GroupElement":
-        if e < 0:
-            return self.inverse() ** (-e)
-        out = GroupElement(TruncatedSeries.one(self.cap))
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base_needed = e >> 1
-            if base_needed:
-                base = base * base
-            e = base_needed
-        return out
+        """g^e = sum over 0 <= j <= cap of C(e, j) * (g - 1)^j.
+
+        Exact for every integer e, negative and zero included.  With
+        u = g - 1 of weight w, u^j has no term below degree j*w, so u^j
+        vanishes at the cap once j*w > cap and the binomial series of
+        (1 + u)^e is a finite sum; C(e, j) = e(e-1)...(e-j+1)/j! is an
+        integer for every integer e, and zero for every j > e >= 0.
+        """
+        cap = self.cap
+        w = self.weight()
+        if w is None:
+            return self
+        u = TruncatedSeries(cap, {m: c for m, c in self.series.terms.items() if m})
+        out = {(): 1}
+        binom = 1
+        power = u
+        for j in range(1, cap // w + 1):
+            binom = binom * (e - j + 1) // j
+            if not binom:
+                break
+            if j > 1:
+                power = power * u
+            for mono, c in power.terms.items():
+                val = out.get(mono, 0) + binom * c
+                if val:
+                    out[mono] = val
+                else:
+                    del out[mono]
+        return GroupElement(TruncatedSeries(cap, out))
 
     def commutator(self, other: "GroupElement") -> "GroupElement":
         """[g, h] = g^-1 h^-1 g h."""
@@ -201,15 +193,11 @@ def generator_element(i: int, n: int, cap: int) -> GroupElement:
     return GroupElement(TruncatedSeries(cap, {(): 1, (i,): 1}))
 
 
-def series_of_letters(letters, n: int, cap: int) -> GroupElement:
-    """Image of a word given as (generator index, sign) pairs."""
-    gens = [generator_element(i, n, cap) for i in range(n)]
-    invs = [g.inverse() for g in gens]
+def _word_element(word, generators, cap: int) -> GroupElement:
+    """Image of a word: one power of a generator per syllable."""
     out = identity_element(cap)
-    for i, s in letters:
-        if not 0 <= i < n:
-            raise ValueError("letter outside the declared alphabet")
-        out = out * (gens[i] if s > 0 else invs[i])
+    for i, e in word.syllables():
+        out = out * generators[i] ** e
     return out
 
 
@@ -217,16 +205,8 @@ def series_of_word(word, n: int, cap: int) -> GroupElement:
     """Image of a presentations.Word; its alphabet may not exceed n letters."""
     if len(word.alphabet) > n:
         raise ValueError("word alphabet is larger than the ambient rank")
-    g = series_of_letters(word.letters, n, cap)
-    return GroupElement(g.series, word=word)
-
-
-def weight_of(g: GroupElement) -> int | None:
-    return g.weight()
-
-
-def leading_part(g: GroupElement) -> dict:
-    return g.leading()
+    gens = [generator_element(i, n, cap) for i in range(n)]
+    return _word_element(word, gens, cap)
 
 
 def reindex_element(g: GroupElement, offset: int, n: int) -> GroupElement:

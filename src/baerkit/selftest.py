@@ -266,7 +266,7 @@ def _random_closure(rng, budget):
     els = []
     for _ in range(rng.randrange(1, 4)):
         letters = _random_letters(rng, n, 5)
-        els.append(amb.element_of_letters(letters))
+        els.append(amb.element_of_word(Word(ab, letters)))
     normal = rng.random() < 0.7
     return amb, ab, insert_and_close(None, amb, els, normal)
 
@@ -432,10 +432,11 @@ def _(budget):
 @_check("magnus/inverse-exactness")
 def _(budget):
     rng = random.Random(202)
+    ab = Alphabet(["x", "y"])
     for _ in range(200):
         n, cap = 2, rng.choice((2, 3, 4, 5))
         amb_free = AmbientContext(n, cap, budget)
-        g = amb_free.element_of_letters(_random_letters(rng, n, 7))
+        g = amb_free.element_of_word(Word(ab, _random_letters(rng, n, 7)))
         _expect((g * g.inverse()).is_identity, "g * g^-1 is not the identity")
         _expect((g.inverse() * g).is_identity, "g^-1 * g is not the identity")
 
@@ -443,11 +444,12 @@ def _(budget):
 @_check("magnus/commutator-filtration")
 def _(budget):
     rng = random.Random(203)
+    ab = Alphabet(["x", "y"])
     for _ in range(200):
         n, cap = 2, 5
         amb = AmbientContext(n, cap, budget)
-        g = amb.element_of_letters(_random_letters(rng, n, 6))
-        h = amb.element_of_letters(_random_letters(rng, n, 6))
+        g = amb.element_of_word(Word(ab, _random_letters(rng, n, 6)))
+        h = amb.element_of_word(Word(ab, _random_letters(rng, n, 6)))
         wg, wh = g.weight(), h.weight()
         if wg is None or wh is None:
             continue
@@ -530,13 +532,13 @@ def _(budget):
 
 @_check("lyndon/bracketing-via-plain-series")
 def _(budget):
-    # Cross-route: evaluate some bracketing words letter by letter.
+    # Cross-route: evaluate some bracketings as plain words.
     rng = random.Random(204)
     pool = [(n, w) for n in (2, 3) for m in range(1, 5) for w in lyndon_words(n, m)]
     for n, w in rng.sample(pool, 25):
         amb = AmbientContext(n, 4, budget)
         b = bracketing(w)
-        direct = amb.element_of_letters(b.letters)
+        direct = amb.element_of_word(Word(Alphabet("xyz"[:n]), b.letters))
         _expect(direct == amb.bracket_element(w), f"series routes differ at {w}")
 
 

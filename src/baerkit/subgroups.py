@@ -24,8 +24,14 @@ from dataclasses import dataclass
 
 from .errors import CapacityError
 from .intlinalg import AbelianInvariants, IntMatrix, abelian_invariants, hnf, _xgcd
-from .lyndon import get_basis, lyndon_words, witt_dimension
-from .magnus import GroupElement, identity_element, generator_element, series_of_letters
+from .lyndon import get_basis, lyndon_words, standard_factorization, witt_dimension
+from .magnus import (
+    GroupElement,
+    _word_element,
+    generator_element,
+    identity_element,
+    reindex_element,
+)
 
 DEFAULT_MONOMIAL_BUDGET = 50_000
 
@@ -60,13 +66,10 @@ class AmbientContext:
     def identity(self) -> GroupElement:
         return identity_element(self.cap)
 
-    def element_of_letters(self, letters) -> GroupElement:
-        return series_of_letters(letters, self.n, self.cap)
-
     def element_of_word(self, word) -> GroupElement:
         if len(word.alphabet) > self.n:
             raise ValueError("word alphabet exceeds the ambient rank")
-        return self.element_of_letters(word.letters)
+        return _word_element(word, self.generators, self.cap)
 
     def bracket_element(self, word: tuple[int, ...]) -> GroupElement:
         """Group element realizing the standard bracketing of a Lyndon word;
@@ -76,8 +79,6 @@ class AmbientContext:
             if len(word) == 1:
                 el = self.generators[word[0]]
             else:
-                from .lyndon import standard_factorization
-
                 u, v = standard_factorization(word)
                 el = self.bracket_element(u).commutator(self.bracket_element(v))
             self._brackets[word] = el
@@ -479,8 +480,6 @@ def embedded_copy(
 ) -> FilteredSubgroup:
     """Image of a subgroup under the free-factor embedding that shifts every
     generator index by `offset`; re-closed in the target ambient."""
-    from .magnus import reindex_element
-
     if target.cap != u.ambient.cap:
         raise ValueError("cap mismatch between ambients")
     elems = [
@@ -499,10 +498,9 @@ def lattices_intersect_trivially(
     for lu, lv in zip(u.levels, v.levels):
         if not lu.rows or not lv.rows:
             continue
-        ra = len(hnf(IntMatrix(lu.rows, cols=lu.dim))[0].nonzero_rows())
-        rb = len(hnf(IntMatrix(lv.rows, cols=lv.dim))[0].nonzero_rows())
+        # Level rows are nonzero Hermite rows with distinct pivots, so each
+        # level's rank is its row count.
         stacked = IntMatrix(lu.rows + lv.rows, cols=lu.dim)
-        rs = len(hnf(stacked)[0].nonzero_rows())
-        if rs < ra + rb:
+        if len(hnf(stacked)[0].nonzero_rows()) < len(lu.rows) + len(lv.rows):
             return False
     return True

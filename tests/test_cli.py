@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -186,6 +187,22 @@ def test_console_script_runs():
     )
     assert proc.returncode == 0
     assert "witt=1" in proc.stdout
+
+
+def test_benchmark_worker_installs_tracing():
+    # The benchmark's traced run wraps engine functions by name; a rename
+    # breaks this import-only run.
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run(
+        [sys.executable, str(root / "perfbench" / "worker.py"), "1"],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout.splitlines()[-1])
+    assert "trace" in report
 
 
 def test_determinism_of_machine_reports(capsys):

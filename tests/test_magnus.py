@@ -6,19 +6,21 @@ from baerkit.magnus import (
     TruncatedSeries,
     generator_element,
     identity_element,
-    leading_part,
     reindex_element,
-    series_of_letters,
     series_of_word,
-    weight_of,
 )
-from baerkit.presentations import Alphabet, parse_word
+from baerkit.presentations import Alphabet, Word, parse_word
+from baerkit.subgroups import AmbientContext
 
 AB = Alphabet(["x", "y"])
 
 
 def elem(text, n=2, cap=4):
     return series_of_word(parse_word(text, AB), n, cap)
+
+
+def elem_of_letters(letters, cap):
+    return series_of_word(Word(AB, letters), 2, cap)
 
 
 class TestSeriesOfWord:
@@ -73,20 +75,20 @@ class TestGroupOps:
 
 class TestWeight:
     def test_identity_infinite(self):
-        assert weight_of(elem("1")) is None
+        assert elem("1").weight() is None
 
     def test_commutator_weight(self):
-        assert weight_of(elem("[x,y]")) == 2
+        assert elem("[x,y]").weight() == 2
 
     def test_nested_commutator_weight(self):
-        assert weight_of(elem("[[x,y],y]")) == 3
+        assert elem("[[x,y],y]").weight() == 3
 
     def test_leading_parts(self):
-        assert leading_part(elem("[x,y]")) == {(0, 1): 1, (1, 0): -1}
-        assert leading_part(elem("x")) == {(0,): 1}
-        assert leading_part(elem("x^2")) == {(0,): 2}
+        assert elem("[x,y]").leading() == {(0, 1): 1, (1, 0): -1}
+        assert elem("x").leading() == {(0,): 1}
+        assert elem("x^2").leading() == {(0,): 2}
         with pytest.raises(ValueError):
-            leading_part(elem("1"))
+            elem("1").leading()
 
 
 letters = st.lists(
@@ -97,15 +99,15 @@ letters = st.lists(
 @given(letters, letters, st.integers(2, 4))
 @settings(max_examples=80)
 def test_homomorphism(a, b, cap):
-    ga = series_of_letters(a, 2, cap)
-    gb = series_of_letters(b, 2, cap)
-    assert ga * gb == series_of_letters(list(a) + list(b), 2, cap)
+    ga = elem_of_letters(a, cap)
+    gb = elem_of_letters(b, cap)
+    assert ga * gb == elem_of_letters(list(a) + list(b), cap)
 
 
 @given(letters, st.integers(2, 5))
 @settings(max_examples=80)
 def test_inverse_exact(a, cap):
-    g = series_of_letters(a, 2, cap)
+    g = elem_of_letters(a, cap)
     assert (g * g.inverse()).is_identity
 
 
@@ -113,14 +115,48 @@ def test_inverse_exact(a, cap):
 @settings(max_examples=60)
 def test_commutator_filtration(a, b):
     cap = 5
-    g = series_of_letters(a, 2, cap)
-    h = series_of_letters(b, 2, cap)
+    g = elem_of_letters(a, cap)
+    h = elem_of_letters(b, cap)
     wg, wh = g.weight(), h.weight()
     if wg is None or wh is None:
         assert g.commutator(h).weight() is None or True
         return
     wc = g.commutator(h).weight()
     assert wc is None or wc >= wg + wh
+
+
+def repeated_product(g, e):
+    """g^e as |e| plain products of g or of g.inverse()."""
+    out = identity_element(g.cap)
+    for _ in range(abs(e)):
+        out = out * (g if e > 0 else g.inverse())
+    return out
+
+
+@given(letters, st.integers(-8, 8), st.integers(1, 5))
+@settings(max_examples=80)
+def test_pow_matches_repeated_product(a, e, cap):
+    g = elem_of_letters(a, cap)
+    assert g ** e == repeated_product(g, e)
+    assert (g ** 0).is_identity
+
+
+big = st.integers(-2**40, 2**40)
+
+
+@given(letters, big, big, st.integers(1, 4))
+@settings(max_examples=60)
+def test_pow_adds_exponents(a, e, f, cap):
+    g = elem_of_letters(a, cap)
+    assert g ** e * g ** f == g ** (e + f)
+
+
+def test_large_syllables_agree_across_paths():
+    word = parse_word("x^1024 y^-3", AB)
+    x, y = generator_element(0, 2, 4), generator_element(1, 2, 4)
+    g = series_of_word(word, 2, 4)
+    assert g == x ** 1024 * y ** -3
+    assert g == AmbientContext(2, 4).element_of_word(word)
 
 
 def test_reindex_is_homomorphic():
