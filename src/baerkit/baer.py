@@ -84,15 +84,19 @@ def detect_class(
     """Smallest verified class bound k <= k_max whose nilpotent quotient is
     finite and already stable at class k+1; None when no such k exists.
 
-    Infinite nilpotent groups never pass the finiteness test, so callers
-    must supply their bound explicitly (verify_class_bound alone decides).
-    Soundness presumes the input presents a nilpotent group.
+    A finitely generated nilpotent group is finite exactly when its
+    abelianization is, so finiteness of the class-(k+1) quotient does not
+    depend on k and the search stops at the first infinite one; callers
+    supply the bound of an infinite group explicitly (verify_class_bound
+    alone decides).  Soundness presumes the input presents a nilpotent group.
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
     for k in range(1, k_max + 1):
         res = verify_class_bound(pres, k, monomial_budget)
-        if res.ok and res.order is not None:
+        if res.order is None:
+            return None
+        if res.ok:
             return k
     return None
 

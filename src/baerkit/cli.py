@@ -190,9 +190,7 @@ def cmd_semidirect(config: RunConfig, echo) -> int:
     machine = config.fmt == "machine"
     trace = (lambda _msg: None) if machine else echo
 
-    k_acted = detect_class(spec.acted, config.k_max, config.cap_guard)
-    if k_acted is None:
-        k_acted = certified_class_bound(spec.acted, config.k_max, config.cap_guard)
+    k_acted = certified_class_bound(spec.acted, config.k_max, config.cap_guard)
     if k_acted is None:
         raise ClassUndeterminedError(
             f"cannot certify a class bound for the acted group "

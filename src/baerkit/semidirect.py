@@ -26,7 +26,6 @@ from .baer import (
     BaerJob,
     baer_invariant,
     certified_class_bound,
-    detect_class,
     invariant_from_closure,
     relator_closure,
     verify_class_bound,
@@ -554,13 +553,10 @@ def resolve_acting_class_bound(
     k_limit: int,
     monomial_budget: int | None = DEFAULT_MONOMIAL_BUDGET,
 ) -> int:
-    """Class bound for the acting factor alone: detected when finite, else
-    the smallest certified bound; the factor's class never exceeds the
-    product's, so fall back to the given limit.  Whatever comes out is
-    re-verified downstream."""
-    k = detect_class(acting, k_limit, monomial_budget)
-    if k is None:
-        k = certified_class_bound(acting, k_limit, monomial_budget)
+    """Smallest certified class bound of the acting factor alone, else the
+    given limit, since the factor's class never exceeds the product's;
+    whatever comes out is re-verified downstream."""
+    k = certified_class_bound(acting, k_limit, monomial_budget)
     return k if k is not None else k_limit
 
 

@@ -8,13 +8,29 @@ weight m whose leading coordinates are that row.
 Membership (`sieve`) reduces an element's leading coordinates against the
 lattice of its weight, divides the realizing elements off, and recurses at
 strictly larger weight; an element belongs to the subgroup exactly when
-this terminates at the identity, provided the sequence is saturated.
+this terminates at the identity, provided the sequence is consistent.
 
-Saturation means: every product of two stored elements, every inverse of a
-stored element and, for normal subgroups, every conjugate of a stored
-element by an ambient generator sieves to membership.  `insert_and_close`
-establishes this by fixpoint; it terminates because every insertion
-strictly enlarges one of finitely many lattices of bounded rank.
+Consistency means: the commutator [r_a, r_b] of every two stored elements
+sieves to membership and, for normal subgroups, so does [r, x] for every
+stored r and ambient generator x (the obligations of a filtered polycyclic
+sequence; Sims, "Computation with Finitely Presented Groups", ch. 9).
+`insert_and_close` establishes this by fixpoint; it terminates because every
+insertion strictly enlarges one of finitely many lattices of bounded rank.
+Why this certifies the sieve, with H the group the stored elements generate:
+
+1. Level rows are Hermite rows with distinct pivots, and each degree-m
+   section of the free nilpotent group is free abelian: no power
+   obligations arise.
+2. [r_a, r_b] has weight >= m_a + m_b, so by downward induction on m the
+   normal forms over levels >= m form the group H_m that the stored
+   elements there generate: level-m elements normalize H_{m+1} (inverses
+   too, by the max condition of finitely generated nilpotent groups) and
+   commute modulo it, and H_m meets gamma_{m+1} in H_{m+1} since the
+   level-m rows are independent.  So the sieve decides membership in H.
+3. Inverses need no check: H is a group, and by 2 the sieve decides H.
+4. [r, x] in H gives x^-1 H x <= H, equality by the max condition; so
+   conjugation by x^-1 is covered, and a non-normal base re-closed in
+   normal mode becomes normal.
 """
 
 from __future__ import annotations
@@ -53,7 +69,6 @@ class AmbientContext:
         self.cap = cap
         self.bases = [get_basis(n, m) for m in range(1, cap + 1)]
         self.generators = [generator_element(i, n, cap) for i in range(n)]
-        self.generator_inverses = [g.inverse() for g in self.generators]
         self._brackets: dict[tuple[int, ...], GroupElement] = {}
         self._full = None
 
@@ -307,14 +322,10 @@ def insert_and_close(
     elements,
     normal: bool,
 ) -> FilteredSubgroup:
-    """Saturated closure of `base` (may be None) together with `elements`.
-
-    In normal mode the result is closed under conjugation by the ambient
-    generators and their inverses, which in a nilpotent group generates all
-    conjugation.  The final verification passes re-sieve every product,
-    inverse and conjugate of the stored elements until one pass adds
-    nothing, so the saturation invariant holds by construction.
-    """
+    """Consistent closure of `base` (may be None) together with `elements`,
+    normal when `normal` or the base is.  Each inserted residue queues its
+    commutators with the ambient generators in normal mode; passes re-sieve
+    the consistency obligations until one inserts nothing."""
     if base is not None:
         if not base.ambient.compatible(ambient):
             raise ValueError("ambient mismatch")
@@ -324,7 +335,6 @@ def insert_and_close(
         sub = FilteredSubgroup(ambient, normal)
 
     cap = ambient.cap
-    conjugators = ambient.generators + ambient.generator_inverses
     queue = deque(elements)
 
     def process(g: GroupElement) -> bool:
@@ -336,35 +346,27 @@ def insert_and_close(
         _, coords = ambient.leading_coordinates(r)
         queue.extend(sub.levels[m - 1].add(coords, r))
         if sub.normal and m < cap:
-            for t in conjugators:
-                queue.append(r.conjugate(t))
+            queue.extend(r.commutator(x) for x in ambient.generators)
         return True
 
+    checked = False  # a pass was queued and nothing inserted since
     while True:
         while queue:
-            process(queue.popleft())
-        # Verification pass: enqueue the saturation obligations and repeat
-        # if anything new appears.  Products of two top-degree elements and
-        # inverses/conjugates at the top degree stay inside the lattice
-        # automatically and are skipped.
-        stored = sub.stored()
-        dirty = False
-        for m, _, r in stored:
-            if m < cap:
-                queue.append(r.inverse())
-                if sub.normal:
-                    for t in conjugators:
-                        queue.append(r.conjugate(t))
-        for m1, _, r in stored:
-            for m2, _, s in stored:
-                if m1 == cap and m2 == cap:
-                    continue
-                queue.append(r * s)
-        while queue:
             if process(queue.popleft()):
-                dirty = True
-        if not dirty:
+                checked = False
+        if checked:
             return sub
+        # Consistency pass; stored() is ordered by degree, so the inner loop
+        # stops at the first partner whose commutator passes the cap.
+        stored = sub.stored()
+        for a, (ma, _, ra) in enumerate(stored):
+            for mb, _, rb in stored[a + 1:]:
+                if ma + mb > cap:
+                    break
+                queue.append(ra.commutator(rb))
+            if sub.normal and ma < cap:
+                queue.extend(ra.commutator(x) for x in ambient.generators)
+        checked = True
 
 
 def join(u: FilteredSubgroup, v: FilteredSubgroup) -> FilteredSubgroup:

@@ -51,6 +51,9 @@ class TestDetectClass:
     def test_free_group_undetermined(self):
         assert detect_class(make_presentation("f2", ["x", "y"], []), 4) is None
 
+    def test_infinite_stops_at_first_infinite_quotient(self):
+        assert detect_class(free_abelian(3), 6) is None
+
     def test_infinite_abelian_undetermined_but_certified(self):
         zz = free_abelian(2)
         assert detect_class(zz, 3) is None

@@ -33,6 +33,15 @@ class TestMultiplier:
         assert rc == 3
         assert "--class-bound" in err
 
+    def test_free_abelian_rank_three_refused_quickly(self, tmp_path, capsys):
+        # An infinite group is refused at the first class bound whose
+        # quotient is infinite, not after trying every bound up to kmax.
+        grp = tmp_path / "z3.grp"
+        grp.write_text("group Z3\n  gen a b c\n  rel [a,b], [a,c], [b,c]\nend\n")
+        rc, _, err = run_cli(["multiplier", "--file", str(grp)], capsys)
+        assert rc == 3
+        assert "--class-bound" in err
+
     def test_free_abelian_with_bound(self, capsys):
         rc, out, _ = run_cli(
             [
@@ -112,6 +121,24 @@ class TestSemidirect:
         )
         assert rc == 0
         assert "verdict: PASS" in out
+
+    def test_infinite_acted_group_builds(self, tmp_path, capsys):
+        # The acted group's class bound is certified once, without a
+        # finiteness search over every bound up to kmax.
+        grp = tmp_path / "z3_by_z2.grp"
+        grp.write_text(
+            "group A\n  gen a1 a2 a3\n  rel [a1,a2], [a1,a3], [a2,a3]\nend\n"
+            "group B\n  gen b\n  rel b^2\nend\n"
+            "action B on A\n"
+            + "".join(
+                f"  b : a{i} -> a{i}\n  inverse b : a{i} -> a{i}\n"
+                for i in (1, 2, 3)
+            )
+            + "end\n"
+        )
+        rc, out, _ = run_cli(["semidirect", "--file", str(grp)], capsys)
+        assert rc == 0
+        assert "combined group" in out
 
     def test_bad_action_exit_five(self, tmp_path, capsys):
         text = (DATA / "d8.grp").read_text().replace("a -> a^-1", "a -> a^2")

@@ -1,4 +1,5 @@
 import random
+from collections import deque
 
 import pytest
 
@@ -7,6 +8,7 @@ from baerkit.intlinalg import AbelianInvariants, abelian_invariants
 from baerkit.presentations import Alphabet, parse_word
 from baerkit.subgroups import (
     AmbientContext,
+    FilteredSubgroup,
     commutator_with,
     embedded_copy,
     insert_and_close,
@@ -26,6 +28,53 @@ ABXY = Alphabet(["x", "y"])
 def closure(amb, alphabet, words, normal=True):
     els = [amb.element_of_word(parse_word(t, alphabet)) for t in words]
     return insert_and_close(None, amb, els, normal)
+
+
+def all_pairs_closure(base, ambient, elements, normal):
+    """Reference closure by all-pairs saturation: each inserted residue
+    queues its conjugates by the generators and their inverses, then passes
+    re-sieve every product, inverse and such conjugate of the stored
+    elements until one pass inserts nothing."""
+    if base is not None:
+        sub = base.copy()
+        sub.normal = base.normal or normal
+    else:
+        sub = FilteredSubgroup(ambient, normal)
+    cap = ambient.cap
+    conjugators = ambient.generators + [x.inverse() for x in ambient.generators]
+    queue = deque(elements)
+
+    def process(g):
+        res = sub.sieve(g)
+        if res.member:
+            return False
+        r = res.residue
+        m = r.weight()
+        _, coords = ambient.leading_coordinates(r)
+        queue.extend(sub.levels[m - 1].add(coords, r))
+        if sub.normal and m < cap:
+            queue.extend(r.conjugate(t) for t in conjugators)
+        return True
+
+    while True:
+        while queue:
+            process(queue.popleft())
+        stored = sub.stored()
+        for m, _, r in stored:
+            if m < cap:
+                queue.append(r.inverse())
+                if sub.normal:
+                    queue.extend(r.conjugate(t) for t in conjugators)
+        for m1, _, r in stored:
+            for m2, _, s in stored:
+                if m1 < cap or m2 < cap:
+                    queue.append(r * s)
+        dirty = False
+        while queue:
+            if process(queue.popleft()):
+                dirty = True
+        if not dirty:
+            return sub
 
 
 @pytest.fixture
@@ -256,8 +305,45 @@ class TestSaturation:
     def test_generator_conjugates_members(self, amb22):
         u = closure(amb22, ABXY, ["x^2 y^2"])
         for _, _, el in u.stored():
-            for t in amb22.generators + amb22.generator_inverses:
-                assert u.contains(el.conjugate(t))
+            for x in amb22.generators:
+                for t in (x, x.inverse()):
+                    assert u.contains(el.conjugate(t))
+
+    def test_matches_all_pairs_reference(self):
+        rng = random.Random(4099)
+        for trial in range(120):
+            n = rng.randrange(1, 4)
+            cap = rng.randrange(2, 6 if n < 3 else 4)
+            amb = AmbientContext(n, cap)
+            els = []
+            for _ in range(rng.randrange(1, 4)):
+                g = amb.identity()
+                for _ in range(rng.randrange(1, 5)):
+                    x = amb.generators[rng.randrange(n)]
+                    g = g * x ** rng.choice((-2, -1, 1, 2, 3))
+                els.append(g)
+            mode = trial % 3  # normal, plain, plain base re-closed as normal
+            if mode < 2:
+                got = insert_and_close(None, amb, els, mode == 0)
+                want = all_pairs_closure(None, amb, els, mode == 0)
+            else:
+                base = insert_and_close(None, amb, els, False)
+                plain = all_pairs_closure(None, amb, els, False)
+                for m in range(1, cap + 1):
+                    assert base.lattice_rows(m) == plain.lattice_rows(m)
+                got = insert_and_close(base, amb, [], True)
+                want = all_pairs_closure(base, amb, [], True)
+            for m in range(1, cap + 1):
+                assert got.lattice_rows(m) == want.lattice_rows(m)
+            stored = [el for _, _, el in got.stored()]
+            for a in stored:
+                assert got.contains(a.inverse())
+                for b in stored:
+                    assert got.contains(a * b)
+                if got.normal:
+                    for x in amb.generators:
+                        assert got.contains(a.conjugate(x))
+                        assert got.contains(a.conjugate(x.inverse()))
 
 
 class TestEmbedding:
