@@ -34,6 +34,15 @@ class TruncatedSeries:
                 raise ValueError("monomial exceeds the cap")
 
     @classmethod
+    def _raw(cls, cap: int, terms: dict) -> "TruncatedSeries":
+        """Trusted constructor for terms built here that are already free of
+        zero coefficients and of monomials above the cap."""
+        out = cls.__new__(cls)
+        out.cap = cap
+        out.terms = terms
+        return out
+
+    @classmethod
     def one(cls, cap: int) -> "TruncatedSeries":
         return cls(cap, {(): 1})
 
@@ -81,7 +90,7 @@ class TruncatedSeries:
                         out[key] = val
                     else:
                         del out[key]
-        return TruncatedSeries(cap, out)
+        return TruncatedSeries._raw(cap, out)
 
     def weight(self) -> int | None:
         """Smallest degree in [1, cap] carrying a nonzero term, or None when
@@ -148,7 +157,7 @@ class GroupElement:
         w = self.weight()
         if w is None:
             return self
-        u = TruncatedSeries(cap, {m: c for m, c in self.series.terms.items() if m})
+        u = self._minus_one()
         out = {(): 1}
         binom = 1
         power = u
@@ -158,17 +167,45 @@ class GroupElement:
                 break
             if j > 1:
                 power = power * u
-            for mono, c in power.terms.items():
-                val = out.get(mono, 0) + binom * c
-                if val:
-                    out[mono] = val
-                else:
-                    del out[mono]
-        return GroupElement(TruncatedSeries(cap, out))
+            _add_terms(out, power.terms, binom)
+        return GroupElement(TruncatedSeries._raw(cap, out))
+
+    def _minus_one(self) -> TruncatedSeries:
+        """The series g - 1."""
+        return TruncatedSeries._raw(
+            self.cap, {m: c for m, c in self.series.terms.items() if m}
+        )
 
     def commutator(self, other: "GroupElement") -> "GroupElement":
-        """[g, h] = g^-1 h^-1 g h."""
-        return self.inverse() * other.inverse() * self * other
+        """[g, h] = g^-1 h^-1 g h, computed at its own weight.
+
+        With u = g - 1 and v = h - 1 of weights w_g and w_h, gh - hg =
+        uv - vu has no term below degree w_g + w_h, and g^-1 h^-1 = (hg)^-1,
+        so [g, h] = (hg)^-1 gh = 1 + (hg)^-1 (uv - vu).  Only the terms of
+        (hg)^-1 up to degree L = cap - w_g - w_h reach the cap in that
+        product, and they depend only on the terms of hg = 1 + u + v + vu up
+        to degree L; so hg is inverted as a series of cap L, and not at all
+        when L = 0.  When w_g + w_h > cap the commutator is the identity.
+        """
+        cap = self.cap
+        wg, wh = self.weight(), other.weight()
+        if wg is None or wh is None or wg + wh > cap:
+            return identity_element(cap)
+        u, v = self._minus_one(), other._minus_one()
+        vu = v * u
+        diff = dict((u * v).terms)
+        _add_terms(diff, vu.terms, -1)
+        low = cap - wg - wh
+        if low and diff:
+            hg = {(): 1}
+            for part in (u, v, vu):
+                _add_terms(hg, {m: c for m, c in part.terms.items() if len(m) <= low})
+            inv = GroupElement(TruncatedSeries._raw(low, hg)) ** -1
+            if not inv.is_identity:
+                lifted = TruncatedSeries._raw(cap, inv.series.terms)
+                diff = (lifted * TruncatedSeries._raw(cap, diff)).terms
+        diff[()] = 1
+        return GroupElement(TruncatedSeries._raw(cap, diff))
 
     def conjugate(self, by: "GroupElement") -> "GroupElement":
         """g^t = t^-1 g t."""
@@ -181,6 +218,16 @@ class GroupElement:
 
     def __repr__(self):
         return f"GroupElement({self.series!r})"
+
+
+def _add_terms(out: dict, terms: dict, k: int = 1):
+    """out += k * terms, in place, dropping coefficients that cancel."""
+    for mono, c in terms.items():
+        val = out.get(mono, 0) + k * c
+        if val:
+            out[mono] = val
+        else:
+            del out[mono]
 
 
 def identity_element(cap: int) -> GroupElement:

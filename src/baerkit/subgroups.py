@@ -382,13 +382,22 @@ def join(u: FilteredSubgroup, v: FilteredSubgroup) -> FilteredSubgroup:
 def commutator_with(u: FilteredSubgroup, v: FilteredSubgroup) -> FilteredSubgroup:
     """Normal closure of the commutators of the stored realizing elements of
     the two subgroups; iterating with v = full ambient group computes
-    iterated commutator subgroups with the whole group."""
+    iterated commutator subgroups with the whole group.
+
+    Against the full group, u's elements are paired with the ambient
+    generators only: for U = <S> and F = <X>, [U, F] is the normal closure
+    K of the [s, x], since K <= [U, F], which is normal, and modulo K every
+    s commutes with every x, so U is central and [U, F] <= K."""
     if not u.ambient.compatible(v.ambient):
         raise ValueError("ambient mismatch")
     cap = u.ambient.cap
+    if v is u.ambient._full:
+        partners = [(1, x) for x in u.ambient.generators]
+    else:
+        partners = [(m, b) for m, _, b in v.stored()]
     elems = []
     for m1, _, a in u.stored():
-        for m2, _, b in v.stored():
+        for m2, b in partners:
             if m1 + m2 > cap:
                 continue  # commutator weight >= m1 + m2: identity here
             c = a.commutator(b)

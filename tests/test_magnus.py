@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -173,3 +175,93 @@ def test_sorted_terms_length_lex():
     g = elem("y x [x,y]")
     monos = [m for m, _ in g.series.sorted_terms()]
     assert monos == sorted(monos, key=lambda m: (len(m), m))
+
+
+def product_commutator(g, h):
+    """[g, h] by the product formula g^-1 h^-1 g h: the oracle."""
+    return g.inverse() * h.inverse() * g * h
+
+
+def random_word_element(rng, n, cap):
+    """Image of a random word of up to three syllables; some exponents lie
+    near +-10**40, as lattice reduction produces."""
+    g = identity_element(cap)
+    for _ in range(rng.randint(1, 3)):
+        e = rng.choice([
+            rng.randint(-3, 3),
+            10**40 + rng.randint(-9, 9),
+            -(10**40) + rng.randint(-9, 9),
+        ])
+        g = g * generator_element(rng.randrange(n), n, cap) ** e
+    return g
+
+
+def weighted_element(rng, n, cap, w):
+    """A random element of weight >= w, or the identity when w > cap: a
+    left-normed product-formula commutator of w random words."""
+    if w > cap:
+        return identity_element(cap)
+    g = random_word_element(rng, n, cap)
+    for _ in range(w - 1):
+        g = product_commutator(g, random_word_element(rng, n, cap))
+    return g
+
+
+@pytest.mark.parametrize("n,max_cap", [(1, 9), (2, 9), (3, 7)])
+def test_commutator_matches_product_formula(n, max_cap):
+    rng = random.Random(1000 + n)
+    kinds = set()
+    for cap in range(1, max_cap + 1):
+        for _ in range(12):
+            wg = rng.randint(1, cap + 1)
+            wh = rng.choice([cap - wg, rng.randint(1, cap + 1)])
+            g = weighted_element(rng, n, cap, wg)
+            h = weighted_element(rng, n, cap, wh)
+            got = g.commutator(h)
+            assert got == product_commutator(g, h)
+            if g.is_identity or h.is_identity:
+                kinds.add("identity")
+            elif g.weight() + h.weight() > cap:
+                kinds.add("over")
+                assert got.is_identity
+            elif g.weight() + h.weight() == cap and not got.is_identity:
+                kinds.add("L = 0")
+            elif not got.is_identity:
+                kinds.add("L > 0")
+    if n == 1:
+        assert kinds <= {"identity", "over"}
+    else:
+        assert kinds == {"identity", "over", "L = 0", "L > 0"}
+
+
+series_ops = st.lists(
+    st.tuples(
+        st.sampled_from(("mul", "pow", "commutator")),
+        st.integers(0, 7),
+        st.integers(0, 7),
+        st.sampled_from((-(10**40), -3, -1, 0, 2, 5, 10**40)),
+    ),
+    min_size=1,
+    max_size=6,
+)
+
+
+@given(letters, letters, series_ops, st.integers(1, 6))
+@settings(max_examples=60)
+def test_trusted_results_are_valid_series(a, b, ops, cap):
+    """Results built by the unvalidated constructor keep no zero
+    coefficient and no monomial above the cap: the public constructor,
+    which drops zeros and rejects such monomials, gives the same series."""
+    pool = [elem_of_letters(a, cap), elem_of_letters(b, cap)]
+    pool += [g.commutator(h) for g in pool for h in pool]
+    for op, i, j, e in ops:
+        g, h = pool[i % len(pool)], pool[j % len(pool)]
+        if op == "mul":
+            out = g * h
+        elif op == "pow":
+            out = g ** e
+        else:
+            out = g.commutator(h)
+        pool.append(out)
+    for g in pool:
+        assert TruncatedSeries(cap, dict(g.series.terms)) == g.series

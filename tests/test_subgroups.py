@@ -77,6 +77,19 @@ def all_pairs_closure(base, ambient, elements, normal):
             return sub
 
 
+def all_pairs_commutator_with(u, v):
+    """Reference [U, V]: normal closure of the commutators of every stored
+    element of u with every stored element of v."""
+    cap = u.ambient.cap
+    elems = [
+        a.commutator(b)
+        for m1, _, a in u.stored()
+        for m2, _, b in v.stored()
+        if m1 + m2 <= cap
+    ]
+    return insert_and_close(None, u.ambient, elems, normal=True)
+
+
 @pytest.fixture
 def amb1():
     return AmbientContext(1, 1)
@@ -201,6 +214,29 @@ class TestCommutator:
         r = closure(amb22, ABXY, ["x^2", "y^2", "[x,y]"])
         d = commutator_with(r, amb22.full_group())
         assert d.lattice_rows(2) == [[2]]
+
+    def test_full_group_matches_all_pairs_reference(self):
+        # Against the full group only the generators are paired; the
+        # tower [U, F], [[U, F], F], ... must keep the all-pairs lattices.
+        rng = random.Random(8191)
+        for trial in range(40):
+            n = rng.randrange(1, 4)
+            cap = rng.randrange(2, 7 if n < 3 else 5)
+            amb = AmbientContext(n, cap)
+            full = amb.full_group()
+            els = []
+            for _ in range(rng.randrange(1, 4)):
+                g = amb.identity()
+                for _ in range(rng.randrange(1, 5)):
+                    x = amb.generators[rng.randrange(n)]
+                    g = g * x ** rng.choice((-2, -1, 1, 2, 3))
+                els.append(g)
+            got = want = insert_and_close(None, amb, els, trial % 2 == 0)
+            for _ in range(3):
+                got = commutator_with(got, full)
+                want = all_pairs_commutator_with(want, full)
+                for m in range(1, cap + 1):
+                    assert got.lattice_rows(m) == want.lattice_rows(m)
 
 
 class TestGammaSlice:
