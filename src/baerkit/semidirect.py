@@ -26,12 +26,12 @@ from .baer import (
     BaerJob,
     baer_invariant,
     certified_class_bound,
-    invariant_from_closure,
     relator_closure,
     verify_class_bound,
 )
 from .errors import ActionError, CertificateError
 from .intlinalg import AbelianInvariants
+from .magnus import _word_element
 from .presentations import (
     ActionSpec,
     Presentation,
@@ -58,85 +58,6 @@ from .subgroups import (
 _MAX_ORDER_SEARCH = 4096
 
 
-class _ActionEvaluator:
-    """Applies the action of acting-factor words to acted-factor words,
-    reducing nothing: equality checks happen against the relator closure."""
-
-    def __init__(self, spec: ActionSpec, ambient: AmbientContext, closure):
-        self.spec = spec
-        self.ambient = ambient
-        self.closure = closure
-        self.acted = spec.acted.alphabet
-        self.acting = spec.acting.alphabet
-        self._computed_inverse: dict[int, dict] = {}
-
-    def _fixes_generators(self, table) -> bool:
-        for a in self.acted.names():
-            w = table[a]
-            idx = self.acted.index(a)
-            probe = w * Word(self.acted, ((idx, -1),))
-            if not self.closure.contains(self.ambient.element_of_word(probe)):
-                return False
-        return True
-
-    def _forward_table(self, b_name: str) -> dict:
-        return {
-            a: self.spec.image(a, b_name) for a in self.acted.names()
-        }
-
-    def _substitute(self, word: Word, table: dict) -> Word:
-        names = self.acted.names()
-        out = Word(self.acted)
-        for g, s in word.letters:
-            img = table[names[g]]
-            out = out * (img if s > 0 else img.inverse())
-        return out
-
-    def _inverse_table(self, b_name: str) -> dict:
-        """Inverse action of one acting generator.  Uses the supplied table
-        when present; otherwise iterates the forward action on a finite
-        acted group until it returns to the identity."""
-        if self.spec.inverse_images is not None:
-            return {
-                a: self.spec.image(a, b_name, inverse=True)
-                for a in self.acted.names()
-            }
-        b_idx = self.acting.index(b_name)
-        cached = self._computed_inverse.get(b_idx)
-        if cached is not None:
-            return cached
-        forward = self._forward_table(b_name)
-        current = forward
-        previous = {a: Word(self.acted, ((self.acted.index(a), 1),)) for a in self.acted.names()}
-        for _ in range(_MAX_ORDER_SEARCH):
-            if self._fixes_generators(current):
-                self._computed_inverse[b_idx] = previous
-                return previous
-            previous = current
-            current = {a: self._substitute(w, forward) for a, w in current.items()}
-            if any(len(w) > 100_000 for w in current.values()):
-                break
-        raise ActionError(
-            [f"cannot invert the action of {b_name!r}; supply inverse images"]
-        )
-
-    def apply_letter(self, word: Word, b_idx: int, sign: int) -> Word:
-        b_name = self.acting.names()[b_idx]
-        table = (
-            self._forward_table(b_name)
-            if sign > 0
-            else self._inverse_table(b_name)
-        )
-        return self._substitute(word, table)
-
-    def apply_word(self, word: Word, acting_word: Word) -> Word:
-        """a^(uv) = (a^u)^v: apply the letters left to right."""
-        out = word
-        for b, s in acting_word.letters:
-            out = self.apply_letter(out, b, s)
-        return out
-
-
 def validate_action(
     spec: ActionSpec,
     k_acted: int,
@@ -149,8 +70,17 @@ def validate_action(
     Works in the acted group's nilpotent quotient: the class bound is
     verified first, which makes every membership test against the relator
     closure exact.
+
+    An acting letter b is the endomorphism of the free nilpotent quotient
+    sending generator a_i to the element of its image word w[a_i, b], and it
+    acts on a word by evaluating the word at those elements.  Words are
+    never substituted into words, so nothing grows with the letters applied;
+    since gamma_{cap+1} is fully invariant, the element is the one of the
+    substituted word.  As a^(uv) = (a^u)^v, a relator's image list composes
+    from its last letter to its first.  Without an inverse table b^-1 acts
+    as b^(m-1), m the order of b's action modulo the relators, searched up
+    to _MAX_ORDER_SEARCH one forward step at a time.
     """
-    problems: list[str] = []
     cert = verify_class_bound(spec.acted, k_acted, monomial_budget)
     if not cert.ok:
         return [
@@ -158,21 +88,30 @@ def validate_action(
             f"class <= {k_acted}"
         ]
     ambient, closure = cert.ambient, cert.closure
-    ev = _ActionEvaluator(spec, ambient, closure)
+    cap, generators = ambient.cap, ambient.generators
     acted_names = spec.acted.alphabet.names()
     acting_names = spec.acting.alphabet.names()
+    problems: list[str] = []
 
-    def fixed_modulo_relators(word: Word, a_name: str) -> bool:
-        probe = word * Word(
-            spec.acted.alphabet, ((spec.acted.alphabet.index(a_name), -1),)
-        )
-        return closure.contains(ambient.element_of_word(probe))
+    def words(b: str, inverse=False) -> list[Word]:
+        return [spec.image(a, b, inverse) for a in acted_names]
+
+    def compose(table: list[Word], images: list) -> list:
+        """Generator images of the letter with image words `table` followed
+        by the map with generator images `images`."""
+        return [_word_element(w, images, cap) for w in table]
+
+    def fixed(el, i: int) -> bool:
+        return closure.contains(el * generators[i].inverse())
+
+    forward = {
+        b: [ambient.element_of_word(w) for w in words(b)] for b in acting_names
+    }
 
     # (1) every acted relator is preserved by every acting generator
     for r in spec.acted.relators:
-        for b_idx, b in enumerate(acting_names):
-            image = ev.apply_letter(r, b_idx, 1)
-            if not closure.contains(ambient.element_of_word(image)):
+        for b in acting_names:
+            if not closure.contains(_word_element(r, forward[b], cap)):
                 problems.append(
                     f"action of {b!r} does not preserve relator {r.render()!r}"
                 )
@@ -180,17 +119,16 @@ def validate_action(
     # (2) invertibility: both compositions fix the generators when an
     # inverse table is supplied; otherwise surjectivity onto a finite group
     if spec.inverse_images is not None:
-        for b_idx, b in enumerate(acting_names):
-            for a in acted_names:
-                w = spec.image(a, b)
-                back = ev.apply_letter(w, b_idx, -1)
-                if not fixed_modulo_relators(back, a):
+        for b in acting_names:
+            backward = [ambient.element_of_word(w) for w in words(b, True)]
+            for i, a in enumerate(acted_names):
+                back = _word_element(spec.image(a, b), backward, cap)
+                if not fixed(back, i):
                     problems.append(
                         f"inverse of {b!r} does not undo its action on {a!r}"
                     )
-                w_inv = spec.image(a, b, inverse=True)
-                forth = ev.apply_letter(w_inv, b_idx, 1)
-                if not fixed_modulo_relators(forth, a):
+                forth = _word_element(spec.image(a, b, True), forward[b], cap)
+                if not fixed(forth, i):
                     problems.append(
                         f"action of {b!r} does not undo its inverse on {a!r}"
                     )
@@ -201,14 +139,10 @@ def validate_action(
             )
         else:
             for b in acting_names:
-                images = [
-                    ambient.element_of_word(spec.image(a, b))
-                    for a in acted_names
-                ]
                 generated = insert_and_close(
                     None,
                     ambient,
-                    [el for _, _, el in closure.stored()] + images,
+                    [el for _, _, el in closure.stored()] + forward[b],
                     normal=False,
                 )
                 if not is_full(generated):
@@ -218,19 +152,49 @@ def validate_action(
                     )
 
     # (3) acting relators act as the identity automorphism
+    orders: dict[str, int | None] = {}
+
+    def order(b: str) -> int:
+        """Least m <= _MAX_ORDER_SEARCH with b^m fixing every generator
+        modulo the relators; one forward step per try."""
+        if b not in orders:
+            orders[b] = None
+            images, table = list(generators), words(b)
+            for m in range(1, _MAX_ORDER_SEARCH + 1):
+                images = compose(table, images)
+                if all(fixed(el, i) for i, el in enumerate(images)):
+                    orders[b] = m
+                    break
+        if orders[b] is None:
+            raise ActionError(
+                [f"cannot invert the action of {b!r}; supply inverse images"]
+            )
+        return orders[b]
+
+    def tables(b: str, sign: int) -> list[list[Word]]:
+        if sign > 0:
+            return [words(b)]
+        if spec.inverse_images is not None:
+            return [words(b, True)]
+        return [words(b)] * (order(b) - 1)
+
     for s in spec.acting.relators:
         try:
-            for a in acted_names:
-                unit = Word(
-                    spec.acted.alphabet, ((spec.acted.alphabet.index(a), 1),)
-                )
-                moved = ev.apply_word(unit, s)
-                if not fixed_modulo_relators(moved, a):
-                    problems.append(
-                        f"acting relator {s.render()!r} moves {a!r}"
-                    )
+            # left to right, so a refusal names the leftmost such letter
+            steps = [
+                table
+                for g, sign in s.letters
+                for table in tables(acting_names[g], sign)
+            ]
         except ActionError as exc:
             problems.extend(exc.problems)
+            continue
+        images = list(generators)
+        for table in reversed(steps):
+            images = compose(table, images)
+        for i, a in enumerate(acted_names):
+            if not fixed(images[i], i):
+                problems.append(f"acting relator {s.render()!r} moves {a!r}")
 
     return problems
 
@@ -575,7 +539,7 @@ def verify_direct_factor(
         table = materialize_subgroups(sp, c, k, monomial_budget)
     checks = verify_subgroup_decomposition(table)
 
-    invariants_group = invariant_from_closure(table.ambient, table.rel_full, c)
+    invariants_group = quotient_invariants(table.numerator, table.denominator)
     if k_acting is None:
         k_acting = resolve_acting_class_bound(sp.action.acting, k, monomial_budget)
     invariants_acting = baer_invariant(

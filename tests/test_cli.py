@@ -161,6 +161,71 @@ class TestSemidirect:
         assert "group_torsion=2,2" in out
 
 
+def cyclic_action(n, acting_rels, images):
+    """Z_n acted on by an acting group with the given relators, without an
+    inverse table; images maps each acting generator to an exponent r of
+    a -> a^r."""
+    return (
+        f"group A\n  gen a\n  rel a^{n}\nend\n"
+        f"group B\n  gen {' '.join(images)}\n  rel {acting_rels}\nend\n"
+        "action B on A\n"
+        + "".join(f"  {b} : a -> a^{r}\n" for b, r in images.items())
+        + "end\n"
+    )
+
+
+def run_subprocess(argv, timeout=60):
+    """One CLI run in its own interpreter, so that a hang fails the test."""
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    return subprocess.run(
+        [sys.executable, "-m", "baerkit", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=timeout,
+    )
+
+
+class TestActionReach:
+    """Actions whose substituted words grow like r^j are validated on group
+    elements, so these finish in seconds (each took minutes, or did not
+    finish, when words were substituted into words)."""
+
+    @pytest.mark.parametrize(
+        "n, m", [(32, 8), (1024, 256)], ids=["z32_by_z8", "z1024_by_z256"]
+    )
+    def test_power_action_builds(self, tmp_path, n, m):
+        grp = tmp_path / "power.grp"
+        grp.write_text(cyclic_action(n, f"b^{m}", {"b": 5}))
+        proc = run_subprocess(["semidirect", "--file", str(grp)])
+        assert proc.returncode == 0, proc.stderr
+        assert "combined group" in proc.stdout
+
+    def test_order_above_search_bound_refused(self, tmp_path):
+        # 2 has order 4098 modulo the prime 4099, above the order search's
+        # bound, and b^-2 needs the inverse of b.
+        grp = tmp_path / "z4099.grp"
+        grp.write_text(cyclic_action(4099, "b^-2", {"b": 2}))
+        proc = run_subprocess(["semidirect", "--file", str(grp)])
+        assert proc.returncode == 5
+        assert "cannot invert the action of 'b'" in proc.stderr
+
+    def test_computed_inverse_verifies(self, tmp_path):
+        grp = tmp_path / "z2sq_on_z8.grp"
+        grp.write_text(
+            cyclic_action(8, "b1^2, b2^2, [b1,b2]", {"b1": 3, "b2": 5})
+        )
+        proc = run_subprocess(
+            [
+                "semidirect", "--file", str(grp), "--class-c", "1",
+                "--verify", "--format", "machine",
+            ]
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "verdict=pass" in proc.stdout
+
+
 class TestLyndon:
     def test_listing(self, capsys):
         rc, out, _ = run_cli(["lyndon", "--letters", "2", "--weight", "3"], capsys)

@@ -1,9 +1,12 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from baerkit.baer import detect_class, relator_closure
+from baerkit.baer import detect_class, relator_closure, verify_class_bound
+from baerkit.errors import ActionError
 from baerkit.intlinalg import AbelianInvariants
-from baerkit.presentations import parse_input_file
+from baerkit.presentations import Word, parse_input_file
 from baerkit.selftest import SEMIDIRECT_SUITE
 from baerkit.semidirect import (
     build_semidirect,
@@ -13,7 +16,12 @@ from baerkit.semidirect import (
     verify_direct_factor,
     verify_subgroup_decomposition,
 )
-from baerkit.subgroups import AmbientContext, quotient_order
+from baerkit.subgroups import (
+    AmbientContext,
+    insert_and_close,
+    is_full,
+    quotient_order,
+)
 
 T = AbelianInvariants
 
@@ -68,6 +76,361 @@ class TestValidateAction:
         spec = parse_input_file(text).action
         problems = validate_action(spec, 1)
         assert any("moves" in p for p in problems)
+
+
+# --- word-substitution oracle ------------------------------------------------
+#
+# The former action check: it substitutes image words into words and only
+# then evaluates, so word length grows like r^j under a -> a^r.  Kept as an
+# independent reference for validate_action on inputs where words stay short.
+
+_ORACLE_ORDER_SEARCH = 4096
+
+
+class SubstitutionEvaluator:
+    def __init__(self, spec, ambient, closure):
+        self.spec = spec
+        self.ambient = ambient
+        self.closure = closure
+        self.acted = spec.acted.alphabet
+        self.acting = spec.acting.alphabet
+        self._computed_inverse = {}
+
+    def _fixes_generators(self, table):
+        for a in self.acted.names():
+            probe = table[a] * Word(self.acted, ((self.acted.index(a), -1),))
+            if not self.closure.contains(self.ambient.element_of_word(probe)):
+                return False
+        return True
+
+    def _forward_table(self, b_name):
+        return {a: self.spec.image(a, b_name) for a in self.acted.names()}
+
+    def _substitute(self, word, table):
+        names = self.acted.names()
+        out = Word(self.acted)
+        for g, s in word.letters:
+            img = table[names[g]]
+            out = out * (img if s > 0 else img.inverse())
+        return out
+
+    def _inverse_table(self, b_name):
+        if self.spec.inverse_images is not None:
+            return {
+                a: self.spec.image(a, b_name, inverse=True)
+                for a in self.acted.names()
+            }
+        b_idx = self.acting.index(b_name)
+        cached = self._computed_inverse.get(b_idx)
+        if cached is not None:
+            return cached
+        forward = self._forward_table(b_name)
+        current = forward
+        previous = {
+            a: Word(self.acted, ((self.acted.index(a), 1),))
+            for a in self.acted.names()
+        }
+        for _ in range(_ORACLE_ORDER_SEARCH):
+            if self._fixes_generators(current):
+                self._computed_inverse[b_idx] = previous
+                return previous
+            previous = current
+            current = {a: self._substitute(w, forward) for a, w in current.items()}
+            if any(len(w) > 100_000 for w in current.values()):
+                break
+        raise ActionError(
+            [f"cannot invert the action of {b_name!r}; supply inverse images"]
+        )
+
+    def apply_letter(self, word, b_idx, sign):
+        b_name = self.acting.names()[b_idx]
+        table = (
+            self._forward_table(b_name) if sign > 0 else self._inverse_table(b_name)
+        )
+        return self._substitute(word, table)
+
+    def apply_word(self, word, acting_word):
+        out = word
+        for b, s in acting_word.letters:
+            out = self.apply_letter(out, b, s)
+        return out
+
+
+def substitution_validate(spec, k_acted):
+    """The former validate_action, over SubstitutionEvaluator."""
+    problems = []
+    cert = verify_class_bound(spec.acted, k_acted)
+    if not cert.ok:
+        return [
+            f"acted group {spec.acted.name!r} is not certified nilpotent of "
+            f"class <= {k_acted}"
+        ]
+    ambient, closure = cert.ambient, cert.closure
+    ev = SubstitutionEvaluator(spec, ambient, closure)
+    acted = spec.acted.alphabet
+    acted_names = acted.names()
+    acting_names = spec.acting.alphabet.names()
+
+    def fixed_modulo_relators(word, a_name):
+        probe = word * Word(acted, ((acted.index(a_name), -1),))
+        return closure.contains(ambient.element_of_word(probe))
+
+    for r in spec.acted.relators:
+        for b_idx, b in enumerate(acting_names):
+            image = ev.apply_letter(r, b_idx, 1)
+            if not closure.contains(ambient.element_of_word(image)):
+                problems.append(
+                    f"action of {b!r} does not preserve relator {r.render()!r}"
+                )
+
+    if spec.inverse_images is not None:
+        for b_idx, b in enumerate(acting_names):
+            for a in acted_names:
+                back = ev.apply_letter(spec.image(a, b), b_idx, -1)
+                if not fixed_modulo_relators(back, a):
+                    problems.append(
+                        f"inverse of {b!r} does not undo its action on {a!r}"
+                    )
+                forth = ev.apply_letter(spec.image(a, b, inverse=True), b_idx, 1)
+                if not fixed_modulo_relators(forth, a):
+                    problems.append(
+                        f"action of {b!r} does not undo its inverse on {a!r}"
+                    )
+    elif quotient_order(closure) is None:
+        problems.append("inverse images required: the acted group is infinite")
+    else:
+        for b in acting_names:
+            images = [
+                ambient.element_of_word(spec.image(a, b)) for a in acted_names
+            ]
+            generated = insert_and_close(
+                None,
+                ambient,
+                [el for _, _, el in closure.stored()] + images,
+                normal=False,
+            )
+            if not is_full(generated):
+                problems.append(
+                    f"surjectivity fails for {b!r}: images generate a "
+                    f"proper subgroup"
+                )
+
+    for s in spec.acting.relators:
+        try:
+            for a in acted_names:
+                unit = Word(acted, ((acted.index(a), 1),))
+                if not fixed_modulo_relators(ev.apply_word(unit, s), a):
+                    problems.append(f"acting relator {s.render()!r} moves {a!r}")
+        except ActionError as exc:
+            problems.extend(exc.problems)
+    return problems
+
+
+def _power(name, e):
+    return "1" if e == 0 else name if e == 1 else f"{name}^{e}"
+
+
+def _substitution_cost(n, acting_rels, forward, inverse):
+    """Letters the oracle builds on the cyclic family, tracked as exponents
+    of a: substituting a -> a^r into a^e gives a^(e*r) after |e| products,
+    each re-reducing the word built so far."""
+    cost = 0
+
+    def subst(e, r):
+        nonlocal cost
+        cost += abs(e) * abs(e * r)
+        return e * r
+
+    inverse_exp = dict(inverse or {})
+    for b, r in forward.items():
+        if b in inverse_exp:
+            continue
+        e = r
+        for _ in range(_ORACLE_ORDER_SEARCH):
+            if (e - 1) % n == 0:
+                break
+            if abs(e) > 100_000:
+                return float("inf")
+            e = subst(e, r)
+        else:
+            continue
+        inverse_exp[b] = e // r if r else 1
+    for rel in acting_rels:
+        e = 1
+        for b, sign in rel:
+            if sign < 0 and b not in inverse_exp:
+                break  # the oracle refuses here
+            e = subst(e, forward[b] if sign > 0 else inverse_exp[b])
+    for b, r in forward.items():
+        subst(n, r)
+        if inverse:
+            subst(r, inverse[b])
+            subst(inverse[b], r)
+    return cost
+
+
+def cyclic_family(seed, count, budget=200_000):
+    """Seeded actions a -> a^r of Z_m or Z_m1 x Z_m2 on Z_n, n <= 16: valid
+    and invalid r, with and without inverse rows, acting relators b^m, b^-m
+    and [b1,b2].  Only inputs on which the oracle's words stay short."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        n = rng.randint(2, 16)
+        names = ["b"] if rng.random() < 0.6 else ["b1", "b2"]
+        units = [r for r in range(-(n // 2) + 1, n // 2 + 1)
+                 if any(r * s % n == 1 for s in range(n))]
+        forward, rels, rel_text = {}, [], []
+        for b in names:
+            if rng.random() < 0.6:  # an automorphism, b^m acting trivially
+                r = rng.choice(units)
+                m = next(j for j in range(1, n + 1) if (r ** j - 1) % n == 0)
+                m *= rng.choice([1, 1, 2])
+            else:
+                r = rng.randint(-(n // 2) + 1, n // 2)
+                m = rng.randint(1, 6)
+            forward[b] = r
+            sign = rng.choice([1, -1])
+            rels.append([(b, sign)] * m)
+            rel_text.append(_power(b, sign * m))
+        if len(names) == 2:
+            rels.append([("b1", -1), ("b2", -1), ("b1", 1), ("b2", 1)])
+            rel_text.append("[b1,b2]")
+        inverse = None
+        if rng.random() < 0.4:
+            inverse = {}
+            for b, r in forward.items():
+                good = next((s for s in units if r * s % n == 1), 1)
+                inverse[b] = good if rng.random() < 0.7 else rng.randint(-3, 3)
+        if _substitution_cost(n, rels, forward, inverse) > budget:
+            continue
+        lines = [
+            "group A", "  gen a", f"  rel a^{n}", "end",
+            "group B", f"  gen {' '.join(names)}",
+            f"  rel {', '.join(rel_text)}", "end", "action B on A",
+        ]
+        lines += [f"  {b} : a -> {_power('a', r)}" for b, r in forward.items()]
+        if inverse is not None:
+            lines += [
+                f"  inverse {b} : a -> {_power('a', s)}"
+                for b, s in inverse.items()
+            ]
+        lines.append("end")
+        out.append("\n".join(lines) + "\n")
+    return out
+
+
+# Two-generator acted groups, where an action can also break an acted relator
+# and where letters of an acting relator do not commute: GL(2,2) acting on
+# Z2^2, where b1 b2^-1 b3 acts trivially but b3 b2^-1 b1 does not.  Last, a
+# relator with two uninvertible letters: the refusal names the left one.
+HAND_ACTIONS = [
+    """group A
+  gen a1 a2
+  rel a1^2, a2^2, [a1,a2]
+end
+group B
+  gen b1 b2 b3
+  rel b1^2, b2^-2, b3^3, b1 b2^-1 b3
+end
+action B on A
+  b1 : a1 -> a2
+  b1 : a2 -> a1
+  b2 : a1 -> a1
+  b2 : a2 -> a1 a2
+  b3 : a1 -> a2
+  b3 : a2 -> a2 a1
+end
+""",
+    """group A
+  gen a1 a2
+  rel a1^2, a2^4, [a1,a2]
+end
+group B
+  gen b
+  rel b^-2
+end
+action B on A
+  b : a1 -> a2
+  b : a2 -> a1
+end
+""",
+    """group A
+  gen a1 a2
+  rel a1^2, a2^2, [a1,a2]
+end
+group B
+  gen b
+  rel b^-2
+end
+action B on A
+  b : a1 -> a2
+  b : a2 -> a1
+end
+""",
+    """group A
+  gen a1 a2
+  rel a1^4, a2^4, [a1,a2]
+end
+group B
+  gen b
+  rel b^-4
+end
+action B on A
+  b : a1 -> a2
+  b : a2 -> a1^-1
+  inverse b : a1 -> a2^-1
+  inverse b : a2 -> a1^2
+end
+""",
+    """group A
+  gen a
+  rel a^3
+end
+group B
+  gen b1 b2
+  rel [b1,b2]
+end
+action B on A
+  b1 : a -> 1
+  b2 : a -> 1
+end
+""",
+]
+
+
+class TestSubstitutionOracle:
+    FAMILY = cyclic_family(5, 60)
+
+    CASES = FAMILY + HAND_ACTIONS
+
+    @pytest.mark.parametrize("index", range(len(CASES)))
+    def test_same_problems_as_word_substitution(self, index):
+        spec = parse_input_file(self.CASES[index]).action
+        assert validate_action(spec, 1) == substitution_validate(spec, 1)
+
+    def test_family_reaches_every_branch(self):
+        problems = []
+        computed_inverse_valid = False
+        for text in self.CASES:
+            spec = parse_input_file(text).action
+            found = substitution_validate(spec, 1)
+            problems += found
+            computed_inverse_valid |= not found and (
+                spec.inverse_images is None
+                and any(s < 0 for r in spec.acting.relators for _, s in r.letters)
+            )
+        assert computed_inverse_valid
+        joined = "\n".join(problems)
+        for fragment in [
+            "does not preserve relator",
+            "does not undo its action",
+            "does not undo its inverse",
+            "surjectivity fails",
+            "moves",
+            "cannot invert the action",
+        ]:
+            assert fragment in joined, fragment
 
 
 class TestBuild:
