@@ -28,7 +28,6 @@ from .errors import (
 )
 from .lyndon import bracket_shape, lyndon_words, witt_dimension
 from .presentations import parse_input_file
-from .selftest import SelftestConfig, run_selftest
 from .semidirect import build_semidirect, validate_action, verify_direct_factor
 from .subgroups import DEFAULT_MONOMIAL_BUDGET
 
@@ -286,6 +285,9 @@ def cmd_lyndon(config: RunConfig, echo) -> int:
 
 
 def cmd_selftest(config: RunConfig, echo) -> int:
+    # Imported here so that the other commands do not load the catalogue.
+    from .selftest import SelftestConfig, run_selftest
+
     return run_selftest(
         SelftestConfig(monomial_budget=config.cap_guard, fmt=config.fmt), echo
     )

@@ -4,6 +4,12 @@ Everything here runs over Python's arbitrary-precision integers: Hermite and
 Smith normal forms with their unimodular transforms, membership of a vector
 in the row lattice of an echelon matrix, and the canonical invariants of a
 finitely generated abelian group given by a relation matrix.
+
+Hermite form has one algorithm, the incremental `hermite_insert`: `hnf`
+inserts a matrix's rows with unit-vector tags, and each degree of a
+filtered subgroup inserts leading coordinates tagged by the group elements
+that realize them.  Echelon rows have one solver, `echelon_solve`, shared
+by the subgroup sieve and `lattice_membership`.
 """
 
 from __future__ import annotations
@@ -111,52 +117,86 @@ def _sub_row(mat, i, q, j):
     mat[i] = [a - q * b for a, b in zip(ri, rj)]
 
 
+def _pivot(row) -> int:
+    return next(j for j, x in enumerate(row) if x)
+
+
+def hermite_insert(rows, tags, vec, tag, add, scale):
+    """Insert `vec` into `rows`, nonzero rows in Hermite normal form, in
+    place, keeping the form.
+
+    Each row carries a tag that follows its row operations: row
+    combinations r*x + s*y become add(scale(tag_r, x), scale(tag_s, y)).
+    A vector whose pivot is already taken is divided off exactly or merged
+    by an extended gcd; a new pivot is inserted with a positive sign.
+    Entries above every pivot are then reduced into [0, pivot), on every
+    path: a merge rewrites a stored row even when the vector then
+    vanishes.  Returns the tag left over when the vector reduces to zero,
+    else None.
+    """
+    v = list(vec)
+    while True:
+        j = next((k for k, x in enumerate(v) if x), None)
+        if j is None:
+            break
+        pos = 0
+        while pos < len(rows) and _pivot(rows[pos]) < j:
+            pos += 1
+        if pos < len(rows) and _pivot(rows[pos]) == j:
+            row = rows[pos]
+            a, b = row[j], v[j]
+            if b % a == 0:
+                q = b // a
+                v = [x - q * y for x, y in zip(v, row)]
+                tag = add(scale(tags[pos], -q), tag)
+                continue
+            g, x, y = _xgcd(a, b)
+            rows[pos] = [x * ra + y * rb for ra, rb in zip(row, v)]
+            merged = add(scale(tags[pos], x), scale(tag, y))
+            ag, bg = a // g, b // g
+            v = [ag * rb - bg * ra for ra, rb in zip(row, v)]
+            tag = add(scale(tag, ag), scale(tags[pos], -bg))
+            tags[pos] = merged
+            continue
+        if v[j] < 0:
+            v = [-x for x in v]
+            tag = scale(tag, -1)
+        rows.insert(pos, v)
+        tags.insert(pos, tag)
+        tag = None
+        break
+    for t, row in enumerate(rows):
+        p = _pivot(row)
+        for i in range(t):
+            q = rows[i][p] // row[p]
+            if q:
+                rows[i] = [x - q * y for x, y in zip(rows[i], row)]
+                tags[i] = add(tags[i], scale(tags[t], -q))
+    return tag
+
+
 def hnf(matrix: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
     """Row-style Hermite normal form.
 
     Returns (H, U) with U unimodular, U @ matrix == H, H in row echelon form
     with positive pivots and entries above each pivot reduced into
-    [0, pivot).  Zero rows, if any, sit at the bottom.  Pivot rows are chosen
-    by minimal absolute value to limit entry growth.
+    [0, pivot).  Zero rows, if any, sit at the bottom.  The rows are
+    inserted one at a time with unit-vector tags, which become the rows of
+    U; the tags left over by vanishing rows are the kernel rows of U.
     """
-    a = [row[:] for row in matrix.data]
     r, c = matrix.rows, matrix.cols
-    u = [[int(i == j) for j in range(r)] for i in range(r)]
-    top = 0
-    for col in range(c):
-        if top == r:
-            break
-        placed = False
-        while True:
-            live = [i for i in range(top, r) if a[i][col]]
-            if not live:
-                break
-            i0 = min(live, key=lambda i: abs(a[i][col]))
-            if i0 != top:
-                a[top], a[i0] = a[i0], a[top]
-                u[top], u[i0] = u[i0], u[top]
-            if a[top][col] < 0:
-                _negate_row(a, top)
-                _negate_row(u, top)
-            p = a[top][col]
-            rest = [i for i in range(top + 1, r) if a[i][col]]
-            if not rest:
-                placed = True
-                break
-            for i in rest:
-                q = a[i][col] // p
-                if q:
-                    _sub_row(a, i, q, top)
-                    _sub_row(u, i, q, top)
-        if placed:
-            p = a[top][col]
-            for i in range(top):
-                q = a[i][col] // p
-                if q:
-                    _sub_row(a, i, q, top)
-                    _sub_row(u, i, q, top)
-            top += 1
-    return IntMatrix(a, cols=c), IntMatrix(u, cols=r)
+    rows, tags, kernel = [], [], []
+    for i, vec in enumerate(matrix.data):
+        unit = [int(k == i) for k in range(r)]
+        left = hermite_insert(
+            rows, tags, vec, unit,
+            lambda s, t: [x + y for x, y in zip(s, t)],
+            lambda s, k: [k * x for x in s],
+        )
+        if left is not None:
+            kernel.append(left)
+    h = rows + [[0] * c for _ in kernel]
+    return IntMatrix(h, cols=c), IntMatrix(tags + kernel, cols=r)
 
 
 def snf(matrix: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
@@ -262,62 +302,46 @@ class Membership:
     residue: tuple[int, ...] | None = None
 
 
+def echelon_solve(rows, vector) -> tuple[list[int] | None, list[int]]:
+    """Reduce `vector` against nonzero echelon rows, first to last.
+
+    Returns (coordinates, residue): the coordinates express the vector in
+    the rows, in order, or are None when it is outside their integer row
+    span; the residue is the vector as of the first pivot whose division
+    fails, or what is left after the last row.
+    """
+    v = list(vector)
+    coords = []
+    for row in rows:
+        p = _pivot(row)
+        b = v[p]
+        if b == 0:
+            coords.append(0)
+            continue
+        if b % row[p]:
+            return None, v
+        q = b // row[p]
+        coords.append(q)
+        v = [x - q * y for x, y in zip(v, row)]
+    return (None if any(v) else coords), v
+
+
 def lattice_membership(vector, basis: IntMatrix) -> Membership:
     """Decide whether `vector` lies in the row lattice of `basis`.
 
     `basis` must be in row echelon form (e.g. the H of `hnf`); zero rows are
     ignored.  On success the coordinates express the vector in the nonzero
     rows of the basis, in order; on failure the partially reduced residue is
-    reported as of the first pivot whose division fails.
+    reported as by `echelon_solve`.
     """
     vector = list(map(int, vector))
     rows = basis.nonzero_rows()
     if basis.cols != len(vector) and rows:
         raise ValueError("vector length does not match basis width")
-    coords = []
-    for row in rows:
-        p = next(i for i, x in enumerate(row) if x)
-        b = vector[p]
-        if b == 0:
-            coords.append(0)
-            continue
-        if b % row[p]:
-            return Membership(False, None, tuple(vector))
-        q = b // row[p]
-        coords.append(q)
-        vector = [x - q * y for x, y in zip(vector, row)]
-    if any(vector):
-        return Membership(False, None, tuple(vector))
+    coords, residue = echelon_solve(rows, vector)
+    if coords is None:
+        return Membership(False, None, tuple(residue))
     return Membership(True, tuple(coords), None)
-
-
-def solve_echelon(vector, rows: list[dict]) -> list[int] | None:
-    """Exact integer solve against sparse echelon rows.
-
-    Each row is a dict keyed by column label with a designated pivot: the
-    smallest key, whose coefficient must divide during reduction.  Rows are
-    assumed sorted by pivot and pairwise echelon (a later row never touches
-    an earlier pivot).  Returns coordinates in row order, or None when the
-    vector is outside the integer row span.
-    """
-    v = {k: c for k, c in vector.items() if c}
-    coords = []
-    for row in rows:
-        pivot = min(row)
-        b = v.get(pivot, 0)
-        a = row[pivot]
-        if b % a:
-            return None
-        q = b // a
-        coords.append(q)
-        if q:
-            for k, c in row.items():
-                s = v.get(k, 0) - q * c
-                if s:
-                    v[k] = s
-                else:
-                    v.pop(k, None)
-    return None if v else coords
 
 
 @dataclass(frozen=True)

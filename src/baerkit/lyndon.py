@@ -5,7 +5,8 @@ lower-central section of a free group of rank n.  This module enumerates
 them, computes the Witt dimension independently, builds the standard
 bracketing of each word both as a group commutator word and as its monomial
 expansion, and extracts exact integer coordinates of homogeneous Lie
-elements with respect to that basis.
+elements with respect to that basis by back-substitution: the expansions
+are unitriangular, keyed by the words themselves.
 
 Letters are integers 0..n-1; words and monomials are tuples of letters.
 """
@@ -13,8 +14,6 @@ Letters are integers 0..n-1; words and monomials are tuples of letters.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-from .intlinalg import solve_echelon
 
 Monomial = tuple[int, ...]
 
@@ -147,8 +146,8 @@ class LyndonBasis:
 
     Triangularity makes the expansion matrix row-echelon with unit pivots
     (the expansion of a word w is supported on monomials >= w, with
-    coefficient 1 on w itself), so integer coordinates are recovered by
-    exact back-substitution.
+    coefficient 1 on w itself), so the coordinate of w is the coefficient
+    of w left after the rows of the smaller words are subtracted.
     """
 
     __slots__ = ("n", "m", "words", "expansions")
@@ -171,7 +170,19 @@ class LyndonBasis:
                 raise ValueError("tensor is not homogeneous of the basis degree")
             if coeff and any(x < 0 or x >= self.n for x in mono):
                 raise ValueError("tensor uses letters outside the alphabet")
-        return solve_echelon(tensor, self.expansions)
+        v = {k: c for k, c in tensor.items() if c}
+        coords = []
+        for word, row in zip(self.words, self.expansions):
+            q = v.get(word, 0)
+            coords.append(q)
+            if q:
+                for k, c in row.items():
+                    s = v.get(k, 0) - q * c
+                    if s:
+                        v[k] = s
+                    else:
+                        v.pop(k, None)
+        return None if v else coords
 
 
 _BASIS_CACHE: dict[tuple[int, int], LyndonBasis] = {}

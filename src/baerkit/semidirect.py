@@ -505,7 +505,6 @@ class DecompositionReport:
     invariants_complement: AbelianInvariants
     merged: AbelianInvariants
     checks: dict[str, bool]
-    acting_class_bound: int
 
     @property
     def passed(self) -> bool:
@@ -528,20 +527,16 @@ def verify_direct_factor(
     sp: SemidirectPresentation,
     c: int,
     k: int,
-    k_acting: int | None = None,
     monomial_budget: int | None = DEFAULT_MONOMIAL_BUDGET,
-    table: SemidirectSubgroups | None = None,
 ) -> DecompositionReport:
     """Full decomposition report: subgroup checks, the three invariants, the
     direct-sum verdict and, in the classical c = 1 case, agreement of the
     complement denominator with its older one-step form."""
-    if table is None:
-        table = materialize_subgroups(sp, c, k, monomial_budget)
+    table = materialize_subgroups(sp, c, k, monomial_budget)
     checks = verify_subgroup_decomposition(table)
 
     invariants_group = quotient_invariants(table.numerator, table.denominator)
-    if k_acting is None:
-        k_acting = resolve_acting_class_bound(sp.action.acting, k, monomial_budget)
+    k_acting = resolve_acting_class_bound(sp.action.acting, k, monomial_budget)
     invariants_acting = baer_invariant(
         BaerJob(sp.action.acting, c, k_acting, monomial_budget)
     )
@@ -561,5 +556,4 @@ def verify_direct_factor(
         invariants_complement=invariants_complement,
         merged=merged,
         checks=checks,
-        acting_class_bound=k_acting,
     )

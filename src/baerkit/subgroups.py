@@ -9,6 +9,9 @@ Membership (`sieve`) reduces an element's leading coordinates against the
 lattice of its weight, divides the realizing elements off, and recurses at
 strictly larger weight; an element belongs to the subgroup exactly when
 this terminates at the identity, provided the sequence is consistent.
+The lattice algebra is `intlinalg`'s: insertion is `hermite_insert` with
+the realizing elements as tags (group products and powers standing for row
+sums and multiples), and the sieve's reduction is `echelon_solve`.
 
 Consistency means: the commutator [r_a, r_b] of every two stored elements
 sieves to membership and, for normal subgroups, so does [r, x] for every
@@ -37,9 +40,17 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from operator import mul
 
 from .errors import CapacityError
-from .intlinalg import AbelianInvariants, IntMatrix, abelian_invariants, hnf, _xgcd
+from .intlinalg import (
+    AbelianInvariants,
+    IntMatrix,
+    abelian_invariants,
+    echelon_solve,
+    hermite_insert,
+    hnf,
+)
 from .lyndon import get_basis, lyndon_words, standard_factorization, witt_dimension
 from .magnus import (
     GroupElement,
@@ -145,32 +156,13 @@ class _Level:
         out.elems = self.elems[:]
         return out
 
-    def pivot(self, i: int) -> int:
-        return next(j for j, x in enumerate(self.rows[i]) if x)
-
-    def member_exponents(self, vec) -> list[int] | None:
-        """Exponents expressing vec over the rows, or None when outside."""
-        v = list(vec)
-        exps = [0] * len(self.rows)
-        for i, row in enumerate(self.rows):
-            p = self.pivot(i)
-            b = v[p]
-            if b == 0:
-                continue
-            if b % row[p]:
-                return None
-            q = b // row[p]
-            exps[i] = q
-            v = [x - q * y for x, y in zip(v, row)]
-        return None if any(v) else exps
-
     def index(self) -> int | None:
         """Index of the lattice in Z^dim, None when the rank is deficient."""
         if len(self.rows) < self.dim:
             return None
         out = 1
-        for i in range(len(self.rows)):
-            out *= self.rows[i][self.pivot(i)]
+        for row in self.rows:
+            out *= next(x for x in row if x)
         return out
 
     @property
@@ -180,60 +172,12 @@ class _Level:
     def add(self, vec, elem: GroupElement) -> list[GroupElement]:
         """Insert a vector with its realizing element, keeping Hermite form.
 
-        Returns byproduct elements whose leading coordinates cancelled to
-        zero during reduction: they have strictly larger weight (or are the
-        identity) and must be re-sieved by the caller.
+        Returns the byproduct, if any: the element left over when the
+        leading coordinates cancel to zero during reduction.  It has
+        strictly larger weight and must be re-sieved by the caller.
         """
-        byproducts: list[GroupElement] = []
-        v = list(vec)
-        e = elem
-        while True:
-            j = next((k for k, x in enumerate(v) if x), None)
-            if j is None:
-                if not e.is_identity:
-                    byproducts.append(e)
-                break
-            pos = 0
-            while pos < len(self.rows) and self.pivot(pos) < j:
-                pos += 1
-            if pos < len(self.rows) and self.pivot(pos) == j:
-                row = self.rows[pos]
-                a, b = row[j], v[j]
-                if b % a == 0:
-                    q = b // a
-                    v = [x - q * y for x, y in zip(v, row)]
-                    e = (self.elems[pos] ** (-q)) * e
-                    continue
-                g, x, y = _xgcd(a, b)
-                new_row = [x * ra + y * rb for ra, rb in zip(row, v)]
-                new_elem = (self.elems[pos] ** x) * (e ** y)
-                ag, bg = a // g, b // g
-                v = [ag * rb - bg * ra for ra, rb in zip(row, v)]
-                e = (e ** ag) * (self.elems[pos] ** (-bg))
-                self.rows[pos] = new_row
-                self.elems[pos] = new_elem
-                continue
-            if v[j] < 0:
-                v = [-x for x in v]
-                e = e.inverse()
-            self.rows.insert(pos, v)
-            self.elems.insert(pos, e)
-            break
-        self._normalize()
-        return byproducts
-
-    def _normalize(self):
-        # Reduce entries above every pivot into [0, pivot).
-        for t in range(len(self.rows)):
-            p = self.pivot(t)
-            a = self.rows[t][p]
-            for i in range(t):
-                q = self.rows[i][p] // a
-                if q:
-                    self.rows[i] = [
-                        x - q * y for x, y in zip(self.rows[i], self.rows[t])
-                    ]
-                    self.elems[i] = self.elems[i] * (self.elems[t] ** (-q))
+        left = hermite_insert(self.rows, self.elems, vec, elem, mul, pow)
+        return [] if left is None or left.is_identity else [left]
 
 
 @dataclass
@@ -282,7 +226,7 @@ class FilteredSubgroup:
                 return SieveResult(True, recipe, None)
             _, coords = self.ambient.leading_coordinates(cur)
             level = self.levels[m - 1]
-            exps = level.member_exponents(coords)
+            exps, _ = echelon_solve(level.rows, coords)
             if exps is None:
                 return SieveResult(False, recipe, cur)
             steps = [((m, i), e) for i, e in enumerate(exps) if e]

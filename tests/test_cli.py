@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -9,6 +11,7 @@ import pytest
 from baerkit.cli import main
 
 DATA = Path(__file__).resolve().parent.parent / "data"
+GOLDEN = Path(__file__).resolve().parent / "cli_golden.json"
 
 
 def run_cli(argv, capsys):
@@ -281,6 +284,23 @@ def test_console_script_runs():
     assert "witt=1" in proc.stdout
 
 
+def test_import_leaves_selftest_unloaded():
+    # Only the selftest command loads the check catalogue.
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run(
+        [
+            sys.executable, "-c",
+            "import sys, baerkit.cli; print('baerkit.selftest' in sys.modules)",
+        ],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_benchmark_worker_installs_tracing():
     # The benchmark's traced run wraps engine functions by name; a rename
     # breaks this import-only run.
@@ -305,3 +325,44 @@ def test_determinism_of_machine_reports(capsys):
     rc1, out1, _ = run_cli(argv, capsys)
     rc2, out2, _ = run_cli(argv, capsys)
     assert (rc1, out1) == (rc2, out2)
+
+
+def golden_cases():
+    """Case name -> argv: `multiplier` on each one-group input and
+    `semidirect --verify` on each input with an action, at c = 1 and 2 in
+    both formats; the infinite inputs (zz*.grp) also run with
+    `--class-bound 1`."""
+    cases = {}
+    for path in sorted(DATA.glob("*.grp")):
+        text = path.read_text()
+        has_action = any(line.startswith("action") for line in text.splitlines())
+        command = ["semidirect", "--verify"] if has_action else ["multiplier"]
+        bounds = [[]] + ([["--class-bound", "1"]] if path.name.startswith("zz") else [])
+        for c in ("1", "2"):
+            for fmt in ("text", "machine"):
+                for bound in bounds:
+                    name = " ".join([path.name, f"c={c}", fmt, *bound])
+                    cases[name] = [
+                        command[0], "--file", str(path), *command[1:],
+                        "--class-c", c, "--format", fmt, *bound,
+                    ]
+    return cases
+
+
+def run_captured(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    return {"exit": rc, "stdout": out.getvalue(), "stderr": err.getvalue()}
+
+
+GOLDEN_CASES = golden_cases()
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
+def test_output_matches_golden(name):
+    # tests/cli_golden.json maps each case to its run_captured result (exit
+    # code, stdout, stderr); default output must stay byte-identical across
+    # refactors, so rewrite it only for an intended output change.
+    golden = json.loads(GOLDEN.read_text())
+    assert run_captured(GOLDEN_CASES[name]) == golden[name]

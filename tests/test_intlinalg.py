@@ -51,6 +51,16 @@ class TestHNF:
         assert h.nonzero_rows() == [[1, 1], [0, 2]]
         assert u @ IntMatrix([[2, 0], [0, 2], [1, 1]]) == h
 
+    def test_merge_then_vanish_still_reduces(self):
+        # Inserting [1,1] gcd-merges it into the stored [2,0], rewriting
+        # that row to [1,1], and the remainder then reduces to zero; the
+        # entry above the pivot of [0,1] must still be reduced.
+        m = IntMatrix([[0, 1], [2, 0], [1, 1]])
+        h, u = hnf(m)
+        assert h == IntMatrix([[1, 0], [0, 1], [0, 0]])
+        assert u @ m == h
+        assert abs(u.det()) == 1
+
     def test_identity(self):
         ident = IntMatrix.identity(4)
         h, u = hnf(ident)

@@ -1,3 +1,4 @@
+import random
 from itertools import product
 
 import pytest
@@ -126,6 +127,53 @@ def test_expansion_support_is_upward_closed():
             exp = bracketing(word).expansion
             assert exp[word] == 1
             assert all(mono >= word for mono in exp)
+
+
+def solve_echelon(vector, rows):
+    """Oracle: exact integer solve against sparse echelon rows, each a dict
+    whose smallest key is its pivot; returns coordinates in row order, or
+    None when the vector is outside the integer row span."""
+    v = {k: c for k, c in vector.items() if c}
+    coords = []
+    for row in rows:
+        pivot = min(row)
+        b = v.get(pivot, 0)
+        a = row[pivot]
+        if b % a:
+            return None
+        q = b // a
+        coords.append(q)
+        if q:
+            for k, c in row.items():
+                s = v.get(k, 0) - q * c
+                if s:
+                    v[k] = s
+                else:
+                    v.pop(k, None)
+    return None if v else coords
+
+
+@pytest.mark.parametrize("n,m", [(2, 3), (2, 5), (3, 3), (3, 4), (4, 2)])
+def test_coordinates_match_echelon_oracle(n, m):
+    # Integer combinations of the expansions, some with one monomial
+    # perturbed so that the tensor leaves the Lie lattice.
+    rng = random.Random(n * 100 + m)
+    basis = get_basis(n, m)
+    monomials = list(product(range(n), repeat=m))
+    outside = 0
+    for trial in range(60):
+        tensor = {}
+        for row in basis.expansions:
+            q = rng.randrange(-5, 6)
+            for mono, c in row.items():
+                tensor[mono] = tensor.get(mono, 0) + q * c
+        if trial % 3 == 0:
+            mono = rng.choice(monomials)
+            tensor[mono] = tensor.get(mono, 0) + rng.choice((-1, 1))
+        want = solve_echelon(tensor, basis.expansions)
+        outside += want is None
+        assert basis.coordinates(tensor) == want
+    assert outside > 0
 
 
 def test_basis_cached():

@@ -4,7 +4,7 @@ from collections import deque
 import pytest
 
 from baerkit.errors import CapacityError
-from baerkit.intlinalg import AbelianInvariants, abelian_invariants
+from baerkit.intlinalg import AbelianInvariants, IntMatrix, abelian_invariants, hnf
 from baerkit.presentations import Alphabet, parse_word
 from baerkit.subgroups import (
     AmbientContext,
@@ -88,6 +88,19 @@ def all_pairs_commutator_with(u, v):
         if m1 + m2 <= cap
     ]
     return insert_and_close(None, u.ambient, elems, normal=True)
+
+
+def random_elements(rng, amb):
+    """One to three random words of length one to four in the generators,
+    with exponents in -2..3, as elements of amb."""
+    els = []
+    for _ in range(rng.randrange(1, 4)):
+        g = amb.identity()
+        for _ in range(rng.randrange(1, 5)):
+            x = amb.generators[rng.randrange(amb.n)]
+            g = g * x ** rng.choice((-2, -1, 1, 2, 3))
+        els.append(g)
+    return els
 
 
 @pytest.fixture
@@ -351,13 +364,7 @@ class TestSaturation:
             n = rng.randrange(1, 4)
             cap = rng.randrange(2, 6 if n < 3 else 4)
             amb = AmbientContext(n, cap)
-            els = []
-            for _ in range(rng.randrange(1, 4)):
-                g = amb.identity()
-                for _ in range(rng.randrange(1, 5)):
-                    x = amb.generators[rng.randrange(n)]
-                    g = g * x ** rng.choice((-2, -1, 1, 2, 3))
-                els.append(g)
+            els = random_elements(rng, amb)
             mode = trial % 3  # normal, plain, plain base re-closed as normal
             if mode < 2:
                 got = insert_and_close(None, amb, els, mode == 0)
@@ -380,6 +387,31 @@ class TestSaturation:
                     for x in amb.generators:
                         assert got.contains(a.conjugate(x))
                         assert got.contains(a.conjugate(x.inverse()))
+
+    def test_levels_are_hermite_normal_forms(self):
+        # Each level holds the unique Hermite form of its lattice: the batch
+        # hnf of the rows, shuffled and padded with integer combinations of
+        # them, gives them back.  Each row is its element's leading
+        # coordinates.
+        rng = random.Random(4201)
+        for trial in range(40):
+            n = rng.randrange(1, 4)
+            cap = rng.randrange(2, 6 if n < 3 else 4)
+            amb = AmbientContext(n, cap)
+            sub = insert_and_close(None, amb, random_elements(rng, amb), trial % 2 == 0)
+            for m in range(1, cap + 1):
+                rows = sub.lattice_rows(m)
+                for el, row in zip(sub.levels[m - 1].elems, rows):
+                    assert amb.leading_coordinates(el) == (m, row)
+                if not rows:
+                    continue
+                mixed = rows[:]
+                for _ in range(3):
+                    qs = [rng.randrange(-3, 4) for _ in rows]
+                    mixed.append([sum(q * x for q, x in zip(qs, col)) for col in zip(*rows)])
+                rng.shuffle(mixed)
+                h, _ = hnf(IntMatrix(mixed))
+                assert rows == h.nonzero_rows()
 
 
 class TestEmbedding:
