@@ -9,6 +9,17 @@ W = k + c is exact.  The class bound is therefore certified, never
 trusted: every run re-checks that the degree-(k+1) lattice of the relator
 closure is full, which is exactly the statement that the relators cover
 the whole (k+1)-st lower-central section.
+
+The closure that certificate is read from comes from the class-bound
+search: `verify_class_bound`, `detect_class` and `certified_class_bound`
+return a `ClassBoundResult` carrying the relator closure they built at cap
+k + 1, and `baer_invariant` takes it as its certificate.  When the working
+cap k + c equals that cap (c = 1, the Schur multiplier) the closure is used
+as it is; otherwise a new one is built at k + c.  Either way the check is
+made on the closure the invariant is computed from; the degree-(k+1)
+lattice does not depend on the cap (Dedekind's law gives
+(H meet gamma_{k+1}) gamma_{k+2} = H gamma_{k+2} meet gamma_{k+1}), so a
+bound certified at k + 1 passes at every larger cap.
 """
 
 from __future__ import annotations
@@ -38,6 +49,34 @@ def relator_closure(
     return insert_and_close(None, ambient, elems, normal=True)
 
 
+def working_closure(
+    pres: Presentation,
+    cap: int,
+    monomial_budget: int | None = DEFAULT_MONOMIAL_BUDGET,
+    certificate: ClassBoundResult | None = None,
+) -> tuple[AmbientContext, FilteredSubgroup]:
+    """The ambient of class `cap` and the relator closure in it: the
+    certificate's own when it was built for `pres` at this cap, else a new
+    one."""
+    if (
+        certificate is not None
+        and certificate.ambient.cap == cap
+        and certificate.presentation == pres
+    ):
+        return certificate.ambient, certificate.closure
+    ambient = AmbientContext(pres.rank, cap, monomial_budget)
+    return ambient, relator_closure(pres, ambient)
+
+
+def certify_closure(pres: Presentation, k: int, closure: FilteredSubgroup):
+    """Refuse unless the closure's degree-(k+1) lattice is full."""
+    if not closure.levels[k].is_full:
+        raise CertificateError(
+            f"class bound k={k} fails for {pres.name!r}: "
+            f"degree-{k + 1} lattice is not full"
+        )
+
+
 @dataclass
 class ClassBoundResult:
     """Outcome of checking a claimed nilpotency class bound k.
@@ -46,6 +85,8 @@ class ClassBoundResult:
     the relators force class <= k on any nilpotent quotient.  `order` is the
     order of the class-(k+1) nilpotent quotient of the presented group (None
     when infinite); when `ok` holds, it equals the class-k quotient's order.
+    `closure` is the relator closure of `presentation` in `ambient`, of
+    class k + 1; the pipeline reuses it where it works at that cap.
     """
 
     k: int
@@ -54,6 +95,7 @@ class ClassBoundResult:
     order: int | None
     ambient: AmbientContext
     closure: FilteredSubgroup
+    presentation: Presentation
 
 
 def verify_class_bound(
@@ -63,8 +105,7 @@ def verify_class_bound(
 ) -> ClassBoundResult:
     if k < 1:
         raise ValueError("class bound must be >= 1")
-    ambient = AmbientContext(pres.rank, k + 1, monomial_budget)
-    closure = relator_closure(pres, ambient)
+    ambient, closure = working_closure(pres, k + 1, monomial_budget)
     ok = closure.levels[k].is_full
     return ClassBoundResult(
         k=k,
@@ -73,6 +114,7 @@ def verify_class_bound(
         order=quotient_order(closure),
         ambient=ambient,
         closure=closure,
+        presentation=pres,
     )
 
 
@@ -80,9 +122,10 @@ def detect_class(
     pres: Presentation,
     k_max: int,
     monomial_budget: int | None = DEFAULT_MONOMIAL_BUDGET,
-) -> int | None:
-    """Smallest verified class bound k <= k_max whose nilpotent quotient is
-    finite and already stable at class k+1; None when no such k exists.
+) -> ClassBoundResult | None:
+    """Certificate of the smallest verified class bound k <= k_max whose
+    nilpotent quotient is finite and already stable at class k+1; None when
+    no such k exists.
 
     A finitely generated nilpotent group is finite exactly when its
     abelianization is, so finiteness of the class-(k+1) quotient does not
@@ -97,7 +140,7 @@ def detect_class(
         if res.order is None:
             return None
         if res.ok:
-            return k
+            return res
     return None
 
 
@@ -105,12 +148,14 @@ def certified_class_bound(
     pres: Presentation,
     k_max: int,
     monomial_budget: int | None = DEFAULT_MONOMIAL_BUDGET,
-) -> int | None:
-    """Smallest k <= k_max passing verify_class_bound, without the
-    finiteness test; the right notion for infinite nilpotent groups."""
+) -> ClassBoundResult | None:
+    """Certificate of the smallest k <= k_max passing verify_class_bound,
+    without the finiteness test; the right notion for infinite nilpotent
+    groups."""
     for k in range(1, k_max + 1):
-        if verify_class_bound(pres, k, monomial_budget).ok:
-            return k
+        res = verify_class_bound(pres, k, monomial_budget)
+        if res.ok:
+            return res
     return None
 
 
@@ -146,16 +191,16 @@ def invariant_from_closure(
     return quotient_invariants(numerator, denominator)
 
 
-def baer_invariant(job: BaerJob) -> AbelianInvariants:
+def baer_invariant(
+    job: BaerJob, certificate: ClassBoundResult | None = None
+) -> AbelianInvariants:
     """Run the pipeline at cap k + c, re-certifying the class bound on the
-    working closure before trusting any quotient."""
-    ambient = AmbientContext(job.presentation.rank, job.cap, job.monomial_budget)
-    closure = relator_closure(job.presentation, ambient)
-    if not closure.levels[job.k].is_full:
-        raise CertificateError(
-            f"class bound k={job.k} fails for {job.presentation.name!r}: "
-            f"degree-{job.k + 1} lattice is not full"
-        )
+    working closure before trusting any quotient.  The working closure is
+    the certificate's when it was built at cap k + c."""
+    ambient, closure = working_closure(
+        job.presentation, job.cap, job.monomial_budget, certificate
+    )
+    certify_closure(job.presentation, job.k, closure)
     return invariant_from_closure(ambient, closure, job.c)
 
 

@@ -18,7 +18,14 @@ import os
 import sys
 from dataclasses import dataclass
 
-from .baer import BaerJob, baer_invariant, certified_class_bound, detect_class, verify_class_bound
+from .baer import (
+    BaerJob,
+    ClassBoundResult,
+    baer_invariant,
+    certified_class_bound,
+    detect_class,
+    verify_class_bound,
+)
 from .errors import (
     ActionError,
     CapacityError,
@@ -137,7 +144,8 @@ def _read_input(config: RunConfig):
     return parse_input_file(text)
 
 
-def _resolve_bound(pres, config: RunConfig, echo) -> int:
+def _resolve_bound(pres, config: RunConfig, echo) -> ClassBoundResult:
+    """The class-bound certificate; its closure is reused downstream."""
     if config.class_bound is not None:
         res = verify_class_bound(pres, config.class_bound, config.cap_guard)
         if not res.ok:
@@ -146,16 +154,16 @@ def _resolve_bound(pres, config: RunConfig, echo) -> int:
                 f"{pres.name!r} (lattice deficient at degree {res.fail_degree})"
             )
         echo(f"class-bound: k={config.class_bound} (supplied, certified)")
-        return config.class_bound
-    k = detect_class(pres, config.k_max, config.cap_guard)
-    if k is None:
+        return res
+    res = detect_class(pres, config.k_max, config.cap_guard)
+    if res is None:
         raise ClassUndeterminedError(
             f"could not determine a class bound for {pres.name!r} with "
             f"kmax={config.k_max}; supply --class-bound explicitly "
             f"(required for infinite groups)"
         )
-    echo(f"class-bound: k={k} (detected)")
-    return k
+    echo(f"class-bound: k={res.k} (detected)")
+    return res
 
 
 def cmd_multiplier(config: RunConfig, echo) -> int:
@@ -166,9 +174,10 @@ def cmd_multiplier(config: RunConfig, echo) -> int:
     machine = config.fmt == "machine"
     trace = (lambda _msg: None) if machine else echo
     trace(f"group {pres.name}: {pres.rank} generators, {len(pres.relators)} relators")
-    k = _resolve_bound(pres, config, trace)
+    cert = _resolve_bound(pres, config, trace)
+    k = cert.k
     trace(f"cap: {k + config.c}")
-    inv = baer_invariant(BaerJob(pres, config.c, k, config.cap_guard))
+    inv = baer_invariant(BaerJob(pres, config.c, k, config.cap_guard), cert)
     if machine:
         echo("command=multiplier")
         echo(f"group={pres.name}")
@@ -189,16 +198,16 @@ def cmd_semidirect(config: RunConfig, echo) -> int:
     machine = config.fmt == "machine"
     trace = (lambda _msg: None) if machine else echo
 
-    k_acted = certified_class_bound(spec.acted, config.k_max, config.cap_guard)
-    if k_acted is None:
+    acted = certified_class_bound(spec.acted, config.k_max, config.cap_guard)
+    if acted is None:
         raise ClassUndeterminedError(
             f"cannot certify a class bound for the acted group "
             f"{spec.acted.name!r}; it must be nilpotent"
         )
-    problems = validate_action(spec, k_acted, config.cap_guard)
+    problems = validate_action(spec, acted.k, config.cap_guard, acted)
     if problems:
         raise ActionError(problems)
-    trace(f"action: certified on {spec.acted.name!r} at class bound {k_acted}")
+    trace(f"action: certified on {spec.acted.name!r} at class bound {acted.k}")
 
     sp = build_semidirect(spec)
     if machine:
@@ -217,10 +226,9 @@ def cmd_semidirect(config: RunConfig, echo) -> int:
     if not config.verify:
         return EXIT_OK
 
-    k = _resolve_bound(sp.combined, config, trace)
-    report = verify_direct_factor(
-        sp, config.c, k, monomial_budget=config.cap_guard
-    )
+    cert = _resolve_bound(sp.combined, config, trace)
+    k = cert.k
+    report = verify_direct_factor(sp, config.c, k, config.cap_guard, cert)
     if machine:
         echo(f"class_c={config.c}")
         echo(f"class_bound={k}")

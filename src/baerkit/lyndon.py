@@ -164,13 +164,10 @@ class LyndonBasis:
     def coordinates(self, tensor: dict) -> list[int] | None:
         """Integer coordinates of a homogeneous degree-m tensor in this
         basis, or None when it is not an integer combination (for instance
-        any tensor that is not a Lie element)."""
-        for mono, coeff in tensor.items():
-            if len(mono) != self.m:
-                raise ValueError("tensor is not homogeneous of the basis degree")
-            if coeff and any(x < 0 or x >= self.n for x in mono):
-                raise ValueError("tensor uses letters outside the alphabet")
-        v = {k: c for k, c in tensor.items() if c}
+        any tensor that is not a Lie element).  The tensor is trusted to be
+        homogeneous of degree m over the n letters (`lie_coordinates`
+        checks it) and is not modified."""
+        v = dict(tensor)
         coords = []
         for word, row in zip(self.words, self.expansions):
             q = v.get(word, 0)
@@ -182,7 +179,7 @@ class LyndonBasis:
                         v[k] = s
                     else:
                         v.pop(k, None)
-        return None if v else coords
+        return None if any(v.values()) else coords
 
 
 _BASIS_CACHE: dict[tuple[int, int], LyndonBasis] = {}
@@ -204,4 +201,9 @@ def lie_coordinates(tensor: dict, n: int, m: int | None = None) -> list[int] | N
         if len(degrees) != 1:
             raise ValueError("tensor is empty or not homogeneous")
         m = degrees.pop()
+    for mono, coeff in tensor.items():
+        if len(mono) != m:
+            raise ValueError("tensor is not homogeneous of the basis degree")
+        if coeff and any(x < 0 or x >= n for x in mono):
+            raise ValueError("tensor uses letters outside the alphabet")
     return get_basis(n, m).coordinates(tensor)

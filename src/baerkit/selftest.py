@@ -873,8 +873,8 @@ def _(budget):
 
 @_check("baer/detect-class-examples")
 def _(budget):
-    _expect(detect_class(dihedral8(), 4, budget) == 2, "d8 detects 2")
-    _expect(detect_class(klein(), 4, budget) == 1, "klein detects 1")
+    _expect(detect_class(dihedral8(), 4, budget).k == 2, "d8 detects 2")
+    _expect(detect_class(klein(), 4, budget).k == 1, "klein detects 1")
     free2 = make_presentation("free2", ["x", "y"], [])
     _expect(detect_class(free2, 3, budget) is None, "free group undetermined")
 
@@ -976,7 +976,7 @@ def _(budget):
 def _decomposition_case(name, c, budget):
     spec, k_fixed = _suite_entry(name)
     sp = build_semidirect(spec)
-    k = k_fixed if k_fixed is not None else detect_class(sp.combined, 6, budget)
+    k = k_fixed if k_fixed is not None else detect_class(sp.combined, 6, budget).k
     _expect(k is not None, f"{name}: class bound undetermined")
     report = verify_direct_factor(sp, c, k, monomial_budget=budget)
     failed = [n for n, ok in report.checks.items() if not ok]

@@ -24,12 +24,14 @@ from itertools import product
 
 from .baer import (
     BaerJob,
+    ClassBoundResult,
     baer_invariant,
     certified_class_bound,
-    relator_closure,
+    certify_closure,
     verify_class_bound,
+    working_closure,
 )
-from .errors import ActionError, CertificateError
+from .errors import ActionError
 from .intlinalg import AbelianInvariants
 from .magnus import _word_element
 from .presentations import (
@@ -62,6 +64,7 @@ def validate_action(
     spec: ActionSpec,
     k_acted: int,
     monomial_budget: int | None = DEFAULT_MONOMIAL_BUDGET,
+    certificate: ClassBoundResult | None = None,
 ) -> list[str]:
     """Check that the table defines automorphisms of the acted group and
     that the acting relators act trivially.  Returns an itemized problem
@@ -69,7 +72,8 @@ def validate_action(
 
     Works in the acted group's nilpotent quotient: the class bound is
     verified first, which makes every membership test against the relator
-    closure exact.
+    closure exact.  The closure is the certificate's when it was built for
+    the acted group at cap k_acted + 1.
 
     An acting letter b is the endomorphism of the free nilpotent quotient
     sending generator a_i to the element of its image word w[a_i, b], and it
@@ -81,13 +85,14 @@ def validate_action(
     as b^(m-1), m the order of b's action modulo the relators, searched up
     to _MAX_ORDER_SEARCH one forward step at a time.
     """
-    cert = verify_class_bound(spec.acted, k_acted, monomial_budget)
-    if not cert.ok:
+    ambient, closure = working_closure(
+        spec.acted, k_acted + 1, monomial_budget, certificate
+    )
+    if not closure.levels[k_acted].is_full:
         return [
             f"acted group {spec.acted.name!r} is not certified nilpotent of "
             f"class <= {k_acted}"
         ]
-    ambient, closure = cert.ambient, cert.closure
     cap, generators = ambient.cap, ambient.generators
     acted_names = spec.acted.alphabet.names()
     acting_names = spec.acting.alphabet.names()
@@ -298,12 +303,20 @@ def materialize_subgroups(
     c: int,
     k: int,
     monomial_budget: int | None = DEFAULT_MONOMIAL_BUDGET,
+    certificate: ClassBoundResult | None = None,
+    acting_certificate: ClassBoundResult | None = None,
 ) -> SemidirectSubgroups:
-    """Build all subgroups at cap k + c, re-certifying the class bound."""
+    """Build all subgroups at cap k + c, re-certifying the class bound.
+
+    The relator closures of the combined group and of the acting factor
+    are the certificates' own when those were built at this cap."""
     cap = k + c
     n_acted, n_acting = sp.n_acted, sp.n_acting
     n = n_acted + n_acting
-    ambient = AmbientContext(n, cap, monomial_budget)
+    ambient, rel_full = working_closure(
+        sp.combined, cap, monomial_budget, certificate
+    )
+    certify_closure(sp.combined, k, rel_full)
     full = ambient.full_group()
 
     def closure_of(words, normal=True):
@@ -311,11 +324,6 @@ def materialize_subgroups(
             None, ambient, [ambient.element_of_word(w) for w in words], normal
         )
 
-    rel_full = closure_of(sp.combined.relators)
-    if not rel_full.levels[k].is_full:
-        raise CertificateError(
-            f"class bound k={k} fails for {sp.combined.name!r}"
-        )
     rel_acting = closure_of(sp.rel_acting)
     rel_acted = closure_of(sp.rel_acted)
     twist = closure_of(sp.rel_acted + sp.rel_twist)
@@ -347,8 +355,9 @@ def materialize_subgroups(
     complement_denominator = join(mixed_tower, twist_tower)
 
     # The acting factor inside its own free group, then embedded.
-    amb_acting = AmbientContext(n_acting, cap, monomial_budget)
-    acting_sub = relator_closure(sp.action.acting, amb_acting)
+    amb_acting, acting_sub = working_closure(
+        sp.action.acting, cap, monomial_budget, acting_certificate
+    )
     acting_gamma_embedded = embedded_copy(
         intersect_with_gamma(acting_sub, c + 1), ambient, n_acted, normal=False
     )
@@ -515,12 +524,15 @@ def resolve_acting_class_bound(
     acting: Presentation,
     k_limit: int,
     monomial_budget: int | None = DEFAULT_MONOMIAL_BUDGET,
-) -> int:
-    """Smallest certified class bound of the acting factor alone, else the
-    given limit, since the factor's class never exceeds the product's;
-    whatever comes out is re-verified downstream."""
-    k = certified_class_bound(acting, k_limit, monomial_budget)
-    return k if k is not None else k_limit
+) -> ClassBoundResult:
+    """Certificate of the smallest class bound of the acting factor alone,
+    else its (failed) check at the given limit, since the factor's class
+    never exceeds the product's; whatever comes out is re-verified
+    downstream."""
+    cert = certified_class_bound(acting, k_limit, monomial_budget)
+    if cert is None:
+        cert = verify_class_bound(acting, k_limit, monomial_budget)
+    return cert
 
 
 def verify_direct_factor(
@@ -528,17 +540,22 @@ def verify_direct_factor(
     c: int,
     k: int,
     monomial_budget: int | None = DEFAULT_MONOMIAL_BUDGET,
+    certificate: ClassBoundResult | None = None,
 ) -> DecompositionReport:
     """Full decomposition report: subgroup checks, the three invariants, the
     direct-sum verdict and, in the classical c = 1 case, agreement of the
-    complement denominator with its older one-step form."""
-    table = materialize_subgroups(sp, c, k, monomial_budget)
+    complement denominator with its older one-step form.  `certificate`
+    is the combined group's class-bound certificate, if the caller has
+    one; see `materialize_subgroups`."""
+    acting = resolve_acting_class_bound(sp.action.acting, k, monomial_budget)
+    table = materialize_subgroups(
+        sp, c, k, monomial_budget, certificate, acting
+    )
     checks = verify_subgroup_decomposition(table)
 
     invariants_group = quotient_invariants(table.numerator, table.denominator)
-    k_acting = resolve_acting_class_bound(sp.action.acting, k, monomial_budget)
     invariants_acting = baer_invariant(
-        BaerJob(sp.action.acting, c, k_acting, monomial_budget)
+        BaerJob(sp.action.acting, c, acting.k, monomial_budget), acting
     )
     invariants_complement = complement_factor(table)
     merged = merge_invariants(invariants_acting, invariants_complement)

@@ -13,25 +13,36 @@ The lattice algebra is `intlinalg`'s: insertion is `hermite_insert` with
 the realizing elements as tags (group products and powers standing for row
 sums and multiples), and the sieve's reduction is `echelon_solve`.
 
-Consistency means: the commutator [r_a, r_b] of every two stored elements
-sieves to membership and, for normal subgroups, so does [r, x] for every
-stored r and ambient generator x (the obligations of a filtered polycyclic
-sequence; Sims, "Computation with Finitely Presented Groups", ch. 9).
-`insert_and_close` establishes this by fixpoint; it terminates because every
-insertion strictly enlarges one of finitely many lattices of bounded rank.
-Why this certifies the sieve, with H the group the stored elements generate:
+Consistency means, for a plain (not necessarily normal) sequence, that the
+commutator [r_a, r_b] of every two stored elements sieves to membership,
+and for a normal sequence that [r, x] does for every stored r and ambient
+generator x (the obligations of a filtered polycyclic sequence; Sims,
+"Computation with Finitely Presented Groups", ch. 9).  `insert_and_close`
+establishes this by fixpoint; it terminates because every insertion
+strictly enlarges one of finitely many lattices of bounded rank.  Why this
+certifies the sieve, with H the group the stored elements generate and H_m
+the group generated by those of weight >= m:
 
 1. Level rows are Hermite rows with distinct pivots, and each degree-m
    section of the free nilpotent group is free abelian: no power
    obligations arise.
-2. [r_a, r_b] has weight >= m_a + m_b, so by downward induction on m the
-   normal forms over levels >= m form the group H_m that the stored
-   elements there generate: level-m elements normalize H_{m+1} (inverses
-   too, by the max condition of finitely generated nilpotent groups) and
-   commute modulo it, and H_m meets gamma_{m+1} in H_{m+1} since the
-   level-m rows are independent.  So the sieve decides membership in H.
-3. Inverses need no check: H is a group, and by 2 the sieve decides H.
-4. [r, x] in H gives x^-1 H x <= H, equality by the max condition; so
+2. Plain sequences.  [r_a, r_b] has weight >= m_a + m_b, so by downward
+   induction on m the normal forms over levels >= m form H_m: level-m
+   elements normalize H_{m+1} (inverses too, by the max condition of
+   finitely generated nilpotent groups) and commute modulo it, and H_m
+   meets gamma_{m+1} in H_{m+1} since the level-m rows are independent.
+   So the sieve decides membership in H.
+3. Normal sequences need no pair obligations.  By downward induction on
+   m, suppose H_{m+1} is normal in F and the sieve decides it.  Then
+   [r, x] lies in H_{m+1} for every level-m element r and generator x
+   (it has weight > m, so its sieve only visits levels > m), and
+   [r, yz] = [r, z][r, y]^z gives [r, y] in H_{m+1} for every y in F
+   (r commuting with x modulo the normal H_{m+1} commutes with x^-1).
+   So each level-m element is central modulo H_{m+1}: H_m is a normal
+   subgroup, its elements are the normal forms over levels >= m, and as
+   in 2 the sieve decides it.
+4. Inverses need no check: H is a group, and by 2 or 3 the sieve decides H.
+5. [r, x] in H gives x^-1 H x <= H, equality by the max condition; so
    conjugation by x^-1 is covered, and a non-normal base re-closed in
    normal mode becomes normal.
 """
@@ -269,7 +280,8 @@ def insert_and_close(
     """Consistent closure of `base` (may be None) together with `elements`,
     normal when `normal` or the base is.  Each inserted residue queues its
     commutators with the ambient generators in normal mode; passes re-sieve
-    the consistency obligations until one inserts nothing."""
+    the consistency obligations (see the module docstring: [r, x] in
+    normal mode, [r_a, r_b] in plain mode) until one inserts nothing."""
     if base is not None:
         if not base.ambient.compatible(ambient):
             raise ValueError("ambient mismatch")
@@ -304,12 +316,15 @@ def insert_and_close(
         # stops at the first partner whose commutator passes the cap.
         stored = sub.stored()
         for a, (ma, _, ra) in enumerate(stored):
+            if ma == cap:
+                break
+            if sub.normal:
+                queue.extend(ra.commutator(x) for x in ambient.generators)
+                continue
             for mb, _, rb in stored[a + 1:]:
                 if ma + mb > cap:
                     break
                 queue.append(ra.commutator(rb))
-            if sub.normal and ma < cap:
-                queue.extend(ra.commutator(x) for x in ambient.generators)
         checked = True
 
 

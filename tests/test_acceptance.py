@@ -39,7 +39,7 @@ def suite_reports():
     for name, (text, k_fixed) in SEMIDIRECT_SUITE.items():
         spec = parse_input_file(text).action
         sp = build_semidirect(spec)
-        k = k_fixed if k_fixed is not None else detect_class(sp.combined, 6)
+        k = k_fixed if k_fixed is not None else detect_class(sp.combined, 6).k
         assert k is not None, f"{name}: no class bound"
         for c in (1, 2):
             reports[(name, c)] = verify_direct_factor(sp, c, k)

@@ -43,10 +43,10 @@ class TestClassBound:
 
 class TestDetectClass:
     def test_dihedral(self):
-        assert detect_class(dihedral8(), 4) == 2
+        assert detect_class(dihedral8(), 4).k == 2
 
     def test_klein(self):
-        assert detect_class(klein(), 4) == 1
+        assert detect_class(klein(), 4).k == 1
 
     def test_free_group_undetermined(self):
         assert detect_class(make_presentation("f2", ["x", "y"], []), 4) is None
@@ -57,7 +57,7 @@ class TestDetectClass:
     def test_infinite_abelian_undetermined_but_certified(self):
         zz = free_abelian(2)
         assert detect_class(zz, 3) is None
-        assert certified_class_bound(zz, 3) == 1
+        assert certified_class_bound(zz, 3).k == 1
 
 
 class TestBaerInvariant:

@@ -8,7 +8,10 @@ from pathlib import Path
 
 import pytest
 
+from baerkit import baer, semidirect, subgroups
 from baerkit.cli import main
+from baerkit.presentations import parse_input_file
+from baerkit.semidirect import build_semidirect
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 GOLDEN = Path(__file__).resolve().parent / "cli_golden.json"
@@ -366,3 +369,78 @@ def test_output_matches_golden(name):
     # refactors, so rewrite it only for an intended output change.
     golden = json.loads(GOLDEN.read_text())
     assert run_captured(GOLDEN_CASES[name]) == golden[name]
+
+
+class TestClosureReuse:
+    """At --class-c 1 the working cap k + 1 is the cap at which the class
+    bound was certified, so the certificate's relator closure is the working
+    one: each presentation's relators are closed once per cap."""
+
+    @staticmethod
+    def relator_closures(monkeypatch, argv, presentations):
+        """Run the CLI, counting the insert_and_close calls that close one
+        of the presentations' relator lists, keyed by (name, cap); a call
+        counts for the first presentation whose relators it closes."""
+        original = subgroups.insert_and_close
+        calls = []
+
+        def counting(base, ambient, elements, normal):
+            elements = list(elements)
+            if base is None:
+                calls.append((ambient.n, ambient.cap, elements))
+            return original(base, ambient, elements, normal)
+
+        for module in (subgroups, baer, semidirect):
+            monkeypatch.setattr(module, "insert_and_close", counting)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) == 0
+        counts = {}
+        for n, cap, elements in calls:
+            amb = subgroups.AmbientContext(n, cap)
+            for pres in presentations:
+                if pres.rank == n and elements == [
+                    amb.element_of_word(r) for r in pres.relators
+                ]:
+                    key = (pres.name, cap)
+                    counts[key] = counts.get(key, 0) + 1
+                    break
+        return counts
+
+    @pytest.mark.parametrize("name,relators", [
+        ("D8", "a^4, b^2, b^-1 a b a"),
+        ("Z4byZ4", "a^4, b^4, b^-1 a b a"),
+    ])
+    def test_multiplier(self, tmp_path, monkeypatch, name, relators):
+        text = f"group {name}\n  gen a b\n  rel {relators}\nend\n"
+        grp = tmp_path / f"{name}.grp"
+        grp.write_text(text)
+        pres = parse_input_file(text).presentations[0]
+        argv = ["multiplier", "--file", str(grp), "--class-c", "1"]
+        # Class 2: bounds 1 and 2 are tried at caps 2 and 3; the invariant
+        # works at cap 3.
+        assert self.relator_closures(monkeypatch, argv, [pres]) == {
+            (name, 2): 1, (name, 3): 1,
+        }
+
+    # Cyclic factors certify at class 1 (cap 2), where the acted one is also
+    # checked for the action and the acting one's invariant is computed; a
+    # class-2 product certifies at cap 3, its working cap, where the acting
+    # factor is closed once more for the decomposition.  In z4_by_z4 both
+    # factors are Z4 on one letter, so their closures are the same
+    # computation: the two at cap 2 are one per factor.  z2_on_z2sq is
+    # abelian: everything works at cap 2.
+    @pytest.mark.parametrize("path,expected", [
+        ("d8.grp", {("Z4", 2): 1, ("Z2", 2): 1, ("Z2", 3): 1,
+                    ("Z2_on_Z4", 2): 1, ("Z2_on_Z4", 3): 1}),
+        ("z4_by_z4.grp", {("A", 2): 2, ("A", 3): 1,
+                          ("B_on_A", 2): 1, ("B_on_A", 3): 1}),
+        ("z2_on_z2sq.grp", {("A", 2): 1, ("B", 2): 1, ("B_on_A", 2): 1}),
+    ])
+    def test_semidirect_verify(self, monkeypatch, path, expected):
+        spec = parse_input_file((DATA / path).read_text()).action
+        combined = build_semidirect(spec).combined
+        argv = ["semidirect", "--file", str(DATA / path), "--class-c", "1", "--verify"]
+        counts = self.relator_closures(
+            monkeypatch, argv, [spec.acted, spec.acting, combined]
+        )
+        assert counts == expected

@@ -95,6 +95,25 @@ class TestLieCoordinates:
         with pytest.raises(ValueError):
             lie_coordinates({(0,): 1, (0, 1): 1}, 2)
 
+    def test_letter_outside_alphabet_rejected(self):
+        with pytest.raises(ValueError):
+            lie_coordinates({(0, 2): 1, (2, 0): -1}, 2)
+        with pytest.raises(ValueError):
+            lie_coordinates({(0, 2): 1, (2, 0): -1}, 2, 2)
+        # A zero coefficient does not count as using the letter.
+        assert lie_coordinates({(0, 1): 1, (1, 0): -1, (0, 2): 0}, 2) == [1]
+
+    def test_wrong_degree_rejected(self):
+        with pytest.raises(ValueError):
+            lie_coordinates({(0, 1): 1, (1, 0): -1}, 2, 3)
+
+    def test_coordinates_leave_the_tensor_alone(self):
+        tensor = dict(bracketing((0, 0, 1)).expansion)
+        tensor[(1, 1, 0)] = 0
+        before = dict(tensor)
+        assert get_basis(2, 3).coordinates(tensor) == [1, 0]
+        assert tensor == before
+
     def test_degree_three(self):
         # [x,[x,y]] expansion is a basis row.
         exp = bracketing((0, 0, 1)).expansion

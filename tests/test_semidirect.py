@@ -34,7 +34,7 @@ def suite_action(name):
 def suite_report(name, c):
     spec, k_fixed = suite_action(name)
     sp = build_semidirect(spec)
-    k = k_fixed if k_fixed is not None else detect_class(sp.combined, 6)
+    k = k_fixed if k_fixed is not None else detect_class(sp.combined, 6).k
     assert k is not None
     return verify_direct_factor(sp, c, k)
 

@@ -1,11 +1,14 @@
 import random
 from collections import deque
+from pathlib import Path
 
 import pytest
 
+from baerkit.baer import certified_class_bound, relator_closure
 from baerkit.errors import CapacityError
 from baerkit.intlinalg import AbelianInvariants, IntMatrix, abelian_invariants, hnf
-from baerkit.presentations import Alphabet, parse_word
+from baerkit.presentations import Alphabet, parse_input_file, parse_word
+from baerkit.semidirect import build_semidirect
 from baerkit.subgroups import (
     AmbientContext,
     FilteredSubgroup,
@@ -23,6 +26,7 @@ from baerkit.subgroups import (
 
 ABX = Alphabet(["x"])
 ABXY = Alphabet(["x", "y"])
+DATA = Path(__file__).resolve().parent.parent / "data"
 
 
 def closure(amb, alphabet, words, normal=True):
@@ -101,6 +105,25 @@ def random_elements(rng, amb):
             g = g * x ** rng.choice((-2, -1, 1, 2, 3))
         els.append(g)
     return els
+
+
+RELATOR_SOURCES = sorted(p.name for p in DATA.glob("*.grp")) + ["D16", "D32", "D64"]
+
+
+def relator_presentations(source):
+    """The presentations behind one relator source: the group of a one-group
+    file, both factors and the combined group of a file with an action, or
+    the dihedral group D_order on a, b."""
+    if source.startswith("D"):
+        order = int(source[1:])
+        text = f"group {source}\n  gen a b\n  rel a^{order // 2}, b^2, b^-1 a b a\nend\n"
+    else:
+        text = (DATA / source).read_text()
+    parsed = parse_input_file(text)
+    if parsed.action is None:
+        return parsed.presentations
+    spec = parsed.action
+    return [spec.acted, spec.acting, build_semidirect(spec).combined]
 
 
 @pytest.fixture
@@ -387,6 +410,20 @@ class TestSaturation:
                     for x in amb.generators:
                         assert got.contains(a.conjugate(x))
                         assert got.contains(a.conjugate(x.inverse()))
+
+    @pytest.mark.parametrize("source", RELATOR_SOURCES)
+    def test_relator_closures_match_all_pairs_reference(self, source):
+        # The relator closures the pipeline builds, at the certified class
+        # bound's cap k + 1 and at k + 2, keep the all-pairs lattices.
+        for pres in relator_presentations(source):
+            k = certified_class_bound(pres, 6).k
+            for cap in (k + 1, k + 2):
+                amb = AmbientContext(pres.rank, cap)
+                got = relator_closure(pres, amb)
+                rels = [amb.element_of_word(r) for r in pres.relators]
+                want = all_pairs_closure(None, amb, rels, True)
+                for m in range(1, cap + 1):
+                    assert got.lattice_rows(m) == want.lattice_rows(m), (pres.name, cap, m)
 
     def test_levels_are_hermite_normal_forms(self):
         # Each level holds the unique Hermite form of its lattice: the batch
