@@ -7,19 +7,34 @@ of F.  When G is nilpotent of class at most k, both subgroups contain
 gamma_{k+c+1}(F), so computing in the free nilpotent quotient of class
 W = k + c is exact.  The class bound is therefore certified, never
 trusted: every run re-checks that the degree-(k+1) lattice of the relator
-closure is full, which is exactly the statement that the relators cover
-the whole (k+1)-st lower-central section.
+closure at cap k + 1 is full, which is exactly the statement that the
+relators cover the whole (k+1)-st lower-central section.
 
-The closure that certificate is read from comes from the class-bound
-search: `verify_class_bound`, `detect_class` and `certified_class_bound`
-return a `ClassBoundResult` carrying the relator closure they built at cap
-k + 1, and `baer_invariant` takes it as its certificate.  When the working
-cap k + c equals that cap (c = 1, the Schur multiplier) the closure is used
-as it is; otherwise a new one is built at k + c.  Either way the check is
-made on the closure the invariant is computed from; the degree-(k+1)
-lattice does not depend on the cap (Dedekind's law gives
-(H meet gamma_{k+1}) gamma_{k+2} = H gamma_{k+2} meet gamma_{k+1}), so a
-bound certified at k + 1 passes at every larger cap.
+The certificate comes from the class-bound search: `verify_class_bound`,
+`detect_class` and `certified_class_bound` return a `ClassBoundResult`
+carrying the relator closure they built at cap k + 1, and
+`certify_class_bound` re-checks its degree-(k+1) lattice before any
+closure at a larger cap is trusted.
+
+Lemma.  If level k + 1 of the cap-(k+1) relator closure is full, that is
+gamma_{k+1} <= R gamma_{k+2}, then gamma_{k+1} lies in the relator closure
+at every cap >= k + 1.  By induction, gamma_j <= R gamma_{j+1} for every
+j > k: gamma_{j+1} = [gamma_j, F] <= [R gamma_{j+1}, F] <= R gamma_{j+2},
+R being normal.  Chaining, gamma_{k+1} <= R gamma_{cap+1}, which is R in
+the free nilpotent quotient of class cap.
+
+Cut 1, the seeded working closure.  At cap k + 1 the working closure is
+the certificate's own.  Above it, `working_closure` starts from gamma_{k+1}
+(the full group's levels k + 1 .. cap, realized by bracket elements) and
+closes the relator images into it.  By the lemma the result is the
+relator closure itself, and since each level is the unique Hermite form of
+the closure's degree-m lattice, it has the same rows as a closure built
+from the relators alone.  Only an `ok` certificate of the same presentation
+seeds.  The seeded levels are full by construction, so the degree-(k+1)
+check is made on the certificate's unseeded closure; `baer_invariant`
+without a certificate first obtains one from `verify_class_bound`.  Cuts 2
+and 3, which let a full suffix and the towers over it skip work, are in the
+`subgroups` module docstring.
 """
 
 from __future__ import annotations
@@ -42,11 +57,14 @@ from .subgroups import (
 
 
 def relator_closure(
-    pres: Presentation, ambient: AmbientContext
+    pres: Presentation,
+    ambient: AmbientContext,
+    seed: FilteredSubgroup | None = None,
 ) -> FilteredSubgroup:
-    """Normal closure of the relators in the ambient nilpotent quotient."""
+    """Normal closure of the relators in the ambient nilpotent quotient,
+    together with `seed` when one is given."""
     elems = [ambient.element_of_word(r) for r in pres.relators]
-    return insert_and_close(None, ambient, elems, normal=True)
+    return insert_and_close(seed, ambient, elems, normal=True)
 
 
 def working_closure(
@@ -56,25 +74,17 @@ def working_closure(
     certificate: ClassBoundResult | None = None,
 ) -> tuple[AmbientContext, FilteredSubgroup]:
     """The ambient of class `cap` and the relator closure in it: the
-    certificate's own when it was built for `pres` at this cap, else a new
-    one."""
-    if (
-        certificate is not None
-        and certificate.ambient.cap == cap
-        and certificate.presentation == pres
-    ):
+    certificate's own when it was built for `pres` at this cap, seeded with
+    gamma_{k+1} above it when the certificate is `ok` (cut 1 of the module
+    docstring), else built from the relators alone."""
+    own = certificate is not None and certificate.presentation == pres
+    if own and certificate.ambient.cap == cap:
         return certificate.ambient, certificate.closure
     ambient = AmbientContext(pres.rank, cap, monomial_budget)
-    return ambient, relator_closure(pres, ambient)
-
-
-def certify_closure(pres: Presentation, k: int, closure: FilteredSubgroup):
-    """Refuse unless the closure's degree-(k+1) lattice is full."""
-    if not closure.levels[k].is_full:
-        raise CertificateError(
-            f"class bound k={k} fails for {pres.name!r}: "
-            f"degree-{k + 1} lattice is not full"
-        )
+    seed = None
+    if own and certificate.ok and cap > certificate.ambient.cap:
+        seed = intersect_with_gamma(ambient.full_group(), certificate.k + 1)
+    return ambient, relator_closure(pres, ambient, seed)
 
 
 @dataclass
@@ -96,6 +106,30 @@ class ClassBoundResult:
     ambient: AmbientContext
     closure: FilteredSubgroup
     presentation: Presentation
+
+
+def certify_class_bound(
+    pres: Presentation,
+    k: int,
+    monomial_budget: int | None = DEFAULT_MONOMIAL_BUDGET,
+    certificate: ClassBoundResult | None = None,
+) -> ClassBoundResult:
+    """The certificate of class bound k for `pres`: `certificate` when it
+    is the check of k for `pres`, else a new one.  Refuses unless the
+    degree-(k+1) lattice of its own, unseeded, cap-(k+1) closure is full;
+    on a seeded closure that check would be vacuous."""
+    if (
+        certificate is None
+        or certificate.presentation != pres
+        or certificate.k != k
+    ):
+        certificate = verify_class_bound(pres, k, monomial_budget)
+    if not certificate.closure.levels[k].is_full:
+        raise CertificateError(
+            f"class bound k={k} fails for {pres.name!r}: "
+            f"degree-{k + 1} lattice is not full"
+        )
+    return certificate
 
 
 def verify_class_bound(
@@ -194,13 +228,15 @@ def invariant_from_closure(
 def baer_invariant(
     job: BaerJob, certificate: ClassBoundResult | None = None
 ) -> AbelianInvariants:
-    """Run the pipeline at cap k + c, re-certifying the class bound on the
-    working closure before trusting any quotient.  The working closure is
-    the certificate's when it was built at cap k + c."""
+    """Run the pipeline at cap k + c on the working closure of the class
+    bound's certificate, re-checked first (a new one when `certificate`
+    is not the check of k for this presentation)."""
+    certificate = certify_class_bound(
+        job.presentation, job.k, job.monomial_budget, certificate
+    )
     ambient, closure = working_closure(
         job.presentation, job.cap, job.monomial_budget, certificate
     )
-    certify_closure(job.presentation, job.k, closure)
     return invariant_from_closure(ambient, closure, job.c)
 
 

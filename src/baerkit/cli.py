@@ -120,7 +120,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _config_from_args(argv) -> RunConfig:
     args = _build_parser().parse_args(argv)
-    guard = int(os.environ.get("BAERKIT_CAP_GUARD", DEFAULT_MONOMIAL_BUDGET))
+    raw = os.environ.get("BAERKIT_CAP_GUARD", str(DEFAULT_MONOMIAL_BUDGET))
+    try:
+        guard = int(raw)
+    except ValueError:
+        raise ValueError(
+            f"BAERKIT_CAP_GUARD must be an integer, got {raw!r}"
+        ) from None
     return RunConfig(
         command=args.command,
         file=getattr(args, "file", None),

@@ -27,7 +27,7 @@ from .baer import (
     ClassBoundResult,
     baer_invariant,
     certified_class_bound,
-    certify_closure,
+    certify_class_bound,
     verify_class_bound,
     working_closure,
 )
@@ -309,14 +309,17 @@ def materialize_subgroups(
     """Build all subgroups at cap k + c, re-certifying the class bound.
 
     The relator closures of the combined group and of the acting factor
-    are the certificates' own when those were built at this cap."""
+    are the working closures of their certificates (see `baer`): their own
+    at cap k + 1, seeded with the lower-central term above it."""
     cap = k + c
     n_acted, n_acting = sp.n_acted, sp.n_acting
     n = n_acted + n_acting
+    certificate = certify_class_bound(
+        sp.combined, k, monomial_budget, certificate
+    )
     ambient, rel_full = working_closure(
         sp.combined, cap, monomial_budget, certificate
     )
-    certify_closure(sp.combined, k, rel_full)
     full = ambient.full_group()
 
     def closure_of(words, normal=True):

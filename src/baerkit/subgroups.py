@@ -45,6 +45,24 @@ the group generated by those of weight >= m:
 5. [r, x] in H gives x^-1 H x <= H, equality by the max condition; so
    conjugation by x^-1 is covered, and a non-normal base re-closed in
    normal mode becomes normal.
+6. A full suffix contains its lower-central terms.  If levels t .. cap
+   are all full, sieving an element of weight w >= t divides off stored
+   elements of weight >= w at full levels only and ends at the identity,
+   consistent sequence or not: H_w = gamma_w for every w >= t.
+   `insert_and_close` therefore takes weight >= t as membership without
+   sieving, and skips every obligation whose commutator has weight >= t
+   ([r, x] has weight > m, [r_a, r_b] at least m_a + m_b): such a
+   commutator of weight w lies in H_w, and w exceeds the weight of each
+   entry, as 2 and 3 require.  Insertions only enlarge lattices, so t only
+   falls and a skipped obligation stays met.  `contains` answers the same
+   way; `sieve` always runs to the end, because `quotient_invariants`
+   reads its recipes.
+7. Seeded towers.  If U is full from level t on, U = <S> gamma_t with S
+   its stored elements of weight < t, and [U, F] is the normal closure K
+   of gamma_{t+1} = [gamma_t, F] and the [s, x] for generators x: K lies
+   in [U, F], and modulo K each s commutes with each x while gamma_t is
+   central, so U is central and [U, F] <= K.  `commutator_with` against
+   the full group starts from gamma_{t+1} and pairs only S.
 """
 
 from __future__ import annotations
@@ -249,8 +267,19 @@ class FilteredSubgroup:
             for (_, i), e in steps:
                 cur = (level.elems[i] ** (-e)) * cur
 
+    def full_from(self) -> int:
+        """Least t with levels t .. cap all full (cap + 1 when the top level
+        is not); the subgroup then contains gamma_t (see the module
+        docstring)."""
+        t = self.ambient.cap + 1
+        while t > 1 and self.levels[t - 2].is_full:
+            t -= 1
+        return t
+
     def contains(self, g: GroupElement) -> bool:
-        return self.sieve(g).member
+        self._check_ambient(g)
+        m = g.weight()
+        return m is None or m >= self.full_from() or self.sieve(g).member
 
     def resolve(self, ref) -> GroupElement:
         m, i = ref
@@ -290,18 +319,25 @@ def insert_and_close(
     else:
         sub = FilteredSubgroup(ambient, normal)
 
-    cap = ambient.cap
     queue = deque(elements)
+    t = sub.full_from()  # the sequence contains gamma_t
 
     def process(g: GroupElement) -> bool:
+        nonlocal t
+        m = g.weight()
+        if m is None or m >= t:
+            return False
         res = sub.sieve(g)
         if res.member:
             return False
         r = res.residue
         m = r.weight()
         _, coords = ambient.leading_coordinates(r)
-        queue.extend(sub.levels[m - 1].add(coords, r))
-        if sub.normal and m < cap:
+        level = sub.levels[m - 1]
+        queue.extend(level.add(coords, r))
+        if m == t - 1 and level.is_full:
+            t = sub.full_from()
+        if sub.normal and m + 1 < t:
             queue.extend(r.commutator(x) for x in ambient.generators)
         return True
 
@@ -312,17 +348,17 @@ def insert_and_close(
                 checked = False
         if checked:
             return sub
-        # Consistency pass; stored() is ordered by degree, so the inner loop
-        # stops at the first partner whose commutator passes the cap.
+        # Consistency pass; stored() is ordered by degree, so both loops
+        # stop at the first commutator whose weight bound reaches t.
         stored = sub.stored()
         for a, (ma, _, ra) in enumerate(stored):
-            if ma == cap:
+            if ma + 1 >= t:
                 break
             if sub.normal:
                 queue.extend(ra.commutator(x) for x in ambient.generators)
                 continue
             for mb, _, rb in stored[a + 1:]:
-                if ma + mb > cap:
+                if ma + mb >= t:
                     break
                 queue.append(ra.commutator(rb))
         checked = True
@@ -346,23 +382,31 @@ def commutator_with(u: FilteredSubgroup, v: FilteredSubgroup) -> FilteredSubgrou
     Against the full group, u's elements are paired with the ambient
     generators only: for U = <S> and F = <X>, [U, F] is the normal closure
     K of the [s, x], since K <= [U, F], which is normal, and modulo K every
-    s commutes with every x, so U is central and [U, F] <= K."""
+    s commutes with every x, so U is central and [U, F] <= K.  When u is
+    full from level t on, the result starts from gamma_{t+1} and only u's
+    elements of weight < t are paired (module docstring, item 7)."""
     if not u.ambient.compatible(v.ambient):
         raise ValueError("ambient mismatch")
     cap = u.ambient.cap
+    seed, t = None, cap + 1
     if v is u.ambient._full:
         partners = [(1, x) for x in u.ambient.generators]
+        t = u.full_from()
+        if t < cap:
+            seed = intersect_with_gamma(v, t + 1)
     else:
         partners = [(m, b) for m, _, b in v.stored()]
     elems = []
     for m1, _, a in u.stored():
+        if m1 >= t:
+            break
         for m2, b in partners:
             if m1 + m2 > cap:
                 continue  # commutator weight >= m1 + m2: identity here
             c = a.commutator(b)
             if not c.is_identity:
                 elems.append(c)
-    return insert_and_close(None, u.ambient, elems, normal=True)
+    return insert_and_close(seed, u.ambient, elems, normal=True)
 
 
 def intersect_with_gamma(u: FilteredSubgroup, m: int) -> FilteredSubgroup:

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from baerkit.baer import (
     BaerJob,
@@ -96,6 +97,83 @@ class TestBaerInvariant:
     def test_job_validation(self):
         with pytest.raises(ValueError):
             BaerJob(klein(), 0, 1)
+
+
+def witt(n, m):
+    """Witt's formula: (1/m) sum over d | m of mu(d) n^(m/d), the number of
+    basic commutators of weight m on n letters."""
+
+    def mobius(d):
+        out, p = 1, 2
+        while p * p <= d:
+            if d % p == 0:
+                d //= p
+                if d % p == 0:
+                    return 0
+                out = -out
+            p += 1
+        return -out if d > 1 else out
+
+    return sum(mobius(d) * n ** (m // d) for d in range(1, m + 1) if m % d == 0) // m
+
+
+@st.composite
+def divisor_chains(draw):
+    """n_1, ..., n_r with r <= 3, n_r in 2..4 and n_i / n_{i+1} in 1..3."""
+    chain = [draw(st.integers(2, 4))]
+    for _ in range(draw(st.integers(0, 2))):
+        chain.insert(0, chain[0] * draw(st.integers(1, 3)))
+    return chain
+
+
+class TestBurnsEllis:
+    """Burns and Ellis (Math. Z. 226, 1997): for a finite abelian group
+    Z_{n_1} + ... + Z_{n_r} with n_{i+1} | n_i, the c-nilpotent multiplier
+    is the sum over i >= 2 of Z_{n_i}^(w(i, c+1) - w(i-1, c+1)), w the
+    Witt number."""
+
+    @staticmethod
+    def expected(chain, c):
+        torsion = []
+        for i in range(2, len(chain) + 1):
+            torsion += [chain[i - 1]] * (witt(i, c + 1) - witt(i - 1, c + 1))
+        return AbelianInvariants(0, tuple(sorted(torsion)))
+
+    @staticmethod
+    def abelian(chain):
+        gens = [f"x{i}" for i in range(1, len(chain) + 1)]
+        rels = [f"{g}^{n}" for g, n in zip(gens, chain)]
+        rels += [
+            f"[{gens[i]},{gens[j]}]"
+            for i in range(len(gens)) for j in range(i + 1, len(gens))
+        ]
+        return make_presentation("abelian", gens, rels)
+
+    def test_witt_formula(self):
+        assert [witt(2, m) for m in range(1, 7)] == [2, 1, 2, 3, 6, 9]
+        assert [witt(3, m) for m in range(1, 5)] == [3, 3, 8, 18]
+
+    @pytest.mark.parametrize("chain, c, torsion", [
+        ((2, 2, 2), 3, (2,) * 18),
+        ((2, 2, 2, 2), 2, (2,) * 20),
+        ((4, 4), 3, (4,) * 3),
+    ])
+    def test_checked_by_hand(self, chain, c, torsion):
+        assert self.expected(chain, c) == AbelianInvariants(0, torsion)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(chain=divisor_chains(), c=st.integers(1, 3))
+    def test_matches_engine(self, chain, c):
+        got = baer_invariant(BaerJob(self.abelian(chain), c, 1))
+        assert got == self.expected(chain, c)
+
+    @pytest.mark.parametrize("chain, c", [
+        ((4, 2), 1), ((4, 2), 2), ((8, 4, 2), 2), ((4, 4), 3),
+        ((6, 2), 2), ((9, 3), 2), ((4, 2, 2), 3),
+    ])
+    def test_chains_checked_before(self, chain, c):
+        got = baer_invariant(BaerJob(self.abelian(chain), c, 1))
+        assert got == self.expected(chain, c)
 
 
 class TestIndependence:

@@ -232,6 +232,29 @@ class TestActionReach:
         assert "verdict=pass" in proc.stdout
 
 
+class TestDihedralReach:
+    """Above the certified cap the working closure starts from the
+    lower-central term the certificate puts in the relator closure, so each
+    run takes seconds.  Built from the relators alone, these cap-8 closures
+    take about 30 s (D64) and 60 s (D128) on a 2-vCPU host, which the 60 s
+    timeout is there to catch."""
+
+    @pytest.mark.parametrize("order, c, torsion", [
+        (64, 3, "2,2,8"), (128, 2, "2,4"),
+    ], ids=["d64_c3", "d128_c2"])
+    def test_multiplier(self, tmp_path, order, c, torsion):
+        grp = tmp_path / f"d{order}.grp"
+        grp.write_text(
+            f"group D{order}\n  gen a b\n  rel a^{order // 2}, b^2, b^-1 a b a\nend\n"
+        )
+        proc = run_subprocess(
+            ["multiplier", "--file", str(grp), "--class-c", str(c),
+             "--format", "machine"]
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert f"torsion={torsion}" in proc.stdout.splitlines()
+
+
 class TestLyndon:
     def test_listing(self, capsys):
         rc, out, _ = run_cli(["lyndon", "--letters", "2", "--weight", "3"], capsys)
@@ -255,6 +278,15 @@ class TestLyndon:
         rc, _, err = run_cli(["lyndon", "--letters", "4", "--weight", "6"], capsys)
         assert rc == 4
         assert "budget" in err
+
+    @pytest.mark.parametrize("value", ["abc", "1e5", ""])
+    def test_capacity_guard_not_an_integer(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("BAERKIT_CAP_GUARD", value)
+        rc, _, err = run_cli(["lyndon", "--letters", "2", "--weight", "3"], capsys)
+        assert rc == 2
+        assert err == (
+            f"error: BAERKIT_CAP_GUARD must be an integer, got {value!r}\n"
+        )
 
 
 class TestSelftestCommand:
@@ -380,14 +412,15 @@ class TestClosureReuse:
     def relator_closures(monkeypatch, argv, presentations):
         """Run the CLI, counting the insert_and_close calls that close one
         of the presentations' relator lists, keyed by (name, cap); a call
-        counts for the first presentation whose relators it closes."""
+        counts for the first presentation whose relators it closes, with
+        or without a base (a working closure above the certificate's cap
+        starts from the lower-central term it contains)."""
         original = subgroups.insert_and_close
         calls = []
 
         def counting(base, ambient, elements, normal):
             elements = list(elements)
-            if base is None:
-                calls.append((ambient.n, ambient.cap, elements))
+            calls.append((ambient.n, ambient.cap, elements))
             return original(base, ambient, elements, normal)
 
         for module in (subgroups, baer, semidirect):

@@ -4,9 +4,10 @@ from pathlib import Path
 
 import pytest
 
-from baerkit.baer import certified_class_bound, relator_closure
+from baerkit.baer import certified_class_bound, relator_closure, working_closure
 from baerkit.errors import CapacityError
 from baerkit.intlinalg import AbelianInvariants, IntMatrix, abelian_invariants, hnf
+from baerkit.lyndon import lyndon_words
 from baerkit.presentations import Alphabet, parse_input_file, parse_word
 from baerkit.semidirect import build_semidirect
 from baerkit.subgroups import (
@@ -92,6 +93,28 @@ def all_pairs_commutator_with(u, v):
         if m1 + m2 <= cap
     ]
     return insert_and_close(None, u.ambient, elems, normal=True)
+
+
+def scratch_relator_closure(pres, amb):
+    """Reference relator closure without a seed.  The relators go in last
+    to first: the lattices do not depend on the order, and in written order
+    D64's closure at cap 8 takes half a minute (a^32 first makes the Hermite
+    merges raise elements to large powers), in reverse order three seconds."""
+    elems = [amb.element_of_word(r) for r in reversed(pres.relators)]
+    return insert_and_close(None, amb, elems, normal=True)
+
+
+def generator_pairing(u):
+    """Reference [U, F] without a seed: the normal closure of every stored
+    element of u commuted with every generator."""
+    amb = u.ambient
+    elems = [
+        a.commutator(x)
+        for m, _, a in u.stored()
+        if m < amb.cap
+        for x in amb.generators
+    ]
+    return insert_and_close(None, amb, elems, normal=True)
 
 
 def random_elements(rng, amb):
@@ -449,6 +472,53 @@ class TestSaturation:
                 rng.shuffle(mixed)
                 h, _ = hnf(IntMatrix(mixed))
                 assert rows == h.nonzero_rows()
+
+
+class TestSeededClosure:
+    """Working closures above the certificate's cap start from
+    gamma_{k+1}, and towers over a full suffix from the next term; both
+    must keep the lattices of the unseeded constructions."""
+
+    @staticmethod
+    def assert_same_rows(got, want, label):
+        for m in range(1, got.ambient.cap + 1):
+            assert got.lattice_rows(m) == want.lattice_rows(m), (*label, m)
+
+    @staticmethod
+    def assert_contains_agrees_with_sieve(rng, sub):
+        # Stored elements, products of two, random words, and one bracket
+        # element per Lyndon word, whose weights reach the full suffix.
+        amb = sub.ambient
+        stored = [el for _, _, el in sub.stored()]
+        probes = stored + random_elements(rng, amb)
+        if stored:
+            probes += [rng.choice(stored) * rng.choice(stored) for _ in range(8)]
+        probes += [
+            amb.bracket_element(w)
+            for m in range(1, amb.cap + 1)
+            for w in lyndon_words(amb.n, m)
+        ]
+        for g in probes:
+            assert sub.contains(g) == sub.sieve(g).member
+
+    @pytest.mark.parametrize("source", RELATOR_SOURCES)
+    def test_matches_unseeded_constructions(self, source):
+        rng = random.Random(source)
+        for pres in relator_presentations(source):
+            cert = certified_class_bound(pres, 6)
+            for c in (2, 3):
+                cap = cert.k + c
+                amb, got = working_closure(pres, cap, certificate=cert)
+                label = (pres.name, cap)
+                want = scratch_relator_closure(pres, AmbientContext(pres.rank, cap))
+                self.assert_same_rows(got, want, label)
+                self.assert_contains_agrees_with_sieve(rng, got)
+                term = got
+                for j in range(1, c + 1):
+                    want = generator_pairing(term)
+                    term = commutator_with(term, amb.full_group())
+                    self.assert_same_rows(term, want, (*label, j))
+                    self.assert_contains_agrees_with_sieve(rng, term)
 
 
 class TestEmbedding:
