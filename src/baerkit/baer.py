@@ -212,17 +212,17 @@ class BaerJob:
         return self.k + self.c
 
 
-def invariant_from_closure(
-    ambient: AmbientContext, closure: FilteredSubgroup, c: int
-) -> AbelianInvariants:
-    """Quotient (closure meet gamma_{c+1}) by the c-fold iterated commutator
-    of the closure with the full ambient group."""
-    numerator = intersect_with_gamma(closure, c + 1)
-    denominator = closure
-    full = ambient.full_group()
+def hopf_pair(
+    closure: FilteredSubgroup, c: int
+) -> tuple[FilteredSubgroup, FilteredSubgroup]:
+    """The Hopf numerator and denominator of a normal closure R: R meet
+    gamma_{c+1}, and the c-fold iterated commutator [R, F, ..., F] of R
+    with the full ambient group F."""
+    full = closure.ambient.full_group()
+    tower = closure
     for _ in range(c):
-        denominator = commutator_with(denominator, full)
-    return quotient_invariants(numerator, denominator)
+        tower = commutator_with(tower, full)
+    return intersect_with_gamma(closure, c + 1), tower
 
 
 def baer_invariant(
@@ -234,10 +234,10 @@ def baer_invariant(
     certificate = certify_class_bound(
         job.presentation, job.k, job.monomial_budget, certificate
     )
-    ambient, closure = working_closure(
+    _, closure = working_closure(
         job.presentation, job.cap, job.monomial_budget, certificate
     )
-    return invariant_from_closure(ambient, closure, job.c)
+    return quotient_invariants(*hopf_pair(closure, job.c))
 
 
 @dataclass(frozen=True)

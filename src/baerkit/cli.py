@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass
 
 from .baer import (
     BaerJob,
@@ -44,24 +43,6 @@ EXIT_PARSE = 2
 EXIT_CLASS = 3
 EXIT_CAPACITY = 4
 EXIT_ACTION = 5
-
-
-@dataclass
-class RunConfig:
-    command: str
-    file: str | None = None
-    c: int = 1
-    class_bound: int | None = None
-    k_max: int = 6
-    cap_guard: int = DEFAULT_MONOMIAL_BUDGET
-    fmt: str = "text"
-    verify: bool = False
-    letters: int | None = None
-    weight: int | None = None
-
-    def __post_init__(self):
-        if self.c < 1 or self.k_max < 1 or self.cap_guard < 1:
-            raise ValueError("c, kmax, and the cap guard must be >= 1")
 
 
 def _positive(value: str) -> int:
@@ -118,8 +99,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(argv) -> RunConfig:
-    args = _build_parser().parse_args(argv)
+def _cap_guard() -> int:
+    """The monomial budget: BAERKIT_CAP_GUARD when set, else the default."""
     raw = os.environ.get("BAERKIT_CAP_GUARD", str(DEFAULT_MONOMIAL_BUDGET))
     try:
         guard = int(raw)
@@ -127,67 +108,59 @@ def _config_from_args(argv) -> RunConfig:
         raise ValueError(
             f"BAERKIT_CAP_GUARD must be an integer, got {raw!r}"
         ) from None
-    return RunConfig(
-        command=args.command,
-        file=getattr(args, "file", None),
-        c=getattr(args, "c", 1),
-        class_bound=getattr(args, "class_bound", None),
-        k_max=getattr(args, "k_max", 6),
-        cap_guard=guard,
-        fmt=args.fmt,
-        verify=getattr(args, "verify", False),
-        letters=getattr(args, "letters", None),
-        weight=getattr(args, "weight", None),
-    )
+    if guard < 1:
+        # argparse rejects c and kmax below 1; the message stays as it was.
+        raise ValueError("c, kmax, and the cap guard must be >= 1")
+    return guard
 
 
-def _read_input(config: RunConfig):
+def _read_input(path: str):
     try:
-        with open(config.file, encoding="utf-8") as handle:
+        with open(path, encoding="utf-8") as handle:
             text = handle.read()
     except OSError as exc:
-        raise ParseError(f"cannot read {config.file!r}: {exc}") from None
+        raise ParseError(f"cannot read {path!r}: {exc}") from None
     return parse_input_file(text)
 
 
-def _resolve_bound(pres, config: RunConfig, echo) -> ClassBoundResult:
+def _resolve_bound(pres, args, guard: int, echo) -> ClassBoundResult:
     """The class-bound certificate; its closure is reused downstream."""
-    if config.class_bound is not None:
-        res = verify_class_bound(pres, config.class_bound, config.cap_guard)
+    if args.class_bound is not None:
+        res = verify_class_bound(pres, args.class_bound, guard)
         if not res.ok:
             raise CertificateError(
-                f"--class-bound {config.class_bound} fails verification for "
+                f"--class-bound {args.class_bound} fails verification for "
                 f"{pres.name!r} (lattice deficient at degree {res.fail_degree})"
             )
-        echo(f"class-bound: k={config.class_bound} (supplied, certified)")
+        echo(f"class-bound: k={args.class_bound} (supplied, certified)")
         return res
-    res = detect_class(pres, config.k_max, config.cap_guard)
+    res = detect_class(pres, args.k_max, guard)
     if res is None:
         raise ClassUndeterminedError(
             f"could not determine a class bound for {pres.name!r} with "
-            f"kmax={config.k_max}; supply --class-bound explicitly "
+            f"kmax={args.k_max}; supply --class-bound explicitly "
             f"(required for infinite groups)"
         )
     echo(f"class-bound: k={res.k} (detected)")
     return res
 
 
-def cmd_multiplier(config: RunConfig, echo) -> int:
-    parsed = _read_input(config)
+def cmd_multiplier(args, guard: int, echo) -> int:
+    parsed = _read_input(args.file)
     if len(parsed.presentations) != 1 or parsed.action is not None:
         raise ParseError("multiplier expects exactly one group block")
     pres = parsed.presentations[0]
-    machine = config.fmt == "machine"
+    machine = args.fmt == "machine"
     trace = (lambda _msg: None) if machine else echo
     trace(f"group {pres.name}: {pres.rank} generators, {len(pres.relators)} relators")
-    cert = _resolve_bound(pres, config, trace)
+    cert = _resolve_bound(pres, args, guard, trace)
     k = cert.k
-    trace(f"cap: {k + config.c}")
-    inv = baer_invariant(BaerJob(pres, config.c, k, config.cap_guard), cert)
+    trace(f"cap: {k + args.c}")
+    inv = baer_invariant(BaerJob(pres, args.c, k, guard), cert)
     if machine:
         echo("command=multiplier")
         echo(f"group={pres.name}")
-        echo(f"class_c={config.c}")
+        echo(f"class_c={args.c}")
         echo(f"class_bound={k}")
         echo(f"free_rank={inv.free_rank}")
         echo(f"torsion={','.join(str(d) for d in inv.torsion)}")
@@ -196,21 +169,21 @@ def cmd_multiplier(config: RunConfig, echo) -> int:
     return EXIT_OK
 
 
-def cmd_semidirect(config: RunConfig, echo) -> int:
-    parsed = _read_input(config)
+def cmd_semidirect(args, guard: int, echo) -> int:
+    parsed = _read_input(args.file)
     if len(parsed.presentations) != 2 or parsed.action is None:
         raise ParseError("semidirect expects two group blocks and one action block")
     spec = parsed.action
-    machine = config.fmt == "machine"
+    machine = args.fmt == "machine"
     trace = (lambda _msg: None) if machine else echo
 
-    acted = certified_class_bound(spec.acted, config.k_max, config.cap_guard)
+    acted = certified_class_bound(spec.acted, args.k_max, guard)
     if acted is None:
         raise ClassUndeterminedError(
             f"cannot certify a class bound for the acted group "
             f"{spec.acted.name!r}; it must be nilpotent"
         )
-    problems = validate_action(spec, acted.k, config.cap_guard, acted)
+    problems = validate_action(spec, acted.k, guard, acted)
     if problems:
         raise ActionError(problems)
     trace(f"action: certified on {spec.acted.name!r} at class bound {acted.k}")
@@ -229,14 +202,14 @@ def cmd_semidirect(config: RunConfig, echo) -> int:
         echo(f"  relators (acted):  {', '.join(w.render() for w in sp.rel_acted) or '-'}")
         echo(f"  relators (acting): {', '.join(w.render() for w in sp.rel_acting) or '-'}")
         echo(f"  relators (twist):  {', '.join(w.render() for w in sp.rel_twist)}")
-    if not config.verify:
+    if not args.verify:
         return EXIT_OK
 
-    cert = _resolve_bound(sp.combined, config, trace)
+    cert = _resolve_bound(sp.combined, args, guard, trace)
     k = cert.k
-    report = verify_direct_factor(sp, config.c, k, config.cap_guard, cert)
+    report = verify_direct_factor(sp, args.c, k, guard, cert)
     if machine:
-        echo(f"class_c={config.c}")
+        echo(f"class_c={args.c}")
         echo(f"class_bound={k}")
         for name, ok in report.checks.items():
             echo(f"check_{name}={'pass' if ok else 'fail'}")
@@ -270,12 +243,12 @@ def _shape_str(shape) -> str:
     return f"[{_shape_str(u)},{_shape_str(v)}]"
 
 
-def cmd_lyndon(config: RunConfig, echo) -> int:
-    n, m = config.letters, config.weight
-    if n ** m > config.cap_guard:
+def cmd_lyndon(args, guard: int, echo) -> int:
+    n, m = args.letters, args.weight
+    if n ** m > guard:
         raise CapacityError(
             f"degree-{m} basis over {n} letters needs {n ** m} monomials, "
-            f"budget is {config.cap_guard}"
+            f"budget is {guard}"
         )
     rows = [
         (
@@ -284,7 +257,7 @@ def cmd_lyndon(config: RunConfig, echo) -> int:
         )
         for w in lyndon_words(n, m)
     ]
-    if config.fmt == "machine":
+    if args.fmt == "machine":
         echo("command=lyndon")
         echo(f"letters={n}")
         echo(f"weight={m}")
@@ -298,18 +271,17 @@ def cmd_lyndon(config: RunConfig, echo) -> int:
     return EXIT_OK
 
 
-def cmd_selftest(config: RunConfig, echo) -> int:
+def cmd_selftest(args, guard: int, echo) -> int:
     # Imported here so that the other commands do not load the catalogue.
-    from .selftest import SelftestConfig, run_selftest
+    from .selftest import run_selftest
 
-    return run_selftest(
-        SelftestConfig(monomial_budget=config.cap_guard, fmt=config.fmt), echo
-    )
+    return run_selftest(guard, args.fmt, echo)
 
 
 def main(argv=None) -> int:
+    args = _build_parser().parse_args(argv if argv is not None else sys.argv[1:])
     try:
-        config = _config_from_args(argv if argv is not None else sys.argv[1:])
+        guard = _cap_guard()
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
@@ -319,9 +291,9 @@ def main(argv=None) -> int:
         "semidirect": cmd_semidirect,
         "lyndon": cmd_lyndon,
         "selftest": cmd_selftest,
-    }[config.command]
+    }[args.command]
     try:
-        return handler(config, print)
+        return handler(args, guard, print)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -9,7 +9,6 @@ not caught here, they abort the run with the dedicated exit code.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 from .baer import (
     BaerJob,
@@ -49,7 +48,6 @@ from .presentations import (
 )
 from .semidirect import (
     build_semidirect,
-    materialize_subgroups,
     merge_invariants,
     validate_action,
     verify_direct_factor,
@@ -1020,33 +1018,31 @@ def _(budget):
 # --- runner -------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SelftestConfig:
-    monomial_budget: int | None = DEFAULT_MONOMIAL_BUDGET
-    fmt: str = "text"
-
-
 def iter_checks():
     return list(_CHECKS)
 
 
-def run_selftest(config: SelftestConfig = SelftestConfig(), echo=print) -> int:
+def run_selftest(
+    monomial_budget: int | None = DEFAULT_MONOMIAL_BUDGET,
+    fmt: str = "text",
+    echo=print,
+) -> int:
     """Run every check; returns 0 when all pass, 1 otherwise.  Capacity
     errors propagate so the caller can map them to their own exit code."""
     failures = 0
     for name, fn in _CHECKS:
         try:
-            fn(config.monomial_budget)
+            fn(monomial_budget)
         except AssertionError as exc:
             failures += 1
             status, detail = "fail", f" ({exc})"
         else:
             status, detail = "pass", ""
-        if config.fmt == "machine":
+        if fmt == "machine":
             echo(f"check={name} status={status}")
         else:
             echo(f"check {name}: {status}{detail}")
-    if config.fmt == "machine":
+    if fmt == "machine":
         echo(f"checks={len(_CHECKS)} failures={failures}")
     else:
         echo(f"selftest: {len(_CHECKS)} checks, {failures} failures")

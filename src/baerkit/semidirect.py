@@ -6,14 +6,31 @@ disjoint union of the two alphabets, both factors' relators, and one twist
 relator a^-1 * w[a,b] * [b,a] per generator pair, which forces the
 conjugate of a by b to equal its image word.
 
-The verifier materializes, inside the free nilpotent quotient of class
-k + c, the relator closure R, the acting factor's relator closure R2, and
-the twist subgroup S (normal closure of the acted relators and the twist
-relators), and checks as two-sided containments that R factors through R2
-and S, that the same happens to its meet with the lower central term and to
-its iterated commutator with the whole group, and finally that the Baer
-invariant of the whole group is the direct sum of the acting factor's
-invariant with the complement quotient carried by S.
+The verifier derives each subgroup once, in the combined group's free
+nilpotent quotient F of class k + c, whose first letters are the acted ones:
+
+- R, the relator closure (the certificate's working closure, see `baer`);
+  R2, the normal closure of the acting relators; and the twist subgroup S,
+  the normal closure of the acted relators with the twist relators added.
+- The Hopf pairs (`baer.hopf_pair`) of R and of S: the meet with
+  gamma_{c+1}(F) and the c-fold commutator with F.  The complement
+  denominator joins the tower of S with the mixed tower, the normal closure
+  of [r2, x_1, ..., x_c] for the stored elements r2 of R2 and generator tuples
+  that use the acted factor.
+- The free factors F1 (acted) and F2 (acting) and their gamma_{c+1}, as
+  plain closures of the bracketings of their Lyndon words, and the normal
+  closure of [a, b, x_1, ..., x_{c-1}] over acted a and acting b.
+- The Hopf pair of the acting factor's relator closure, taken in its own
+  free group, since its tower commutes with F2 only, and embedded by the
+  generator shift.
+
+The checks are two-sided containments: R is R2 joined with S; its Hopf
+numerator is the acting numerator joined with S's; its Hopf denominator is
+the acting tower joined with the complement denominator; gamma_{c+1}(F) is
+generated by the factors' terms and the mixed commutators; and F2 meets the
+normal closure of F1 trivially.  Finally the Baer invariant of the whole
+group must be the direct sum of the acting factor's invariant with the
+complement quotient carried by S.
 """
 
 from __future__ import annotations
@@ -28,11 +45,13 @@ from .baer import (
     baer_invariant,
     certified_class_bound,
     certify_class_bound,
+    hopf_pair,
     verify_class_bound,
     working_closure,
 )
 from .errors import ActionError
 from .intlinalg import AbelianInvariants
+from .lyndon import lyndon_words
 from .magnus import _word_element
 from .presentations import (
     ActionSpec,
@@ -43,7 +62,6 @@ from .presentations import (
     free_product_embed,
 )
 from .subgroups import (
-    AmbientContext,
     DEFAULT_MONOMIAL_BUDGET,
     FilteredSubgroup,
     commutator_with,
@@ -260,13 +278,8 @@ def build_semidirect(spec: ActionSpec) -> SemidirectPresentation:
 
 @dataclass
 class SemidirectSubgroups:
-    """Every subgroup the decomposition checks need, in one ambient."""
+    """Every subgroup the decomposition checks read, in one ambient."""
 
-    sp: SemidirectPresentation
-    c: int
-    k: int
-    ambient: AmbientContext
-    full: FilteredSubgroup
     rel_full: FilteredSubgroup          # normal closure of all relators
     rel_acting: FilteredSubgroup        # closure of the acting relators
     rel_acted: FilteredSubgroup         # closure of the acted relators
@@ -276,26 +289,16 @@ class SemidirectSubgroups:
     twist_numerator: FilteredSubgroup   # twist meet gamma_{c+1}
     twist_tower: FilteredSubgroup       # [twist, c-fold ambient]
     mixed_tower: FilteredSubgroup       # closure of [r2, g1..gc], some gi acted
-    complement_denominator: FilteredSubgroup
+    complement_denominator: FilteredSubgroup  # mixed_tower join twist_tower
     mixed_commutators: FilteredSubgroup  # closure of [rel_acting, acted factor]
     acting_gamma_embedded: FilteredSubgroup  # (R2 meet gamma_{c+1}(F2)) embedded
     acting_tower_embedded: FilteredSubgroup  # [R2, c-fold F2] embedded
-    acted_full: FilteredSubgroup        # the acted free factor as a subgroup
     acting_full: FilteredSubgroup       # the acting free factor as a subgroup
     acted_normal_closure: FilteredSubgroup
     gamma_full: FilteredSubgroup
-    gamma_acted_embedded: FilteredSubgroup
-    gamma_acting_embedded: FilteredSubgroup
-    mixed_gamma_tower: FilteredSubgroup
-
-
-def _iterated_commutator(ambient, base_elem, letters):
-    out = base_elem
-    for g in letters:
-        out = out.commutator(ambient.generators[g])
-        if out.is_identity:
-            break
-    return out
+    gamma_acted_embedded: FilteredSubgroup   # the acted factor meet gamma_{c+1}
+    gamma_acting_embedded: FilteredSubgroup  # the acting factor meet gamma_{c+1}
+    mixed_gamma_tower: FilteredSubgroup      # closure of [a, b, g1..g(c-1)]
 
 
 def materialize_subgroups(
@@ -312,102 +315,72 @@ def materialize_subgroups(
     are the working closures of their certificates (see `baer`): their own
     at cap k + 1, seeded with the lower-central term above it."""
     cap = k + c
-    n_acted, n_acting = sp.n_acted, sp.n_acting
-    n = n_acted + n_acting
+    n_acted, n = sp.n_acted, sp.n_acted + sp.n_acting
     certificate = certify_class_bound(
         sp.combined, k, monomial_budget, certificate
     )
     ambient, rel_full = working_closure(
         sp.combined, cap, monomial_budget, certificate
     )
-    full = ambient.full_group()
+    generators = ambient.generators
 
-    def closure_of(words, normal=True):
-        return insert_and_close(
-            None, ambient, [ambient.element_of_word(w) for w in words], normal
-        )
+    def closure_of(words, base=None):
+        elems = [ambient.element_of_word(w) for w in words]
+        return insert_and_close(base, ambient, elems, normal=True)
+
+    def free_factor(first, end, degree):
+        """The free factor on generators first .. end - 1, meet
+        gamma_degree: the bracketings of its Lyndon words, shifted."""
+        elems = [
+            ambient.bracket_element(tuple(first + i for i in w))
+            for m in range(degree, cap + 1)
+            for w in lyndon_words(end - first, m)
+        ]
+        return insert_and_close(None, ambient, elems, normal=False)
+
+    def left_normed(bases, letter_tuples):
+        """Normal closure of [b, x_g1, ..., x_gj] for every base b and
+        generator index tuple (g1, ..., gj)."""
+        elems = []
+        for base in bases:
+            for letters in letter_tuples:
+                out = base
+                for g in letters:
+                    out = out.commutator(generators[g])
+                    if out.is_identity:
+                        break
+                if not out.is_identity:
+                    elems.append(out)
+        return insert_and_close(None, ambient, elems, normal=True)
 
     rel_acting = closure_of(sp.rel_acting)
     rel_acted = closure_of(sp.rel_acted)
-    twist = closure_of(sp.rel_acted + sp.rel_twist)
+    twist = closure_of(sp.rel_twist, rel_acted)
+    numerator, denominator = hopf_pair(rel_full, c)
+    twist_numerator, twist_tower = hopf_pair(twist, c)
 
-    def tower(sub):
-        out = sub
-        for _ in range(c):
-            out = commutator_with(out, full)
-        return out
-
-    numerator = intersect_with_gamma(rel_full, c + 1)
-    denominator = tower(rel_full)
-    twist_numerator = intersect_with_gamma(twist, c + 1)
-    twist_tower = tower(twist)
-
-    # Iterated commutators of acting relators with generator tuples that use
-    # the acted factor at least once, left-normed.
-    mixed_elems = []
-    for m, _, r in rel_acting.stored():
-        if m + c > cap:
-            continue
-        for letters in product(range(n), repeat=c):
-            if all(g >= n_acted for g in letters):
-                continue
-            el = _iterated_commutator(ambient, r, letters)
-            if not el.is_identity:
-                mixed_elems.append(el)
-    mixed_tower = insert_and_close(None, ambient, mixed_elems, normal=True)
+    mixed_tower = left_normed(
+        [r for m, _, r in rel_acting.stored() if m + c <= cap],
+        [t for t in product(range(n), repeat=c) if min(t) < n_acted],
+    )
     complement_denominator = join(mixed_tower, twist_tower)
+    mixed_gamma_tower = left_normed(
+        [
+            generators[a].commutator(generators[b])
+            for a in range(n_acted)
+            for b in range(n_acted, n)
+        ],
+        list(product(range(n), repeat=c - 1)),
+    )
 
-    # The acting factor inside its own free group, then embedded.
-    amb_acting, acting_sub = working_closure(
+    # The acting factor's Hopf pair is taken in its own free group, whose
+    # c-fold tower commutes with the acting letters only, then embedded.
+    _, acting_sub = working_closure(
         sp.action.acting, cap, monomial_budget, acting_certificate
     )
-    acting_gamma_embedded = embedded_copy(
-        intersect_with_gamma(acting_sub, c + 1), ambient, n_acted, normal=False
-    )
-    acting_tower_sub = acting_sub
-    for _ in range(c):
-        acting_tower_sub = commutator_with(
-            acting_tower_sub, amb_acting.full_group()
-        )
-    acting_tower_embedded = embedded_copy(
-        acting_tower_sub, ambient, n_acted, normal=False
-    )
-
-    amb_acted = AmbientContext(n_acted, cap, monomial_budget)
-    acted_full = embedded_copy(
-        amb_acted.full_group(), ambient, 0, normal=False
-    )
-    acting_full = embedded_copy(
-        amb_acting.full_group(), ambient, n_acted, normal=False
-    )
-    acted_normal_closure = insert_and_close(
-        None, ambient, [ambient.generators[i] for i in range(n_acted)], normal=True
-    )
-    mixed_commutators = commutator_with(rel_acting, acted_full)
-
-    gamma_full = intersect_with_gamma(full, c + 1)
-    gamma_acted_embedded = embedded_copy(
-        intersect_with_gamma(amb_acted.full_group(), c + 1), ambient, 0, False
-    )
-    gamma_acting_embedded = embedded_copy(
-        intersect_with_gamma(amb_acting.full_group(), c + 1), ambient, n_acted, False
-    )
-    gamma_elems = []
-    for a in range(n_acted):
-        for b in range(n_acted, n):
-            base = ambient.generators[a].commutator(ambient.generators[b])
-            for letters in product(range(n), repeat=c - 1):
-                el = _iterated_commutator(ambient, base, letters)
-                if not el.is_identity:
-                    gamma_elems.append(el)
-    mixed_gamma_tower = insert_and_close(None, ambient, gamma_elems, normal=True)
+    acting_gamma, acting_tower = hopf_pair(acting_sub, c)
 
     return SemidirectSubgroups(
-        sp=sp,
-        c=c,
-        k=k,
-        ambient=ambient,
-        full=full,
         rel_full=rel_full,
         rel_acting=rel_acting,
         rel_acted=rel_acted,
@@ -418,15 +391,22 @@ def materialize_subgroups(
         twist_tower=twist_tower,
         mixed_tower=mixed_tower,
         complement_denominator=complement_denominator,
-        mixed_commutators=mixed_commutators,
-        acting_gamma_embedded=acting_gamma_embedded,
-        acting_tower_embedded=acting_tower_embedded,
-        acted_full=acted_full,
-        acting_full=acting_full,
-        acted_normal_closure=acted_normal_closure,
-        gamma_full=gamma_full,
-        gamma_acted_embedded=gamma_acted_embedded,
-        gamma_acting_embedded=gamma_acting_embedded,
+        mixed_commutators=commutator_with(
+            rel_acting, free_factor(0, n_acted, 1)
+        ),
+        acting_gamma_embedded=embedded_copy(
+            acting_gamma, ambient, n_acted, normal=False
+        ),
+        acting_tower_embedded=embedded_copy(
+            acting_tower, ambient, n_acted, normal=False
+        ),
+        acting_full=free_factor(n_acted, n, 1),
+        acted_normal_closure=insert_and_close(
+            None, ambient, generators[:n_acted], normal=True
+        ),
+        gamma_full=intersect_with_gamma(ambient.full_group(), c + 1),
+        gamma_acted_embedded=free_factor(0, n_acted, c + 1),
+        gamma_acting_embedded=free_factor(n_acted, n, c + 1),
         mixed_gamma_tower=mixed_gamma_tower,
     )
 
@@ -449,7 +429,7 @@ def verify_subgroup_decomposition(table: SemidirectSubgroups) -> dict[str, bool]
         join(t.acting_gamma_embedded, t.twist_numerator)
     )
     checks["denominator_factorizes"] = t.denominator.equal_as_subgroup(
-        join(join(t.acting_tower_embedded, t.mixed_tower), t.twist_tower)
+        join(t.acting_tower_embedded, t.complement_denominator)
     )
     checks["lower_central_splits"] = t.gamma_full.equal_as_subgroup(
         join(

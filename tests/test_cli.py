@@ -288,6 +288,14 @@ class TestLyndon:
             f"error: BAERKIT_CAP_GUARD must be an integer, got {value!r}\n"
         )
 
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_capacity_guard_below_one(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("BAERKIT_CAP_GUARD", value)
+        rc, out, err = run_cli(["lyndon", "--letters", "2", "--weight", "3"], capsys)
+        assert rc == 2
+        assert out == ""
+        assert err == "error: c, kmax, and the cap guard must be >= 1\n"
+
 
 class TestSelftestCommand:
     def test_machine_line_shape(self, capsys):

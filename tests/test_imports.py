@@ -1,0 +1,44 @@
+"""Every module of the package uses each name it imports."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "baerkit"
+MODULES = sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names bound by import statements that no expression reads.
+    `from __future__` imports switch compiler features and bind nothing
+    that code reads, so they are left out."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(
+        f"{name} (line {line})" for name, line in imported.items()
+        if name not in used
+    )
+
+
+def test_modules_found():
+    assert "semidirect.py" in MODULES and "cli.py" in MODULES
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_import_is_used(module):
+    assert unused_imports((PACKAGE / module).read_text()) == []
+
+
+def test_detects_an_unused_import():
+    source = "from os import path, sep\nimport sys\nprint(sep, sys.argv)\n"
+    assert unused_imports(source) == ["path (line 1)"]

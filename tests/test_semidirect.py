@@ -1,29 +1,47 @@
+import dataclasses
 import random
+from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from baerkit.baer import detect_class, relator_closure, verify_class_bound
+from baerkit.baer import (
+    certified_class_bound,
+    certify_class_bound,
+    detect_class,
+    relator_closure,
+    verify_class_bound,
+    working_closure,
+)
 from baerkit.errors import ActionError
 from baerkit.intlinalg import AbelianInvariants
 from baerkit.presentations import Word, parse_input_file
 from baerkit.selftest import SEMIDIRECT_SUITE
 from baerkit.semidirect import (
+    SemidirectSubgroups,
     build_semidirect,
     materialize_subgroups,
     merge_invariants,
+    resolve_acting_class_bound,
     validate_action,
     verify_direct_factor,
     verify_subgroup_decomposition,
 )
 from baerkit.subgroups import (
     AmbientContext,
+    commutator_with,
+    embedded_copy,
     insert_and_close,
+    intersect_with_gamma,
     is_full,
+    join,
     quotient_order,
+    trivial_subgroup,
 )
 
 T = AbelianInvariants
+DATA = Path(__file__).resolve().parent.parent / "data"
 
 
 def suite_action(name):
@@ -501,6 +519,270 @@ class TestDecomposition:
         checks = verify_subgroup_decomposition(table)
         assert all(checks.values()), checks
         assert table.twist.contains_all(table.rel_acted)
+
+
+# --- the former construction -------------------------------------------------
+#
+# materialize_subgroups before every subgroup was derived in the combined
+# ambient: the free factors were full groups of ambients of their own,
+# embedded; the twist subgroup was closed from the acted and twist relators
+# together; the towers were written out.  Kept as the reference that the
+# derived table must match lattice for lattice.
+
+
+def _iterated_commutator(ambient, base_elem, letters):
+    out = base_elem
+    for g in letters:
+        out = out.commutator(ambient.generators[g])
+        if out.is_identity:
+            break
+    return out
+
+
+def former_subgroups(sp, c, k, certificate=None, acting_certificate=None):
+    """The former table, keyed by the field names of the current one."""
+    cap = k + c
+    n_acted, n_acting = sp.n_acted, sp.n_acting
+    n = n_acted + n_acting
+    certificate = certify_class_bound(sp.combined, k, certificate=certificate)
+    ambient, rel_full = working_closure(
+        sp.combined, cap, certificate=certificate
+    )
+    full = ambient.full_group()
+
+    def closure_of(words, normal=True):
+        return insert_and_close(
+            None, ambient, [ambient.element_of_word(w) for w in words], normal
+        )
+
+    rel_acting = closure_of(sp.rel_acting)
+    rel_acted = closure_of(sp.rel_acted)
+    twist = closure_of(sp.rel_acted + sp.rel_twist)
+
+    def tower(sub):
+        out = sub
+        for _ in range(c):
+            out = commutator_with(out, full)
+        return out
+
+    numerator = intersect_with_gamma(rel_full, c + 1)
+    denominator = tower(rel_full)
+    twist_numerator = intersect_with_gamma(twist, c + 1)
+    twist_tower = tower(twist)
+
+    mixed_elems = []
+    for m, _, r in rel_acting.stored():
+        if m + c > cap:
+            continue
+        for letters in product(range(n), repeat=c):
+            if all(g >= n_acted for g in letters):
+                continue
+            el = _iterated_commutator(ambient, r, letters)
+            if not el.is_identity:
+                mixed_elems.append(el)
+    mixed_tower = insert_and_close(None, ambient, mixed_elems, normal=True)
+    complement_denominator = join(mixed_tower, twist_tower)
+
+    amb_acting, acting_sub = working_closure(
+        sp.action.acting, cap, certificate=acting_certificate
+    )
+    acting_gamma_embedded = embedded_copy(
+        intersect_with_gamma(acting_sub, c + 1), ambient, n_acted, normal=False
+    )
+    acting_tower_sub = acting_sub
+    for _ in range(c):
+        acting_tower_sub = commutator_with(
+            acting_tower_sub, amb_acting.full_group()
+        )
+    acting_tower_embedded = embedded_copy(
+        acting_tower_sub, ambient, n_acted, normal=False
+    )
+
+    amb_acted = AmbientContext(n_acted, cap)
+    acted_full = embedded_copy(amb_acted.full_group(), ambient, 0, normal=False)
+    acting_full = embedded_copy(
+        amb_acting.full_group(), ambient, n_acted, normal=False
+    )
+    acted_normal_closure = insert_and_close(
+        None, ambient, [ambient.generators[i] for i in range(n_acted)], normal=True
+    )
+    mixed_commutators = commutator_with(rel_acting, acted_full)
+
+    gamma_full = intersect_with_gamma(full, c + 1)
+    gamma_acted_embedded = embedded_copy(
+        intersect_with_gamma(amb_acted.full_group(), c + 1), ambient, 0, False
+    )
+    gamma_acting_embedded = embedded_copy(
+        intersect_with_gamma(amb_acting.full_group(), c + 1), ambient, n_acted, False
+    )
+    gamma_elems = []
+    for a in range(n_acted):
+        for b in range(n_acted, n):
+            base = ambient.generators[a].commutator(ambient.generators[b])
+            for letters in product(range(n), repeat=c - 1):
+                el = _iterated_commutator(ambient, base, letters)
+                if not el.is_identity:
+                    gamma_elems.append(el)
+    mixed_gamma_tower = insert_and_close(None, ambient, gamma_elems, normal=True)
+
+    return {
+        "rel_full": rel_full,
+        "rel_acting": rel_acting,
+        "rel_acted": rel_acted,
+        "twist": twist,
+        "numerator": numerator,
+        "denominator": denominator,
+        "twist_numerator": twist_numerator,
+        "twist_tower": twist_tower,
+        "mixed_tower": mixed_tower,
+        "complement_denominator": complement_denominator,
+        "mixed_commutators": mixed_commutators,
+        "acting_gamma_embedded": acting_gamma_embedded,
+        "acting_tower_embedded": acting_tower_embedded,
+        "acting_full": acting_full,
+        "acted_normal_closure": acted_normal_closure,
+        "gamma_full": gamma_full,
+        "gamma_acted_embedded": gamma_acted_embedded,
+        "gamma_acting_embedded": gamma_acting_embedded,
+        "mixed_gamma_tower": mixed_gamma_tower,
+    }
+
+
+ACTION_FILES = sorted(
+    path.name
+    for path in DATA.glob("*.grp")
+    if parse_input_file(path.read_text()).action is not None
+)
+
+# Z2 acting on Z8 by inversion, with inverse rows, and by cubing, without.
+Z8_BY_Z2 = """group A
+  gen a
+  rel a^8
+end
+group B
+  gen b
+  rel b^2
+end
+action B on A
+  b : a -> {image}
+{inverse}end
+"""
+Z8_CASES = {
+    "z8_inverse_rows": Z8_BY_Z2.format(
+        image="a^-1", inverse="  inverse b : a -> a^-1\n"
+    ),
+    "z8_cube": Z8_BY_Z2.format(image="a^3", inverse=""),
+}
+
+# A two-letter acting factor with a relator of weight 1: commutators of
+# acting relators with acting letters alone leave the mixed tower.
+RANK_TWO_ACTING = """group A
+  gen a
+  rel a^2
+end
+group B
+  gen b1 b2
+  rel b1 b2^-1, b1^2
+end
+action B on A
+  b1 : a -> a
+  b2 : a -> a
+end
+"""
+
+
+def certified_presentation(text):
+    """The combined presentation with the certificates the verifier passes
+    on: the combined group's and the acting factor's."""
+    spec = parse_input_file(text).action
+    sp = build_semidirect(spec)
+    cert = certified_class_bound(sp.combined, 6)
+    return sp, cert, resolve_acting_class_bound(spec.acting, cert.k)
+
+
+class TestDerivedTable:
+    """Every field of the table has the lattices of the former
+    construction, at every degree."""
+
+    CASES = [
+        (name, (DATA / name).read_text(), c)
+        for name in ACTION_FILES
+        for c in (1, 2, 3)
+    ] + [(name, text, 2) for name, text in Z8_CASES.items()] + [
+        ("rank_two_acting", RANK_TWO_ACTING, c) for c in (1, 2)
+    ]
+
+    def test_cases_cover_every_action_file(self):
+        assert ACTION_FILES == [
+            "d8.grp", "klein_trivial.grp", "z2_on_z2sq.grp",
+            "z4_by_z4.grp", "zz_trivial.grp",
+        ]
+
+    @pytest.mark.parametrize(
+        "name,text,c", CASES, ids=[f"{n}-c{c}" for n, _, c in CASES]
+    )
+    def test_same_lattices_as_former_construction(self, name, text, c):
+        sp, cert, acting = certified_presentation(text)
+        table = materialize_subgroups(
+            sp, c, cert.k, certificate=cert, acting_certificate=acting
+        )
+        want = former_subgroups(sp, c, cert.k, cert, acting)
+        got = {f.name: getattr(table, f.name)
+               for f in dataclasses.fields(SemidirectSubgroups)}
+        assert got.keys() == want.keys()
+        cap = cert.k + c
+        for field_name, sub in got.items():
+            assert sub.ambient.n == want[field_name].ambient.n, field_name
+            for m in range(1, cap + 1):
+                assert sub.lattice_rows(m) == want[field_name].lattice_rows(m), (
+                    field_name, m,
+                )
+
+
+class TestChecksDetectFailure:
+    """Each structural check reports False when the one subgroup it is
+    about is replaced by a wrong one."""
+
+    @staticmethod
+    def perturbations(table):
+        trivial = trivial_subgroup(table.rel_full.ambient)
+        return {
+            "acted_relators_in_twist": {"twist": table.rel_acting},
+            "mixed_commutators_in_twist": {"twist": table.rel_acted},
+            "relator_subgroup_factorizes": {"rel_acting": trivial},
+            "numerator_factorizes": {"twist_numerator": trivial},
+            "denominator_factorizes": {"complement_denominator": trivial},
+            "lower_central_splits": {"mixed_gamma_tower": trivial},
+            "factor_complement_meets_trivially": {
+                "acting_full": table.acted_normal_closure
+            },
+        }
+
+    @pytest.mark.parametrize("name", ["d8", "z4_by_z4"])
+    def test_each_check_fails_under_its_perturbation(self, name):
+        spec, _ = suite_action(name)
+        sp = build_semidirect(spec)
+        table = materialize_subgroups(sp, 1, detect_class(sp.combined, 6).k)
+        checks = verify_subgroup_decomposition(table)
+        assert all(checks.values())
+        perturbations = self.perturbations(table)
+        assert perturbations.keys() == checks.keys()
+        for check, change in perturbations.items():
+            checks = verify_subgroup_decomposition(
+                dataclasses.replace(table, **change)
+            )
+            assert checks[check] is False, (check, checks)
+
+
+@pytest.mark.parametrize("name", list(SEMIDIRECT_SUITE))
+def test_suite_restates_shipped_example(name):
+    """The selftest's semidirect suite and data/ present the same groups
+    with the same action tables."""
+    suite = parse_input_file(SEMIDIRECT_SUITE[name][0])
+    shipped = parse_input_file((DATA / f"{name}.grp").read_text())
+    assert suite.presentations == shipped.presentations
+    assert suite.action.images == shipped.action.images
+    assert suite.action.inverse_images == shipped.action.inverse_images
 
 
 invariants_strategy = st.builds(
