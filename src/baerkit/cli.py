@@ -35,7 +35,7 @@ from .errors import (
 from .lyndon import bracket_shape, lyndon_words, witt_dimension
 from .presentations import parse_input_file
 from .semidirect import build_semidirect, validate_action, verify_direct_factor
-from .subgroups import DEFAULT_MONOMIAL_BUDGET
+from .subgroups import DEFAULT_MONOMIAL_BUDGET, monomials_over_budget
 
 EXIT_OK = 0
 EXIT_VERDICT_FAIL = 1
@@ -245,9 +245,10 @@ def _shape_str(shape) -> str:
 
 def cmd_lyndon(args, guard: int, echo) -> int:
     n, m = args.letters, args.weight
-    if n ** m > guard:
+    need = monomials_over_budget(n, m, guard, through=False)
+    if need is not None:
         raise CapacityError(
-            f"degree-{m} basis over {n} letters needs {n ** m} monomials, "
+            f"degree-{m} basis over {n} letters needs {need} monomials, "
             f"budget is {guard}"
         )
     rows = [

@@ -6,9 +6,12 @@ them, computes the Witt dimension independently, builds the standard
 bracketing of each word both as a group commutator word and as its monomial
 expansion, and extracts exact integer coordinates of homogeneous Lie
 elements with respect to that basis by back-substitution: the expansions
-are unitriangular, keyed by the words themselves.
+are unitriangular, with each word its own pivot.
 
 Letters are integers 0..n-1; words and monomials are tuples of letters.
+The series arithmetic (`magnus`) keys a degree-d monomial by its big-endian
+base-n index instead (`monomial_index`), and a basis reads tensors keyed
+that way; `lie_coordinates` is the tuple-keyed entry point.
 """
 
 from __future__ import annotations
@@ -16,6 +19,24 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 Monomial = tuple[int, ...]
+
+
+def monomial_index(mono, n: int) -> int:
+    """Big-endian base-n index of a monomial: (i_1, ..., i_d) ->
+    i_1 n^(d-1) + ... + i_d.  Among monomials of one degree, index order
+    is lexicographic order."""
+    key = 0
+    for x in mono:
+        key = key * n + x
+    return key
+
+
+def index_monomial(key: int, n: int, d: int) -> Monomial:
+    """The degree-d monomial whose base-n index is `key`."""
+    out = [0] * d
+    for pos in range(d - 1, -1, -1):
+        key, out[pos] = divmod(key, n)
+    return tuple(out)
 
 
 def _mobius(d: int) -> int:
@@ -141,8 +162,9 @@ def bracket_shape(word: Monomial) -> tuple:
 
 
 class LyndonBasis:
-    """Basis data for one degree: the sorted Lyndon words and the monomial
-    expansions of their standard bracketings.
+    """Basis data for one degree: the sorted Lyndon words, their monomial
+    indices (`keys`) and the monomial expansions of their standard
+    bracketings keyed by monomial index (`expansions`).
 
     Triangularity makes the expansion matrix row-echelon with unit pivots
     (the expansion of a word w is supported on monomials >= w, with
@@ -150,27 +172,32 @@ class LyndonBasis:
     of w left after the rows of the smaller words are subtracted.
     """
 
-    __slots__ = ("n", "m", "words", "expansions")
+    __slots__ = ("n", "m", "words", "keys", "expansions")
 
     def __init__(self, n: int, m: int):
         self.n = n
         self.m = m
         self.words = lyndon_words(n, m)
-        self.expansions = [bracketing(w).expansion for w in self.words]
+        self.keys = [monomial_index(w, n) for w in self.words]
+        self.expansions = [
+            {monomial_index(mono, n): c for mono, c in bracketing(w).expansion.items()}
+            for w in self.words
+        ]
 
     def __len__(self):
         return len(self.words)
 
     def coordinates(self, tensor: dict) -> list[int] | None:
-        """Integer coordinates of a homogeneous degree-m tensor in this
-        basis, or None when it is not an integer combination (for instance
-        any tensor that is not a Lie element).  The tensor is trusted to be
-        homogeneous of degree m over the n letters (`lie_coordinates`
-        checks it) and is not modified."""
+        """Integer coordinates of a homogeneous degree-m tensor, keyed by
+        monomial index over the n letters, in this basis; None when it is
+        not an integer combination (for instance any tensor that is not a
+        Lie element).  The tensor is trusted to be homogeneous of degree m
+        over the n letters (`lie_coordinates` checks it) and is not
+        modified."""
         v = dict(tensor)
         coords = []
-        for word, row in zip(self.words, self.expansions):
-            q = v.get(word, 0)
+        for key, row in zip(self.keys, self.expansions):
+            q = v.get(key, 0)
             coords.append(q)
             if q:
                 for k, c in row.items():
@@ -206,4 +233,6 @@ def lie_coordinates(tensor: dict, n: int, m: int | None = None) -> list[int] | N
             raise ValueError("tensor is not homogeneous of the basis degree")
         if coeff and any(x < 0 or x >= n for x in mono):
             raise ValueError("tensor uses letters outside the alphabet")
-    return get_basis(n, m).coordinates(tensor)
+    return get_basis(n, m).coordinates(
+        {monomial_index(mono, n): coeff for mono, coeff in tensor.items() if coeff}
+    )

@@ -7,60 +7,109 @@ free nilpotent quotient of class W.  The kernel of the truncated map is
 precisely the (W+1)-st lower central term, so two words map to the same
 series exactly when they agree in that quotient, and the lowest nonzero
 degree of (series - 1) reads off lower-central depth.
+
+Layout.  A series of rank n stores `grades`, a list of cap + 1 dicts:
+grades[d] maps the big-endian base-n index of each degree-d monomial,
+X_{i_1} ... X_{i_d} -> i_1 n^(d-1) + ... + i_d (`lyndon.monomial_index`), to
+its nonzero integer coefficient.  The constant term is grades[0][0].  Within
+one degree, index order is the lexicographic order of the monomials.
+
+Index arithmetic.  Concatenating a degree-da monomial of index ia with a
+degree-db monomial of index ib gives the degree-(da + db) monomial of index
+ia * n^db + ib, so a product is one loop per pair of degrees with
+da + db <= cap, on integer keys alone.  The weight is the first non-empty
+grade above 0 and the leading part of a group element is that grade.
+
+Rank.  An index means something only together with its rank, so a product
+of two series that both have letters and different ranks is refused, as a
+cap mismatch is.  A series with no letters (the identity among them) reads
+the same at every rank: `identity_element(cap)` has rank 0, and a product
+takes the rank of its factor that has letters.  Tuple monomials appear only
+at the boundaries: the validating `TruncatedSeries(cap, terms)` constructor,
+the `terms` view and `lyndon.lie_coordinates`.
 """
 
 from __future__ import annotations
 
-from .lyndon import Monomial
+from collections.abc import Mapping
+
+from .lyndon import Monomial, index_monomial, monomial_index
 
 
 class TruncatedSeries:
-    """Noncommutative polynomial over Z with all terms of degree <= cap.
+    """Noncommutative polynomial over Z with all terms of degree <= cap,
+    stored by degree on integer monomial indices (see the module
+    docstring).  Instances are treated as immutable, and their grade dicts
+    may be shared between instances.
 
-    Terms map monomials (tuples of generator indices) to nonzero integer
-    coefficients; the empty tuple is the constant term.  Instances are
-    treated as immutable.
+    The public constructor takes `terms`, a dict from monomials (tuples of
+    generator indices; the empty tuple is the constant term) to integers.
+    The rank `n` defaults to one more than the largest letter used.
     """
 
-    __slots__ = ("cap", "terms")
+    __slots__ = ("cap", "n", "grades")
 
-    def __init__(self, cap: int, terms: dict):
+    def __init__(self, cap: int, terms: dict, n: int | None = None):
         if cap < 1:
             raise ValueError("cap must be >= 1")
-        self.cap = cap
-        self.terms = {m: c for m, c in terms.items() if c}
-        for mono in self.terms:
+        terms = {m: c for m, c in terms.items() if c}
+        if n is None:
+            n = 1 + max((x for mono in terms for x in mono), default=-1)
+        grades: list[dict] = [{} for _ in range(cap + 1)]
+        for mono, c in terms.items():
             if len(mono) > cap:
                 raise ValueError("monomial exceeds the cap")
+            if not all(0 <= x < n for x in mono):
+                raise ValueError("monomial letter outside the rank")
+            grades[len(mono)][monomial_index(mono, n)] = c
+        self.cap = cap
+        self.n = n
+        self.grades = grades
 
     @classmethod
-    def _raw(cls, cap: int, terms: dict) -> "TruncatedSeries":
-        """Trusted constructor for terms built here that are already free of
-        zero coefficients and of monomials above the cap."""
+    def _raw(cls, cap: int, n: int, grades: list) -> "TruncatedSeries":
+        """Trusted constructor for cap + 1 grades built here that are already
+        free of zero coefficients."""
         out = cls.__new__(cls)
         out.cap = cap
-        out.terms = terms
+        out.n = n
+        out.grades = grades
         return out
 
     @classmethod
     def one(cls, cap: int) -> "TruncatedSeries":
-        return cls(cap, {(): 1})
+        return cls._raw(cap, 0, [{0: 1}] + [{} for _ in range(cap)])
+
+    @property
+    def terms(self) -> "_Terms":
+        """Tuple-keyed read-only view of the nonzero terms."""
+        return _Terms(self)
 
     @property
     def is_one(self) -> bool:
-        return self.terms == {(): 1}
+        return self.grades[0] == {0: 1} and self.weight() is None
 
     def constant(self) -> int:
-        return self.terms.get((), 0)
+        return self.grades[0].get(0, 0)
 
     def sorted_terms(self) -> list[tuple[Monomial, int]]:
         """Terms in length-lexicographic monomial order."""
-        return sorted(self.terms.items(), key=lambda kv: (len(kv[0]), kv[0]))
+        n = self.n
+        return [
+            (index_monomial(key, n, d), grade[key])
+            for d, grade in enumerate(self.grades)
+            for key in sorted(grade)
+        ]
 
     def __eq__(self, other):
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        return self.cap == other.cap and self.terms == other.terms
+        if self.cap != other.cap:
+            return False
+        if self.n == other.n or self.weight() is None or other.weight() is None:
+            return self.grades == other.grades
+        # The same letters index differently at different ranks.
+        return self.terms == other.terms
 
     def __repr__(self):
         parts = []
@@ -73,37 +122,72 @@ class TruncatedSeries:
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         if self.cap != other.cap:
             raise ValueError("cap mismatch")
+        n = self.n
+        if other.n != n:
+            if self.weight() is None:
+                n = other.n
+            elif other.weight() is not None:
+                raise ValueError("rank mismatch")
         cap = self.cap
-        by_len: dict[int, list] = {}
-        for mono, c in other.terms.items():
-            by_len.setdefault(len(mono), []).append((mono, c))
-        out: dict[Monomial, int] = {}
-        for ma, ca in self.terms.items():
-            room = cap - len(ma)
-            for lb, items in by_len.items():
-                if lb > room:
-                    continue
-                for mb, cb in items:
-                    key = ma + mb
-                    val = out.get(key, 0) + ca * cb
-                    if val:
-                        out[key] = val
-                    else:
-                        del out[key]
-        return TruncatedSeries._raw(cap, out)
+        right = [(db, gb, n ** db) for db, gb in enumerate(other.grades) if gb]
+        out: list[dict] = [{} for _ in range(cap + 1)]
+        for da, ga in enumerate(self.grades):
+            if not ga:
+                continue
+            room = cap - da
+            for db, gb, shift in right:
+                if db > room:
+                    break
+                acc = out[da + db]
+                get = acc.get
+                for ia, ca in ga.items():
+                    base = ia * shift
+                    for ib, cb in gb.items():
+                        key = base + ib
+                        val = get(key, 0) + ca * cb
+                        if val:
+                            acc[key] = val
+                        else:
+                            del acc[key]
+        return TruncatedSeries._raw(cap, n, out)
 
     def weight(self) -> int | None:
         """Smallest degree in [1, cap] carrying a nonzero term, or None when
-        the series is the constant 1 (identity element)."""
-        w = None
-        for mono in self.terms:
-            d = len(mono)
-            if d and (w is None or d < w):
-                w = d
-        return w
+        the series has no letters (for a group element: the identity)."""
+        grades = self.grades
+        for d in range(1, self.cap + 1):
+            if grades[d]:
+                return d
+        return None
 
-    def homogeneous(self, m: int) -> dict:
-        return {mono: c for mono, c in self.terms.items() if len(mono) == m}
+
+class _Terms(Mapping):
+    """The terms of a series keyed by tuple monomials, decoded on access.
+    Its length is the number of nonzero terms and decodes nothing."""
+
+    __slots__ = ("_series",)
+
+    def __init__(self, series: TruncatedSeries):
+        self._series = series
+
+    def __len__(self):
+        return sum(map(len, self._series.grades))
+
+    def __iter__(self):
+        s = self._series
+        for d, grade in enumerate(s.grades):
+            for key in grade:
+                yield index_monomial(key, s.n, d)
+
+    def __getitem__(self, mono):
+        s = self._series
+        if (
+            not isinstance(mono, tuple)
+            or len(mono) > s.cap
+            or not all(isinstance(x, int) and 0 <= x < s.n for x in mono)
+        ):
+            raise KeyError(mono)
+        return s.grades[len(mono)][monomial_index(mono, s.n)]
 
 
 class GroupElement:
@@ -132,11 +216,12 @@ class GroupElement:
         return self._weight
 
     def leading(self) -> dict:
-        """Homogeneous component of (series - 1) at the weight degree."""
+        """Homogeneous component of (series - 1) at the weight degree, keyed
+        by monomial index at the series' rank; shared, not to be modified."""
         w = self.weight()
         if w is None:
             raise ValueError("identity element has no leading part")
-        return self.series.homogeneous(w)
+        return self.series.grades[w]
 
     def __mul__(self, other: "GroupElement") -> "GroupElement":
         return GroupElement(self.series * other.series)
@@ -158,7 +243,7 @@ class GroupElement:
         if w is None:
             return self
         u = self._minus_one()
-        out = {(): 1}
+        out: list[dict] = [{0: 1}] + [{} for _ in range(cap)]
         binom = 1
         power = u
         for j in range(1, cap // w + 1):
@@ -167,14 +252,13 @@ class GroupElement:
                 break
             if j > 1:
                 power = power * u
-            _add_terms(out, power.terms, binom)
-        return GroupElement(TruncatedSeries._raw(cap, out))
+            _add_grades(out, power.grades, binom)
+        return GroupElement(TruncatedSeries._raw(cap, u.n, out))
 
     def _minus_one(self) -> TruncatedSeries:
-        """The series g - 1."""
-        return TruncatedSeries._raw(
-            self.cap, {m: c for m, c in self.series.terms.items() if m}
-        )
+        """The series g - 1; it shares the grades of g above degree 0."""
+        s = self.series
+        return TruncatedSeries._raw(s.cap, s.n, [{}] + s.grades[1:])
 
     def commutator(self, other: "GroupElement") -> "GroupElement":
         """[g, h] = g^-1 h^-1 g h, computed at its own weight.
@@ -193,19 +277,24 @@ class GroupElement:
             return identity_element(cap)
         u, v = self._minus_one(), other._minus_one()
         vu = v * u
-        diff = dict((u * v).terms)
-        _add_terms(diff, vu.terms, -1)
+        uv = u * v
+        n = uv.n
+        diff = uv.grades
+        _add_grades(diff, vu.grades, -1)
         low = cap - wg - wh
-        if low and diff:
-            hg = {(): 1}
+        if low and any(diff):
+            hg: list[dict] = [{0: 1}] + [{} for _ in range(low)]
             for part in (u, v, vu):
-                _add_terms(hg, {m: c for m, c in part.terms.items() if len(m) <= low})
-            inv = GroupElement(TruncatedSeries._raw(low, hg)) ** -1
+                _add_grades(hg, part.grades)
+            inv = GroupElement(TruncatedSeries._raw(low, n, hg)) ** -1
             if not inv.is_identity:
-                lifted = TruncatedSeries._raw(cap, inv.series.terms)
-                diff = (lifted * TruncatedSeries._raw(cap, diff)).terms
-        diff[()] = 1
-        return GroupElement(TruncatedSeries._raw(cap, diff))
+                lifted = inv.series.grades + [{} for _ in range(cap - low)]
+                diff = (
+                    TruncatedSeries._raw(cap, n, lifted)
+                    * TruncatedSeries._raw(cap, n, diff)
+                ).grades
+        diff[0] = {0: 1}
+        return GroupElement(TruncatedSeries._raw(cap, n, diff))
 
     def conjugate(self, by: "GroupElement") -> "GroupElement":
         """g^t = t^-1 g t."""
@@ -220,14 +309,16 @@ class GroupElement:
         return f"GroupElement({self.series!r})"
 
 
-def _add_terms(out: dict, terms: dict, k: int = 1):
-    """out += k * terms, in place, dropping coefficients that cancel."""
-    for mono, c in terms.items():
-        val = out.get(mono, 0) + k * c
-        if val:
-            out[mono] = val
-        else:
-            del out[mono]
+def _add_grades(out: list, grades: list, k: int = 1):
+    """out += k * grades, in place, degree by degree, dropping coefficients
+    that cancel; degrees beyond the end of `out` are ignored."""
+    for acc, grade in zip(out, grades):
+        for key, c in grade.items():
+            val = acc.get(key, 0) + k * c
+            if val:
+                acc[key] = val
+            else:
+                del acc[key]
 
 
 def identity_element(cap: int) -> GroupElement:
@@ -237,7 +328,8 @@ def identity_element(cap: int) -> GroupElement:
 def generator_element(i: int, n: int, cap: int) -> GroupElement:
     if not 0 <= i < n:
         raise ValueError("generator index out of range")
-    return GroupElement(TruncatedSeries(cap, {(): 1, (i,): 1}))
+    grades = [{0: 1}, {i: 1}] + [{} for _ in range(cap - 1)]
+    return GroupElement(TruncatedSeries._raw(cap, n, grades))
 
 
 def _word_element(word, generators, cap: int) -> GroupElement:
@@ -257,12 +349,17 @@ def series_of_word(word, n: int, cap: int) -> GroupElement:
 
 
 def reindex_element(g: GroupElement, offset: int, n: int) -> GroupElement:
-    """Reinterpret an element over a larger alphabet, shifting every letter
-    by `offset`; an injective homomorphism between the ambient groups."""
-    terms = {}
-    for mono, c in g.series.terms.items():
-        shifted = tuple(i + offset for i in mono)
-        if shifted and max(shifted) >= n:
-            raise ValueError("reindexed letter exceeds the target alphabet")
-        terms[shifted] = c
-    return GroupElement(TruncatedSeries(g.cap, terms))
+    """Reinterpret an element over an alphabet of n letters, shifting every
+    letter by `offset`; an injective homomorphism between the ambient
+    groups.  Each index is re-encoded digit by digit into rank n."""
+    s = g.series
+    grades = []
+    for d, grade in enumerate(s.grades):
+        out = {}
+        for key, c in grade.items():
+            shifted = [x + offset for x in index_monomial(key, s.n, d)]
+            if not all(0 <= x < n for x in shifted):
+                raise ValueError("reindexed letter exceeds the target alphabet")
+            out[monomial_index(shifted, n)] = c
+        grades.append(out)
+    return GroupElement(TruncatedSeries._raw(s.cap, n, grades))

@@ -33,6 +33,7 @@ from .lyndon import (
     get_basis,
     lie_coordinates,
     lyndon_words,
+    monomial_index,
     witt_dimension,
 )
 from .magnus import series_of_word
@@ -399,7 +400,7 @@ def _(budget):
         "commutator series at cap 2",
     )
     sq = series_of_word(parse_word("x^2", ab), 2, 3)
-    _expect(sq.leading() == {(0,): 2}, "leading part of a square")
+    _expect(sq.leading() == {monomial_index((0,), 2): 2}, "leading part of a square")
 
 
 @_check("magnus/weight-examples")

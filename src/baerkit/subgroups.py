@@ -91,6 +91,39 @@ from .magnus import (
 
 DEFAULT_MONOMIAL_BUDGET = 50_000
 
+# 2**14_300 > 10**4_300, the default limit on the digits Python converts
+# from an int to a string: a count this large was never printable.
+_UNPRINTABLE_BITS = 14_300
+
+
+def monomials_over_budget(n: int, top: int, budget: int, through: bool) -> str | None:
+    """The number of monomials a job needs, as text, when it exceeds
+    `budget`; None when it fits.  The number is n^top, or
+    n + n^2 + ... + n^top when `through`.
+
+    The number is at least n^top >= 2^b with b = top * floor(log2 n), so
+    once b reaches the budget's bit length it exceeds the budget.  It is
+    formed only while b is below that bit length or below the size of a
+    printable number, so deciding costs no more than the budget's own size
+    and never sums cap powers.  A number with more digits than int-to-str
+    conversion allows is written as a power of n.
+    """
+    low_bits = top * (n.bit_length() - 1)
+    if low_bits < max(budget.bit_length(), _UNPRINTABLE_BITS):
+        if not through:
+            count = n ** top
+        elif n == 1:
+            count = top
+        else:
+            count = (n ** (top + 1) - n) // (n - 1)
+        if count <= budget:
+            return None
+        try:
+            return str(count)
+        except ValueError:
+            pass
+    return f"more than {n}^{top}" if through else f"{n}^{top}"
+
 
 class AmbientContext:
     """The free nilpotent group on n generators of class `cap`, together with
@@ -99,12 +132,13 @@ class AmbientContext:
     def __init__(self, n: int, cap: int, monomial_budget: int | None = DEFAULT_MONOMIAL_BUDGET):
         if n < 1 or cap < 1:
             raise ValueError("need n >= 1 and cap >= 1")
-        total = sum(n ** m for m in range(1, cap + 1))
-        if monomial_budget is not None and total > monomial_budget:
-            raise CapacityError(
-                f"job needs {total} monomials (n={n}, cap={cap}), "
-                f"budget is {monomial_budget}"
-            )
+        if monomial_budget is not None:
+            need = monomials_over_budget(n, cap, monomial_budget, through=True)
+            if need is not None:
+                raise CapacityError(
+                    f"job needs {need} monomials (n={n}, cap={cap}), "
+                    f"budget is {monomial_budget}"
+                )
         self.n = n
         self.cap = cap
         self.bases = [get_basis(n, m) for m in range(1, cap + 1)]
@@ -145,6 +179,8 @@ class AmbientContext:
         m = g.weight()
         if m is None:
             raise ValueError("identity has no leading coordinates")
+        if g.series.n != self.n:
+            raise ValueError("element rank does not match the ambient")
         coords = self.basis(m).coordinates(g.leading())
         if coords is None:
             raise AssertionError("leading part escaped the Lyndon lattice")

@@ -297,6 +297,69 @@ class TestLyndon:
         assert err == "error: c, kmax, and the cap guard must be >= 1\n"
 
 
+class TestCapacityGuardReach:
+    """The guards decide from bit lengths, without summing cap powers, and
+    write a count too long to print as a power of the rank.  The first and
+    third runs ended in a traceback with exit 1 (the count had more digits
+    than int-to-str conversion allows); the second took more than 20 s
+    summing powers of 2 before its guard fired."""
+
+    KLEIN = str(DATA / "klein.grp")
+
+    @pytest.mark.parametrize("argv, message", [
+        (
+            ["multiplier", "--file", KLEIN, "--class-bound", "1", "--class-c", "15000"],
+            "job needs more than 2^15001 monomials (n=2, cap=15001), budget is 50000",
+        ),
+        (
+            ["multiplier", "--file", KLEIN, "--class-bound", "1", "--class-c", "1000000"],
+            "job needs more than 2^1000001 monomials (n=2, cap=1000001), "
+            "budget is 50000",
+        ),
+        (
+            ["lyndon", "--letters", "3", "--weight", "10000"],
+            "degree-10000 basis over 3 letters needs 3^10000 monomials, "
+            "budget is 50000",
+        ),
+    ], ids=["class_c_15000", "class_c_1000000", "weight_10000"])
+    def test_refused_quickly(self, argv, message):
+        proc = run_subprocess(argv, timeout=10)
+        assert proc.returncode == 4
+        assert proc.stderr == f"capacity guard: {message}\n"
+
+    @pytest.mark.parametrize("argv, message", [
+        (
+            ["multiplier", "--file", KLEIN, "--class-bound", "1", "--class-c", "100"],
+            f"job needs {2 ** 102 - 2} monomials (n=2, cap=101), budget is 50000",
+        ),
+        (
+            ["lyndon", "--letters", "3", "--weight", "20"],
+            "degree-20 basis over 3 letters needs 3486784401 monomials, "
+            "budget is 50000",
+        ),
+        (
+            # 2^14000 has 4,215 digits, under the 4,300-digit limit.
+            ["lyndon", "--letters", "2", "--weight", "14000"],
+            f"degree-14000 basis over 2 letters needs {2 ** 14000} monomials, "
+            "budget is 50000",
+        ),
+    ], ids=["class_c_100", "weight_20", "weight_14000"])
+    def test_printable_counts_keep_their_text(self, argv, message):
+        proc = run_subprocess(argv, timeout=10)
+        assert proc.returncode == 4
+        assert proc.stderr == f"capacity guard: {message}\n"
+
+
+@pytest.mark.parametrize("through", [False, True])
+def test_monomial_count_matches_sum(through):
+    for n in range(1, 6):
+        for top in range(1, 40):
+            count = sum(n ** m for m in range(1, top + 1)) if through else n ** top
+            for budget in {1, 50, 50_000, max(count - 1, 1), count, count + 1}:
+                got = subgroups.monomials_over_budget(n, top, budget, through)
+                assert got == (str(count) if count > budget else None)
+
+
 class TestSelftestCommand:
     def test_machine_line_shape(self, capsys):
         rc, out, _ = run_cli(["selftest", "--format", "machine"], capsys)

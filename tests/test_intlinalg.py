@@ -1,3 +1,4 @@
+import random
 from itertools import combinations
 from math import gcd
 
@@ -180,3 +181,44 @@ class TestAbelianInvariants:
     def test_row_permutation_invariance(self, m):
         base = abelian_invariants(m.cols, m)
         assert abelian_invariants(m.cols, m.data[::-1]) == base
+
+
+def seeded_relation_matrix(rng):
+    """Relations with some zero rows, some rows that are combinations of
+    others (rank deficiency) and some entries near 10**30."""
+    rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+    scale = rng.choice((5, 10**6, 10**30))
+    data = [[rng.randint(-scale, scale) for _ in range(cols)] for _ in range(rows)]
+    for i in range(rows):
+        roll = rng.random()
+        if roll < 0.2:
+            data[i] = [0] * cols
+        elif roll < 0.4 and i >= 2:
+            a, b = rng.randint(-3, 3), rng.randint(-3, 3)
+            data[i] = [a * x + b * y for x, y in zip(data[i - 1], data[i - 2])]
+    return data
+
+
+def test_abelian_invariants_match_sympy():
+    """Optional second SNF: sympy's invariant factors over ZZ."""
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import invariant_factors
+
+    rng = random.Random(4)
+    kinds = set()
+    for _ in range(150):
+        data = seeded_relation_matrix(rng)
+        cols = len(data[0])
+        factors = invariant_factors(sympy.Matrix(data), domain=sympy.ZZ)
+        nonzero = [abs(int(x)) for x in factors if x]
+        want = AbelianInvariants(
+            cols - len(nonzero), tuple(x for x in nonzero if x > 1)
+        )
+        assert abelian_invariants(cols, data) == want
+        if any(not any(row) for row in data):
+            kinds.add("zero row")
+        if len(nonzero) < min(len(data), cols):
+            kinds.add("rank deficient")
+        if max(abs(x) for row in data for x in row) > 10**20:
+            kinds.add("large")
+    assert kinds == {"zero row", "rank deficient", "large"}

@@ -10,6 +10,7 @@ from baerkit.lyndon import (
     is_lyndon,
     lie_coordinates,
     lyndon_words,
+    monomial_index,
     standard_factorization,
     witt_dimension,
 )
@@ -108,8 +109,11 @@ class TestLieCoordinates:
             lie_coordinates({(0, 1): 1, (1, 0): -1}, 2, 3)
 
     def test_coordinates_leave_the_tensor_alone(self):
-        tensor = dict(bracketing((0, 0, 1)).expansion)
-        tensor[(1, 1, 0)] = 0
+        tensor = {
+            monomial_index(mono, 2): c
+            for mono, c in bracketing((0, 0, 1)).expansion.items()
+        }
+        tensor[monomial_index((1, 1, 0), 2)] = 0
         before = dict(tensor)
         assert get_basis(2, 3).coordinates(tensor) == [1, 0]
         assert tensor == before
@@ -178,7 +182,7 @@ def test_coordinates_match_echelon_oracle(n, m):
     # perturbed so that the tensor leaves the Lie lattice.
     rng = random.Random(n * 100 + m)
     basis = get_basis(n, m)
-    monomials = list(product(range(n), repeat=m))
+    monomials = [monomial_index(mono, n) for mono in product(range(n), repeat=m)]
     outside = 0
     for trial in range(60):
         tensor = {}

@@ -1,8 +1,9 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+from baerkit.lyndon import index_monomial, monomial_index
 from baerkit.magnus import (
     GroupElement,
     TruncatedSeries,
@@ -19,6 +20,11 @@ AB = Alphabet(["x", "y"])
 
 def elem(text, n=2, cap=4):
     return series_of_word(parse_word(text, AB), n, cap)
+
+
+def keyed(tensor, n=2):
+    """A tuple-keyed tensor keyed by monomial index, as series store it."""
+    return {monomial_index(mono, n): c for mono, c in tensor.items()}
 
 
 def elem_of_letters(letters, cap):
@@ -86,9 +92,9 @@ class TestWeight:
         assert elem("[[x,y],y]").weight() == 3
 
     def test_leading_parts(self):
-        assert elem("[x,y]").leading() == {(0, 1): 1, (1, 0): -1}
-        assert elem("x").leading() == {(0,): 1}
-        assert elem("x^2").leading() == {(0,): 2}
+        assert elem("[x,y]").leading() == keyed({(0, 1): 1, (1, 0): -1})
+        assert elem("x").leading() == keyed({(0,): 1})
+        assert elem("x^2").leading() == keyed({(0,): 2})
         with pytest.raises(ValueError):
             elem("1").leading()
 
@@ -265,3 +271,223 @@ def test_trusted_results_are_valid_series(a, b, ops, cap):
         pool.append(out)
     for g in pool:
         assert TruncatedSeries(cap, dict(g.series.terms)) == g.series
+
+
+# The tuple-keyed kernel that series used before they were stored by degree
+# on integer indices, kept as the reference for the graded kernel.  Series
+# are plain dicts from monomial tuples to nonzero coefficients.
+
+
+def ref_mul(cap, a, b):
+    by_len = {}
+    for mono, c in b.items():
+        by_len.setdefault(len(mono), []).append((mono, c))
+    out = {}
+    for ma, ca in a.items():
+        room = cap - len(ma)
+        for lb, items in by_len.items():
+            if lb > room:
+                continue
+            for mb, cb in items:
+                key = ma + mb
+                val = out.get(key, 0) + ca * cb
+                if val:
+                    out[key] = val
+                else:
+                    del out[key]
+    return out
+
+
+def ref_add_terms(out, terms, k=1):
+    for mono, c in terms.items():
+        val = out.get(mono, 0) + k * c
+        if val:
+            out[mono] = val
+        else:
+            del out[mono]
+
+
+def ref_pow(cap, g, e):
+    """g^e for a series g with constant term 1, by the binomial series."""
+    u = {m: c for m, c in g.items() if m}
+    if not u:
+        return dict(g)
+    w = min(len(m) for m in u)
+    out = {(): 1}
+    binom = 1
+    power = u
+    for j in range(1, cap // w + 1):
+        binom = binom * (e - j + 1) // j
+        if not binom:
+            break
+        if j > 1:
+            power = ref_mul(cap, power, u)
+        ref_add_terms(out, power, binom)
+    return out
+
+
+def ref_commutator(cap, g, h):
+    """g^-1 h^-1 g h by the product formula."""
+    left = ref_mul(cap, ref_pow(cap, g, -1), ref_pow(cap, h, -1))
+    return ref_mul(cap, left, ref_mul(cap, g, h))
+
+
+def all_monomials(n, d):
+    return [index_monomial(i, n, d) for i in range(n ** d)]
+
+
+coefficients = st.one_of(
+    st.integers(-3, 3),
+    st.integers(-(10**40), 10**40),
+    st.sampled_from((10**40, -(10**40))),
+)
+
+
+ranks_and_caps = st.tuples(st.integers(1, 4), st.integers(1, 8))
+
+
+@st.composite
+def tuple_series(draw, n, cap, constant):
+    """A tuple-keyed series over n letters at the cap: the identity, a
+    sparse one (a few monomials of any degree) or a dense one (every
+    monomial of degree <= d, with n + ... + n^d <= 30).  `constant` is the
+    constant term, or None for any."""
+    kind = draw(st.sampled_from(("identity", "sparse", "dense")))
+    c0 = draw(coefficients) if constant is None else constant
+    out = {(): c0} if c0 else {}
+    if kind == "identity":
+        return out
+    if kind == "sparse":
+        monos = draw(st.lists(
+            st.integers(1, cap).flatmap(
+                lambda d: st.tuples(*[st.integers(0, n - 1)] * d)),
+            max_size=4,
+        ))
+    else:
+        d, size = 0, 0
+        while d < cap and size + n ** (d + 1) <= 30:
+            d += 1
+            size += n ** d
+        monos = [m for k in range(1, d + 1) for m in all_monomials(n, k)]
+    for mono in monos:
+        c = draw(coefficients)
+        if c:
+            out[mono] = c
+    return out
+
+
+def graded(cap, terms, n):
+    """The series of a tuple-keyed dict; the identity stays rank-neutral."""
+    if terms == {(): 1}:
+        return identity_element(cap).series
+    return TruncatedSeries(cap, terms, n)
+
+
+def group_pair(draw, n, cap):
+    a = draw(tuple_series(n, cap, 1))
+    b = draw(tuple_series(n, cap, 1))
+    return a, b, GroupElement(graded(cap, a, n)), GroupElement(graded(cap, b, n))
+
+
+def small_enough(n, cap, *terms):
+    """Powers and commutators of dense series fill every degree up to the
+    cap; keep those to at most 4,096 top-degree monomials."""
+    return n ** cap <= 4096 or all(len(t) <= 5 for t in terms)
+
+
+@given(ranks_and_caps, st.data())
+@settings(max_examples=150, deadline=None)
+def test_product_matches_tuple_kernel(shape, data):
+    n, cap = shape
+    a = data.draw(tuple_series(n, cap, None))
+    b = data.draw(tuple_series(n, cap, None))
+    got = graded(cap, a, n) * graded(cap, b, n)
+    assert dict(got.terms) == ref_mul(cap, a, b)
+    assert len(got.terms) == len(ref_mul(cap, a, b))
+    assert got.n in (0, n)
+
+
+exponents = st.one_of(
+    st.integers(-8, 8),
+    st.sampled_from((0, 10**40, -(10**40))),
+    st.integers(-(10**40), 10**40),
+)
+
+
+@given(ranks_and_caps, st.data(), exponents)
+@settings(max_examples=120, deadline=None)
+def test_power_matches_tuple_kernel(shape, data, e):
+    n, cap = shape
+    a, _, g, _ = group_pair(data.draw, n, cap)
+    assume(small_enough(n, cap, a))
+    assert dict((g ** e).series.terms) == ref_pow(cap, a, e)
+    assert dict(g.inverse().series.terms) == ref_pow(cap, a, -1)
+
+
+@given(ranks_and_caps, st.data())
+@settings(max_examples=120, deadline=None)
+def test_commutator_matches_tuple_kernel(shape, data):
+    n, cap = shape
+    a, b, g, h = group_pair(data.draw, n, cap)
+    assume(small_enough(n, cap, a, b))
+    assert dict(g.commutator(h).series.terms) == ref_commutator(cap, a, b)
+
+
+class TestRank:
+    def test_mismatch_refused(self):
+        with pytest.raises(ValueError, match="rank mismatch"):
+            generator_element(0, 2, 3) * generator_element(0, 3, 3)
+        with pytest.raises(ValueError, match="rank mismatch"):
+            generator_element(0, 2, 3).commutator(generator_element(1, 3, 3))
+
+    def test_letterless_series_are_rank_neutral(self):
+        x2, x3 = generator_element(0, 2, 3), generator_element(0, 3, 3)
+        one = identity_element(3)
+        assert (one * x3).series.n == 3 and one * x3 == x3
+        assert (x3 * one).series.n == 3
+        cancelled = x2 * x2.inverse()
+        assert cancelled.is_identity and cancelled.series.n == 2
+        assert cancelled * x3 == x3
+        assert cancelled == one
+
+    def test_equal_across_ranks_as_polynomials(self):
+        assert generator_element(0, 2, 3) == generator_element(0, 3, 3)
+        assert generator_element(1, 2, 3) != generator_element(2, 3, 3)
+
+    def test_constructor_validates(self):
+        with pytest.raises(ValueError):
+            TruncatedSeries(2, {(0, 0, 0): 1})
+        with pytest.raises(ValueError):
+            TruncatedSeries(2, {(0, 2): 1}, n=2)
+        with pytest.raises(ValueError):
+            TruncatedSeries(2, {(-1,): 1})
+        assert TruncatedSeries(2, {(0, 2): 0, (1,): 3}).n == 2
+
+    def test_leading_coordinates_refuse_another_rank(self):
+        with pytest.raises(ValueError):
+            AmbientContext(3, 3).leading_coordinates(elem("[x,y]", cap=3))
+
+
+@pytest.mark.parametrize("source, target", [(1, 3), (2, 5)])
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_reindex_homomorphism_across_ranks(source, target, data):
+    cap = data.draw(st.integers(1, 5))
+    offset = data.draw(st.integers(0, target - source))
+    letters = st.lists(
+        st.tuples(st.integers(0, source - 1), st.integers(-3, 3)), max_size=5)
+    gens = [generator_element(i, source, cap) for i in range(source)]
+    shifted = [generator_element(i + offset, target, cap) for i in range(source)]
+
+    def image(word, generators):
+        out = identity_element(cap)
+        for i, e in word:
+            out = out * generators[i] ** e
+        return out
+
+    u, v = data.draw(letters), data.draw(letters)
+    g, h = image(u, gens), image(v, gens)
+    moved = reindex_element(g * h, offset, target)
+    assert moved == reindex_element(g, offset, target) * reindex_element(h, offset, target)
+    assert moved == image(u + v, shifted)
+    assert moved.is_identity or moved.series.n == target
