@@ -1,9 +1,12 @@
-"""Built-in verification suite.
+"""Built-in verification suite: the single catalogue of checks.
 
-One named check per example table and per structural property, runnable
-through the CLI (`baerkit selftest`).  All randomized suites draw from
-fixed seeds so reports are byte-identical across runs; capacity errors are
-not caught here, they abort the run with the dedicated exit code.
+One named check per example table and per structural property.  The CLI
+runs them all (`baerkit selftest`), and pytest runs each one by name as
+`tests/test_catalogue.py::test_check[<name>]`: an assertion made here
+needs no second copy among the pytest cases.  All randomized suites draw
+from fixed seeds so reports are byte-identical across runs; capacity
+errors are not caught here, they abort the run with the dedicated exit
+code.
 """
 
 from __future__ import annotations

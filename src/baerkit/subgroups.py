@@ -67,6 +67,7 @@ the group generated by those of weight >= m:
 
 from __future__ import annotations
 
+import copy
 from collections import deque
 from dataclasses import dataclass
 from operator import mul
@@ -80,7 +81,7 @@ from .intlinalg import (
     hermite_insert,
     hnf,
 )
-from .lyndon import get_basis, lyndon_words, standard_factorization, witt_dimension
+from .lyndon import get_basis, lyndon_words, standard_factorization
 from .magnus import (
     GroupElement,
     _word_element,
@@ -258,12 +259,10 @@ class FilteredSubgroup:
     def __init__(self, ambient: AmbientContext, normal: bool):
         self.ambient = ambient
         self.normal = normal
-        self.levels = [
-            _Level(witt_dimension(ambient.n, m)) for m in range(1, ambient.cap + 1)
-        ]
+        self.levels = [_Level(len(basis)) for basis in ambient.bases]
 
     def copy(self) -> "FilteredSubgroup":
-        out = FilteredSubgroup(self.ambient, self.normal)
+        out = copy.copy(self)
         out.levels = [lvl.copy() for lvl in self.levels]
         return out
 

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from baerkit import baer, semidirect, subgroups
+from baerkit import baer, selftest, semidirect, subgroups
 from baerkit.cli import main
 from baerkit.presentations import parse_input_file
 from baerkit.semidirect import build_semidirect
@@ -255,6 +255,22 @@ class TestDihedralReach:
         assert f"torsion={torsion}" in proc.stdout.splitlines()
 
 
+class TestCyclicReach:
+    """Each subgroup sizes its levels from the ambient's Lyndon bases.  When
+    every subgroup and every copy evaluated Witt's formula for each degree,
+    this run took more than 70 s on a 2-vCPU host, which the 60 s timeout is
+    there to catch."""
+
+    def test_multiplier_class_c_1000(self):
+        proc = run_subprocess(
+            ["multiplier", "--file", str(DATA / "z5.grp"), "--class-c", "1000",
+             "--format", "machine"]
+        )
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert "free_rank=0" in lines and "torsion=" in lines
+
+
 class TestLyndon:
     def test_listing(self, capsys):
         rc, out, _ = run_cli(["lyndon", "--letters", "2", "--weight", "3"], capsys)
@@ -376,6 +392,26 @@ class TestSelftestCommand:
         rc, _, err = run_cli(["selftest"], capsys)
         assert rc == 4
         assert "capacity guard" in err
+
+    def test_failing_check_is_reported(self, capsys, monkeypatch):
+        # A failing check is reported with its message, the checks after it
+        # still run, and the run exits 1.
+        def planted(budget):
+            raise AssertionError("planted failure")
+
+        checks = [("planted/fails", planted)] + selftest.iter_checks()
+        monkeypatch.setattr(selftest, "_CHECKS", checks)
+        rc, out, _ = run_cli(["selftest", "--format", "machine"], capsys)
+        assert rc == 1
+        assert out.splitlines() == [
+            "check=planted/fails status=fail",
+            *(f"check={name} status=pass" for name, _ in checks[1:]),
+            f"checks={len(checks)} failures=1",
+        ]
+        rc, out, _ = run_cli(["selftest"], capsys)
+        assert rc == 1
+        assert out.splitlines()[0] == "check planted/fails: fail (planted failure)"
+        assert out.splitlines()[-1] == f"selftest: {len(checks)} checks, 1 failures"
 
 
 def test_console_script_runs():

@@ -1,12 +1,16 @@
-"""Every module of the package uses each name it imports."""
+"""Every module of the package, and every test file, uses each name it
+imports."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "baerkit"
-MODULES = sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "baerkit"
+# The package's __init__.py imports names only to export them.
+SOURCES = {p.name: p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"}
+SOURCES.update({f"tests/{p.name}": p for p in TESTS.glob("*.py")})
 
 
 def unused_imports(source: str) -> list[str]:
@@ -31,12 +35,13 @@ def unused_imports(source: str) -> list[str]:
 
 
 def test_modules_found():
-    assert "semidirect.py" in MODULES and "cli.py" in MODULES
+    assert "semidirect.py" in SOURCES and "cli.py" in SOURCES
+    assert "tests/test_imports.py" in SOURCES
 
 
-@pytest.mark.parametrize("module", MODULES)
+@pytest.mark.parametrize("module", sorted(SOURCES))
 def test_every_import_is_used(module):
-    assert unused_imports((PACKAGE / module).read_text()) == []
+    assert unused_imports(SOURCES[module].read_text()) == []
 
 
 def test_detects_an_unused_import():
