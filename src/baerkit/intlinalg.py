@@ -1,15 +1,16 @@
 """Exact integer matrix normal forms and lattice arithmetic.
 
-Everything here runs over Python's arbitrary-precision integers: Hermite and
-Smith normal forms with their unimodular transforms, membership of a vector
-in the row lattice of an echelon matrix, and the canonical invariants of a
-finitely generated abelian group given by a relation matrix.
+Everything here runs over Python's arbitrary-precision integers: the
+Hermite normal form with its unimodular transform, the solver for echelon
+rows, and the Smith diagonal, which is the one source of the canonical
+invariants of a finitely generated abelian group (`abelian_invariants`).
 
 Hermite form has one algorithm, the incremental `hermite_insert`: `hnf`
 inserts a matrix's rows with unit-vector tags, and each degree of a
 filtered subgroup inserts leading coordinates tagged by the group elements
-that realize them.  Echelon rows have one solver, `echelon_solve`, shared
-by the subgroup sieve and `lattice_membership`.
+that realize them.  Echelon rows have one solver, `echelon_solve`, used by
+the subgroup sieve.  `IntMatrix.det`, `@` and `determinant_divisor` serve
+the cross-checks of the test catalogue.
 """
 
 from __future__ import annotations
@@ -55,9 +56,6 @@ class IntMatrix:
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "IntMatrix":
         return cls([[0] * cols for _ in range(rows)], cols=cols)
-
-    def copy(self) -> "IntMatrix":
-        return IntMatrix([row[:] for row in self.data], cols=self.cols)
 
     def __eq__(self, other):
         if not isinstance(other, IntMatrix):
@@ -199,32 +197,20 @@ def hnf(matrix: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
     return IntMatrix(h, cols=c), IntMatrix(tags + kernel, cols=r)
 
 
-def snf(matrix: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
-    """Smith normal form: (D, U, V) with U @ matrix @ V == D diagonal,
-    U and V unimodular, and each diagonal entry dividing the next."""
+def snf(matrix: IntMatrix) -> IntMatrix:
+    """Smith normal form D of `matrix`: diagonal, with nonnegative entries
+    each dividing the next and the zeros last.  Only row and column
+    operations invertible over the integers are applied, so D presents the
+    same abelian group as the matrix."""
     a = [row[:] for row in matrix.data]
     r, c = matrix.rows, matrix.cols
-    u = [[int(i == j) for j in range(r)] for i in range(r)]
-    v = [[int(i == j) for j in range(c)] for i in range(c)]
 
     def swap_rows(i, j):
-        if i != j:
-            a[i], a[j] = a[j], a[i]
-            u[i], u[j] = u[j], u[i]
+        a[i], a[j] = a[j], a[i]
 
     def swap_cols(i, j):
-        if i != j:
-            for row in a:
-                row[i], row[j] = row[j], row[i]
-            for row in v:
-                row[i], row[j] = row[j], row[i]
-
-    def sub_col(i, q, j):
-        """column i -= q * column j"""
         for row in a:
-            row[i] -= q * row[j]
-        for row in v:
-            row[i] -= q * row[j]
+            row[i], row[j] = row[j], row[i]
 
     def pivot_search(t):
         best = None
@@ -245,7 +231,6 @@ def snf(matrix: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
         swap_cols(t, j)
         if a[t][t] < 0:
             _negate_row(a, t)
-            _negate_row(u, t)
         # Clear row and column t; a remainder smaller than the pivot becomes
         # the new pivot, so |a[t][t]| strictly decreases and the loop ends.
         while True:
@@ -256,7 +241,6 @@ def snf(matrix: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
                     q = a[i][t] // p
                     if q:
                         _sub_row(a, i, q, t)
-                        _sub_row(u, i, q, t)
                     if a[i][t]:
                         swap_rows(t, i)
                         dirty = True
@@ -267,7 +251,8 @@ def snf(matrix: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
                 if a[t][j]:
                     q = a[t][j] // p
                     if q:
-                        sub_col(j, q, t)
+                        for row in a:
+                            row[j] -= q * row[t]
                     if a[t][j]:
                         swap_cols(t, j)
                         dirty = True
@@ -287,19 +272,9 @@ def snf(matrix: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
                 break
         if offender is not None:
             _sub_row(a, t, -1, offender)
-            _sub_row(u, t, -1, offender)
             continue
         t += 1
-    return IntMatrix(a, cols=c), IntMatrix(u, cols=r), IntMatrix(v, cols=c)
-
-
-@dataclass(frozen=True)
-class Membership:
-    """Outcome of reducing a vector against an echelon row basis."""
-
-    member: bool
-    coordinates: tuple[int, ...] | None = None
-    residue: tuple[int, ...] | None = None
+    return IntMatrix(a, cols=c)
 
 
 def echelon_solve(rows, vector) -> tuple[list[int] | None, list[int]]:
@@ -324,24 +299,6 @@ def echelon_solve(rows, vector) -> tuple[list[int] | None, list[int]]:
         coords.append(q)
         v = [x - q * y for x, y in zip(v, row)]
     return (None if any(v) else coords), v
-
-
-def lattice_membership(vector, basis: IntMatrix) -> Membership:
-    """Decide whether `vector` lies in the row lattice of `basis`.
-
-    `basis` must be in row echelon form (e.g. the H of `hnf`); zero rows are
-    ignored.  On success the coordinates express the vector in the nonzero
-    rows of the basis, in order; on failure the partially reduced residue is
-    reported as by `echelon_solve`.
-    """
-    vector = list(map(int, vector))
-    rows = basis.nonzero_rows()
-    if basis.cols != len(vector) and rows:
-        raise ValueError("vector length does not match basis width")
-    coords, residue = echelon_solve(rows, vector)
-    if coords is None:
-        return Membership(False, None, tuple(residue))
-    return Membership(True, tuple(coords), None)
 
 
 @dataclass(frozen=True)
@@ -394,7 +351,7 @@ def abelian_invariants(gen_count: int, relations) -> AbelianInvariants:
         rel = IntMatrix(relations, cols=gen_count)
     if rel.rows and rel.cols != gen_count:
         raise ValueError("relation width does not match generator count")
-    d, _, _ = snf(rel)
+    d = snf(rel)
     diag = [d.data[i][i] for i in range(min(d.rows, d.cols))]
     nonzero = [x for x in diag if x]
     torsion = [x for x in nonzero if x > 1]

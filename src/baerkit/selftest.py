@@ -27,8 +27,8 @@ from .intlinalg import (
     IntMatrix,
     abelian_invariants,
     determinant_divisor,
+    echelon_solve,
     hnf,
-    lattice_membership,
     snf,
 )
 from .lyndon import (
@@ -578,23 +578,23 @@ def _(budget):
 
 @_check("intlinalg/snf-examples")
 def _(budget):
-    d, _, _ = snf(IntMatrix([[2, 4], [6, 8]]))
+    d = snf(IntMatrix([[2, 4], [6, 8]]))
     _expect([d.data[0][0], d.data[1][1]] == [2, 4], "diag(2,4)")
-    d, _, _ = snf(IntMatrix([[6, 0], [0, 4]]))
+    d = snf(IntMatrix([[6, 0], [0, 4]]))
     _expect([d.data[0][0], d.data[1][1]] == [2, 12], "diag(2,12)")
-    d, _, _ = snf(IntMatrix.identity(3))
+    d = snf(IntMatrix.identity(3))
     _expect(d == IntMatrix.identity(3), "identity")
 
 
 @_check("intlinalg/membership-examples")
 def _(budget):
-    basis = IntMatrix([[1, 1], [0, 2]])
-    res = lattice_membership([1, 1], basis)
-    _expect(res.member and res.coordinates == (1, 0), "(1,1)")
-    res = lattice_membership([1, 0], basis)
-    _expect(not res.member and res.residue == (0, -1), "(1,0) residue")
-    res = lattice_membership([0, 0], basis)
-    _expect(res.member and res.coordinates == (0, 0), "zero vector")
+    basis = [[1, 1], [0, 2]]
+    coords, _ = echelon_solve(basis, [1, 1])
+    _expect(coords == [1, 0], "(1,1)")
+    coords, residue = echelon_solve(basis, [1, 0])
+    _expect(coords is None and residue == [0, -1], "(1,0) residue")
+    coords, _ = echelon_solve(basis, [0, 0])
+    _expect(coords == [0, 0], "zero vector")
 
 
 @_check("intlinalg/abelian-examples")
@@ -613,23 +613,27 @@ def _(budget):
 @_check("intlinalg/hnf-random")
 def _(budget):
     rng = random.Random(301)
+    shuffler = random.Random(311)
     for _ in range(200):
         m = _random_matrix(rng)
         h, u = hnf(m)
         _expect(abs(u.det()) == 1, "U is not unimodular")
         _expect(u @ m == h, "U*M != H")
+        nz = h.nonzero_rows()
         for row in m.data:
-            _expect(lattice_membership(row, h).member, "row span lost")
-        for row in h.nonzero_rows():
-            hm, _ = hnf(m)  # span comparison the other way
-            _expect(lattice_membership(row, hm).member, "span grew")
-        pivots = [next(i for i, x in enumerate(r) if x) for r in h.nonzero_rows()]
+            _expect(echelon_solve(nz, row)[0] is not None, "row span lost")
+        # The Hermite form is unique, so no insertion order may change it.
+        shuffled = m.data[:]
+        shuffler.shuffle(shuffled)
+        for rows in (m.data[::-1], shuffled):
+            _expect(hnf(IntMatrix(rows))[0] == h, "insertion order changed H")
+        pivots = [next(i for i, x in enumerate(r) if x) for r in nz]
         _expect(pivots == sorted(pivots) and len(set(pivots)) == len(pivots),
                 "not echelon")
-        for t, row in enumerate(h.nonzero_rows()):
+        for t, row in enumerate(nz):
             p = pivots[t]
             _expect(row[p] > 0, "pivot not positive")
-            for above in h.nonzero_rows()[:t]:
+            for above in nz[:t]:
                 _expect(0 <= above[p] < row[p], "entry above pivot not reduced")
 
 
@@ -638,9 +642,7 @@ def _(budget):
     rng = random.Random(302)
     for _ in range(200):
         m = _random_matrix(rng)
-        d, u, v = snf(m)
-        _expect(abs(u.det()) == 1 and abs(v.det()) == 1, "transforms not unimodular")
-        _expect(u @ m @ v == d, "U*M*V != D")
+        d = snf(m)
         diag = [d.data[i][i] for i in range(min(d.rows, d.cols))]
         for i in range(d.rows):
             for j in range(d.cols):
@@ -650,13 +652,15 @@ def _(budget):
         for a, b in zip(nz, nz[1:]):
             _expect(b % a == 0, "divisor chain broken")
         _expect(all(x == 0 for x in diag[len(nz):]), "zeros not trailing")
+        # d_1 ... d_k is the gcd of the k x k minors, for every k up to the
+        # rank; past the rank every minor vanishes.
         prod = 1
-        for x in nz:
+        for k, x in enumerate(nz, start=1):
             prod *= x
-        _expect(
-            prod == determinant_divisor(m, len(nz)) if nz else True,
-            "determinantal divisor mismatch",
-        )
+            _expect(prod == determinant_divisor(m, k),
+                    f"determinantal divisor mismatch at k={k}")
+        if len(nz) < min(m.rows, m.cols):
+            _expect(determinant_divisor(m, len(nz) + 1) == 0, "rank too small")
 
 
 @_check("intlinalg/abelian-unimodular-invariance")

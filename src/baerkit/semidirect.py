@@ -35,7 +35,6 @@ complement quotient carried by S.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import product
 
@@ -50,7 +49,7 @@ from .baer import (
     working_closure,
 )
 from .errors import ActionError
-from .intlinalg import AbelianInvariants
+from .intlinalg import AbelianInvariants, abelian_invariants
 from .lyndon import lyndon_words
 from .magnus import _word_element
 from .presentations import (
@@ -451,40 +450,18 @@ def complement_factor(table: SemidirectSubgroups) -> AbelianInvariants:
     )
 
 
-def _factorize(d: int) -> dict[int, int]:
-    out: dict[int, int] = {}
-    p = 2
-    while p * p <= d:
-        while d % p == 0:
-            out[p] = out.get(p, 0) + 1
-            d //= p
-        p += 1
-    if d > 1:
-        out[d] = out.get(d, 0) + 1
-    return out
-
-
 def merge_invariants(
     x: AbelianInvariants, y: AbelianInvariants
 ) -> AbelianInvariants:
-    """Canonical form of the direct sum: free ranks add, torsion merges by
-    prime-power components and renormalizes to a divisor chain."""
-    powers: dict[int, list[int]] = defaultdict(list)
-    for d in x.torsion + y.torsion:
-        for p, e in _factorize(d).items():
-            powers[p].append(e)
-    for exps in powers.values():
-        exps.sort(reverse=True)
-    depth = max((len(v) for v in powers.values()), default=0)
-    chain = []
-    for i in range(depth):
-        d = 1
-        for p, exps in powers.items():
-            if i < len(exps):
-                d *= p ** exps[i]
-        chain.append(d)
-    chain.reverse()
-    return AbelianInvariants(x.free_rank + y.free_rank, tuple(chain))
+    """Canonical form of the direct sum: free ranks add, and the torsion is
+    the Smith diagonal of the two chains placed side by side."""
+    torsion = x.torsion + y.torsion
+    relations = [
+        [d if i == j else 0 for j in range(len(torsion))]
+        for i, d in enumerate(torsion)
+    ]
+    merged = abelian_invariants(len(torsion), relations)
+    return AbelianInvariants(x.free_rank + y.free_rank, merged.torsion)
 
 
 @dataclass

@@ -81,7 +81,7 @@ from .intlinalg import (
     hermite_insert,
     hnf,
 )
-from .lyndon import get_basis, lyndon_words, standard_factorization
+from .lyndon import get_basis, standard_factorization
 from .magnus import (
     GroupElement,
     _word_element,
@@ -194,10 +194,8 @@ class AmbientContext:
             sub = FilteredSubgroup(self, normal=True)
             for m in range(1, self.cap + 1):
                 level = sub.levels[m - 1]
-                words = lyndon_words(self.n, m)
-                dim = len(words)
-                for j, w in enumerate(words):
-                    row = [0] * dim
+                for j, w in enumerate(self.bases[m - 1].words):
+                    row = [0] * level.dim
                     row[j] = 1
                     level.rows.append(row)
                     level.elems.append(self.bracket_element(w))
@@ -451,9 +449,11 @@ def intersect_with_gamma(u: FilteredSubgroup, m: int) -> FilteredSubgroup:
     intersection, and their sieve paths never visit lower degrees."""
     if m > u.ambient.cap:
         raise ValueError("gamma degree exceeds the cap")
-    out = u.copy()
-    for j in range(1, m):
-        out.levels[j - 1] = _Level(out.levels[j - 1].dim)
+    out = copy.copy(u)
+    out.levels = [
+        level.copy() if j >= m else _Level(level.dim)
+        for j, level in enumerate(u.levels, start=1)
+    ]
     return out
 
 

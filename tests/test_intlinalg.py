@@ -9,8 +9,8 @@ from baerkit.intlinalg import (
     AbelianInvariants,
     IntMatrix,
     abelian_invariants,
+    echelon_solve,
     hnf,
-    lattice_membership,
     snf,
 )
 
@@ -47,11 +47,6 @@ matrices = st.integers(1, 4).flatmap(
 
 
 class TestHNF:
-    def test_hand_example(self):
-        h, u = hnf(IntMatrix([[2, 0], [0, 2], [1, 1]]))
-        assert h.nonzero_rows() == [[1, 1], [0, 2]]
-        assert u @ IntMatrix([[2, 0], [0, 2], [1, 1]]) == h
-
     def test_merge_then_vanish_still_reduces(self):
         # Inserting [1,1] gcd-merges it into the stored [2,0], rewriting
         # that row to [1,1], and the remainder then reduces to zero; the
@@ -72,20 +67,21 @@ class TestHNF:
         h, _ = hnf(z)
         assert h == z
 
-    @given(matrices)
+    @given(matrices, st.randoms(use_true_random=False))
     @settings(max_examples=100)
-    def test_properties(self, m):
+    def test_properties(self, m, rnd):
         h, u = hnf(m)
         assert abs(u.det()) == 1
         assert u @ m == h
-        # Row span is preserved both ways.
-        for row in m.data:
-            assert lattice_membership(row, h).member
-        hm = hnf(IntMatrix(m.data))[0]
-        for row in h.nonzero_rows():
-            assert lattice_membership(row, hm).member
-        # Echelon with positive pivots, reduced above.
         nz = h.nonzero_rows()
+        for row in m.data:
+            assert echelon_solve(nz, row)[0] is not None
+        # The Hermite form is unique: no insertion order may change it.
+        shuffled = m.data[:]
+        rnd.shuffle(shuffled)
+        assert hnf(IntMatrix(m.data[::-1]))[0] == h
+        assert hnf(IntMatrix(shuffled))[0] == h
+        # Echelon with positive pivots, reduced above.
         pivots = [next(i for i, x in enumerate(r) if x) for r in nz]
         assert pivots == sorted(set(pivots))
         for t, row in enumerate(nz):
@@ -98,9 +94,7 @@ class TestSNF:
     @given(matrices)
     @settings(max_examples=100)
     def test_properties(self, m):
-        d, u, v = snf(m)
-        assert abs(u.det()) == 1 and abs(v.det()) == 1
-        assert u @ m @ v == d
+        d = snf(m)
         diag = [d.data[i][i] for i in range(min(d.rows, d.cols))]
         assert all(
             d.data[i][j] == 0
@@ -116,42 +110,20 @@ class TestSNF:
     @given(matrices)
     @settings(max_examples=60)
     def test_against_minor_oracle(self, m):
-        d, _, _ = snf(m)
+        # d_1 ... d_k is the gcd of the k x k minors for every k up to the
+        # rank, and every minor past the rank vanishes.
+        d = snf(m)
         diag = [d.data[i][i] for i in range(min(d.rows, d.cols))]
         nz = [x for x in diag if x]
         prod = 1
-        for x in nz:
+        for k, x in enumerate(nz, start=1):
             prod *= x
-        if nz:
-            assert prod == minor_gcd(m, len(nz))
-
-
-class TestMembership:
-    BASIS = IntMatrix([[1, 1], [0, 2]])
-
-    def test_member(self):
-        res = lattice_membership([1, 1], self.BASIS)
-        assert res.member and res.coordinates == (1, 0)
-
-    def test_residue(self):
-        res = lattice_membership([1, 0], self.BASIS)
-        assert not res.member and res.residue == (0, -1)
-
-    def test_zero(self):
-        res = lattice_membership([0, 0], self.BASIS)
-        assert res.member and res.coordinates == (0, 0)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            lattice_membership([1, 0, 0], self.BASIS)
+            assert prod == minor_gcd(m, k)
+        if len(nz) < len(diag):
+            assert minor_gcd(m, len(nz) + 1) == 0
 
 
 class TestAbelianInvariants:
-    def test_hand_examples(self):
-        assert abelian_invariants(2, [[2, 0], [0, 2]]) == AbelianInvariants(0, (2, 2))
-        assert abelian_invariants(2, [[2, 0]]) == AbelianInvariants(1, (2,))
-        assert abelian_invariants(1, []) == AbelianInvariants(1)
-
     def test_unit_entries_dropped(self):
         assert abelian_invariants(2, [[1, 0], [0, 6]]) == AbelianInvariants(0, (6,))
 
