@@ -23,7 +23,6 @@ from .magnus import GroupElement, TruncatedSeries, series_of_word
 from .presentations import (
     ActionSpec,
     Alphabet,
-    Generator,
     Presentation,
     Word,
     parse_input_file,

@@ -171,9 +171,9 @@ def cmd_multiplier(args, guard: int, echo) -> int:
 
 def cmd_semidirect(args, guard: int, echo) -> int:
     parsed = _read_input(args.file)
-    if len(parsed.presentations) != 2 or parsed.action is None:
-        raise ParseError("semidirect expects two group blocks and one action block")
     spec = parsed.action
+    if len(parsed.presentations) != 2 or spec is None or spec.acting is spec.acted:
+        raise ParseError("semidirect expects two group blocks and one action block")
     machine = args.fmt == "machine"
     trace = (lambda _msg: None) if machine else echo
 
@@ -192,13 +192,13 @@ def cmd_semidirect(args, guard: int, echo) -> int:
     if machine:
         echo("command=semidirect")
         echo(f"group={sp.combined.name}")
-        echo(f"generators={','.join(sp.combined.alphabet.names())}")
+        echo(f"generators={','.join(sp.combined.alphabet.names)}")
         echo(f"relators_acted={';'.join(w.render() for w in sp.rel_acted)}")
         echo(f"relators_acting={';'.join(w.render() for w in sp.rel_acting)}")
         echo(f"relators_twist={';'.join(w.render() for w in sp.rel_twist)}")
     else:
         echo(f"combined group {sp.combined.name}:")
-        echo(f"  generators: {' '.join(sp.combined.alphabet.names())}")
+        echo(f"  generators: {' '.join(sp.combined.alphabet.names)}")
         echo(f"  relators (acted):  {', '.join(w.render() for w in sp.rel_acted) or '-'}")
         echo(f"  relators (acting): {', '.join(w.render() for w in sp.rel_acting) or '-'}")
         echo(f"  relators (twist):  {', '.join(w.render() for w in sp.rel_twist)}")

@@ -21,62 +21,47 @@ Word grammar:
 spaces, several relators on one `rel` line are separated by commas at
 bracket depth zero.  Exponent 0 is rejected.  Generator names are
 case-sensitive identifiers (letter first, then letters/digits/underscore).
+
+Free products: `combine_alphabets` puts the acted factor's letters first
+and the acting factor's after them, so acting letter j has index
+rank(acted) + j.  That offset is the only record of which factor a combined
+letter came from.  `free_product_embed` shifts a factor's word by it (0 for
+the acted factor), and `magnus.reindex_element` and `subgroups.embedded_copy`
+shift series and subgroups by the same offset.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from enum import Enum
 
 from .errors import ParseError
-
-
-class Slot(Enum):
-    """Free-product membership of a generator once alphabets are combined."""
-
-    PLAIN = "plain"
-    ACTED = "acted"    # came from the normal factor
-    ACTING = "acting"  # came from the complementing factor
-
 
 _IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 
 
-@dataclass(frozen=True)
-class Generator:
-    name: str
-    slot: Slot = Slot.PLAIN
-
-    def __post_init__(self):
-        if not _IDENT_RE.fullmatch(self.name):
-            raise ValueError(f"invalid generator name {self.name!r}")
-
-
 class Alphabet:
-    """Ordered list of generators with unique names."""
+    """Ordered tuple of generator names: identifiers, no two alike."""
 
-    __slots__ = ("generators", "_index")
+    __slots__ = ("names", "_index")
 
-    def __init__(self, generators):
-        gens = tuple(
-            g if isinstance(g, Generator) else Generator(g) for g in generators
-        )
-        index = {}
-        for i, g in enumerate(gens):
-            if g.name in index:
-                raise ValueError(f"duplicate generator name {g.name!r}")
-            index[g.name] = i
-        self.generators = gens
-        self._index = index
+    def __init__(self, names):
+        self.names = tuple(names)
+        self._index = {}
+        for i, name in enumerate(self.names):
+            if not _IDENT_RE.fullmatch(name):
+                raise ValueError(f"invalid generator name {name!r}")
+            if name in self._index:
+                raise ValueError(f"duplicate generator name {name!r}")
+            self._index[name] = i
 
     def __len__(self):
-        return len(self.generators)
+        return len(self.names)
 
     def __eq__(self, other):
         if not isinstance(other, Alphabet):
             return NotImplemented
-        return self.generators == other.generators
+        return self.names == other.names
 
     def __contains__(self, name: str):
         return name in self._index
@@ -87,11 +72,8 @@ class Alphabet:
         except KeyError:
             raise KeyError(f"unknown generator {name!r}") from None
 
-    def names(self) -> list[str]:
-        return [g.name for g in self.generators]
-
     def __repr__(self):
-        return f"Alphabet({self.names()})"
+        return f"Alphabet({list(self.names)})"
 
 
 def _reduce(letters):
@@ -126,7 +108,7 @@ class Word:
         return self.alphabet == other.alphabet and self.letters == other.letters
 
     def __hash__(self):
-        return hash((self.alphabet.generators, self.letters))
+        return hash((self.alphabet.names, self.letters))
 
     def __mul__(self, other: "Word") -> "Word":
         if self.alphabet != other.alphabet:
@@ -156,7 +138,7 @@ class Word:
     def render(self) -> str:
         if not self.letters:
             return "1"
-        names = self.alphabet.names()
+        names = self.alphabet.names
         parts = []
         for g, e in self.syllables():
             parts.append(names[g] if e == 1 else f"{names[g]}^{e}")
@@ -183,11 +165,6 @@ class Presentation:
     def rank(self) -> int:
         return len(self.alphabet)
 
-    def describe(self) -> str:
-        gens = " ".join(self.alphabet.names())
-        rels = ", ".join(r.render() for r in self.relators) or "-"
-        return f"{self.name}: gen {gens} | rel {rels}"
-
 
 @dataclass(frozen=True)
 class ActionSpec:
@@ -205,8 +182,8 @@ class ActionSpec:
             self._check_table(self.inverse_images, "inverse action")
 
     def _check_table(self, table, label):
-        for a in self.acted.alphabet.names():
-            for b in self.acting.alphabet.names():
+        for a in self.acted.alphabet.names:
+            for b in self.acting.alphabet.names:
                 w = table.get((a, b))
                 if w is None:
                     raise ValueError(
@@ -350,157 +327,128 @@ def _split_top_level(text: str, line=None) -> list[str]:
 
 # --- presentation file parsing ----------------------------------------------
 
+_ROW_RE = re.compile(
+    r"^(?P<inv>inverse\s+)?(?P<b>\S+)\s*:\s*(?P<a>\S+)\s*->\s*(?P<w>.+)$"
+)
+
+
 @dataclass
 class ParsedInput:
     presentations: list[Presentation]
     action: ActionSpec | None = None
 
-    def group(self, name: str) -> Presentation:
-        for p in self.presentations:
-            if p.name == name:
-                return p
-        raise KeyError(f"no group named {name!r}")
-
 
 def parse_input_file(text: str) -> ParsedInput:
     """Parse a presentation file into presentations and an optional action."""
-    presentations: list[Presentation] = []
+    stripped = (raw.split("#", 1)[0].strip() for raw in text.splitlines())
+    lines = ((no, line) for no, line in enumerate(stripped, 1) if line)
+
+    def block(kind: str, header_no: int):
+        """The (line number, text) pairs of one block, up to its `end`."""
+        for no, line in lines:
+            if line == "end":
+                return
+            yield no, line
+        raise ParseError(f"{kind} block is missing its end", header_no)
+
+    groups: dict[str, Presentation] = {}
     action: ActionSpec | None = None
-    by_name: dict[str, Presentation] = {}
-
-    lines = text.splitlines()
-    i = 0
-
-    def strip(line: str) -> str:
-        return line.split("#", 1)[0].strip()
-
-    while i < len(lines):
-        lineno = i + 1
-        line = strip(lines[i])
-        i += 1
-        if not line:
-            continue
+    for lineno, line in lines:
         head = line.split()
         if head[0] == "group":
             if len(head) != 2:
                 raise ParseError("usage: group <name>", lineno)
             name = head[1]
-            if name in by_name:
+            if name in groups:
                 raise ParseError(f"duplicate group name {name!r}", lineno)
-            gen_names: list[str] = []
+            alphabet = Alphabet(())
             rel_specs: list[tuple[str, int]] = []
-            closed = False
-            while i < len(lines):
-                sub_no = i + 1
-                sub = strip(lines[i])
-                i += 1
-                if not sub:
-                    continue
-                if sub == "end":
-                    closed = True
-                    break
+            for no, sub in block("group", lineno):
                 parts = sub.split(None, 1)
                 if parts[0] == "gen":
                     if len(parts) < 2:
-                        raise ParseError("gen line lists no generators", sub_no)
-                    for g in parts[1].split():
-                        if not _IDENT_RE.fullmatch(g):
-                            raise ParseError(f"invalid generator name {g!r}", sub_no)
-                        if g in gen_names:
-                            raise ParseError(f"duplicate generator name {g!r}", sub_no)
-                        gen_names.append(g)
+                        raise ParseError("gen line lists no generators", no)
+                    try:
+                        alphabet = Alphabet((*alphabet.names, *parts[1].split()))
+                    except ValueError as exc:
+                        raise ParseError(str(exc), no) from None
                 elif parts[0] == "rel":
                     if len(parts) < 2:
-                        raise ParseError("rel line lists no relators", sub_no)
-                    rel_specs.append((parts[1], sub_no))
+                        raise ParseError("rel line lists no relators", no)
+                    rel_specs.append((parts[1], no))
                 else:
-                    raise ParseError(f"unexpected {parts[0]!r} in group block", sub_no)
-            if not closed:
-                raise ParseError("group block is missing its end", lineno)
-            if not gen_names:
+                    raise ParseError(f"unexpected {parts[0]!r} in group block", no)
+            if not alphabet:
                 raise ParseError(f"group {name!r} declares no generators", lineno)
-            alphabet = Alphabet(gen_names)
-            relators = []
-            for spec, sub_no in rel_specs:
-                for chunk in _split_top_level(spec, sub_no):
-                    relators.append(parse_word(chunk, alphabet, sub_no))
-            pres = Presentation(name, alphabet, tuple(relators))
-            presentations.append(pres)
-            by_name[name] = pres
+            relators = tuple(
+                parse_word(chunk, alphabet, no)
+                for spec, no in rel_specs
+                for chunk in _split_top_level(spec, no)
+            )
+            groups[name] = Presentation(name, alphabet, relators)
         elif head[0] == "action":
             if len(head) != 4 or head[2] != "on":
                 raise ParseError("usage: action <acting> on <acted>", lineno)
             if action is not None:
                 raise ParseError("more than one action block", lineno)
             acting_name, acted_name = head[1], head[3]
-            if acting_name not in by_name:
-                raise ParseError(f"unknown group {acting_name!r}", lineno)
-            if acted_name not in by_name:
-                raise ParseError(f"unknown group {acted_name!r}", lineno)
-            acting = by_name[acting_name]
-            acted = by_name[acted_name]
+            for name in (acting_name, acted_name):
+                if name not in groups:
+                    raise ParseError(f"unknown group {name!r}", lineno)
+            acting, acted = groups[acting_name], groups[acted_name]
+            # The combined alphabet of a semidirect product needs the two
+            # factors' names disjoint.
+            shared = [g for g in acting.alphabet.names if g in acted.alphabet]
+            if shared and acting is not acted:
+                raise ParseError(
+                    f"groups {acting_name!r} and {acted_name!r} share "
+                    f"generator {shared[0]!r}",
+                    lineno,
+                )
             images: dict = {}
             inverse_images: dict = {}
-            closed = False
-            row_re = re.compile(
-                r"^(?P<inv>inverse\s+)?(?P<b>\S+)\s*:\s*(?P<a>\S+)\s*->\s*(?P<w>.+)$"
-            )
-            while i < len(lines):
-                sub_no = i + 1
-                sub = strip(lines[i])
-                i += 1
-                if not sub:
-                    continue
-                if sub == "end":
-                    closed = True
-                    break
-                m = row_re.match(sub)
+            for no, sub in block("action", lineno):
+                m = _ROW_RE.match(sub)
                 if not m:
-                    raise ParseError("expected '<b> : <a> -> <word>'", sub_no)
+                    raise ParseError("expected '<b> : <a> -> <word>'", no)
                 b, a = m.group("b"), m.group("a")
                 if b not in acting.alphabet:
-                    raise ParseError(f"{b!r} is not a generator of {acting_name}", sub_no)
+                    raise ParseError(f"{b!r} is not a generator of {acting_name}", no)
                 if a not in acted.alphabet:
-                    raise ParseError(f"{a!r} is not a generator of {acted_name}", sub_no)
-                word = parse_word(m.group("w"), acted.alphabet, sub_no)
+                    raise ParseError(f"{a!r} is not a generator of {acted_name}", no)
+                word = parse_word(m.group("w"), acted.alphabet, no)
                 table = inverse_images if m.group("inv") else images
                 if (a, b) in table:
-                    raise ParseError(f"duplicate image row for ({a}, {b})", sub_no)
+                    raise ParseError(f"duplicate image row for ({a}, {b})", no)
                 table[(a, b)] = word
-            if not closed:
-                raise ParseError("action block is missing its end", lineno)
             try:
-                action = ActionSpec(
-                    acting, acted, images, inverse_images or None
-                )
+                action = ActionSpec(acting, acted, images, inverse_images or None)
             except ValueError as exc:
                 raise ParseError(str(exc), lineno) from None
         else:
             raise ParseError(f"unexpected {head[0]!r} at top level", lineno)
 
-    if not presentations:
+    if not groups:
         raise ParseError("input declares no group", 1)
-    return ParsedInput(presentations, action)
+    return ParsedInput(list(groups.values()), action)
 
 
 # --- free products -----------------------------------------------------------
 
 def combine_alphabets(acted: Alphabet, acting: Alphabet) -> Alphabet:
-    """Disjoint-union alphabet with slot tags: acted generators first."""
-    gens = [Generator(g.name, Slot.ACTED) for g in acted.generators]
-    gens += [Generator(g.name, Slot.ACTING) for g in acting.generators]
-    return Alphabet(gens)  # Alphabet rejects name collisions
+    """The acted names followed by the acting names; a name both factors
+    use is a ValueError."""
+    return Alphabet(acted.names + acting.names)
 
 
-def free_product_embed(word: Word, slot: Slot, combined: Alphabet) -> Word:
-    """Re-express a word of one free factor over the combined alphabet."""
-    names = word.alphabet.names()
-    letters = []
-    for g, s in word.letters:
-        idx = combined.index(names[g])
-        if combined.generators[idx].slot != slot:
-            raise ValueError(
-                f"generator {names[g]!r} does not belong to the {slot.value} factor"
-            )
-        letters.append((idx, s))
-    return Word(combined, letters)
+def free_product_embed(word: Word, offset: int, combined: Alphabet) -> Word:
+    """A free factor's word over the combined alphabet: every letter moves up
+    by `offset`, 0 for the acted factor and the acted rank for the acting
+    one.
+    The word-level twin of `magnus.reindex_element`."""
+    if offset + len(word.alphabet) > len(combined):
+        raise ValueError(
+            f"{len(word.alphabet)} letters shifted by {offset} run past the "
+            f"{len(combined)}-letter combined alphabet"
+        )
+    return Word(combined, tuple((g + offset, s) for g, s in word.letters))

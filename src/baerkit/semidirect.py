@@ -1,10 +1,11 @@
 """Semidirect products: presentation building and decomposition checking.
 
 Given free presentations of an acted (normal) factor A and an acting factor
-B plus an action table, the combined presentation of B acting on A uses the
-disjoint union of the two alphabets, both factors' relators, and one twist
-relator a^-1 * w[a,b] * [b,a] per generator pair, which forces the
-conjugate of a by b to equal its image word.
+B plus an action table, the combined presentation of B acting on A lists
+A's letters and then B's, so acting letter j has index rank(A) + j (the
+layout `presentations` documents).  Its relators are both factors' relators,
+shifted by that offset, and one twist relator a^-1 * w[a,b] * [b,a] per
+generator pair, which forces the conjugate of a by b to equal its image word.
 
 The verifier derives each subgroup once, in the combined group's free
 nilpotent quotient F of class k + c, whose first letters are the acted ones:
@@ -22,7 +23,7 @@ nilpotent quotient F of class k + c, whose first letters are the acted ones:
   closure of [a, b, x_1, ..., x_{c-1}] over acted a and acting b.
 - The Hopf pair of the acting factor's relator closure, taken in its own
   free group, since its tower commutes with F2 only, and embedded by the
-  generator shift.
+  same offset (`subgroups.embedded_copy`).
 
 The checks are two-sided containments: R is R2 joined with S; its Hopf
 numerator is the acting numerator joined with S's; its Hopf denominator is
@@ -55,7 +56,6 @@ from .magnus import _word_element
 from .presentations import (
     ActionSpec,
     Presentation,
-    Slot,
     Word,
     combine_alphabets,
     free_product_embed,
@@ -111,8 +111,8 @@ def validate_action(
             f"class <= {k_acted}"
         ]
     cap, generators = ambient.cap, ambient.generators
-    acted_names = spec.acted.alphabet.names()
-    acting_names = spec.acting.alphabet.names()
+    acted_names = spec.acted.alphabet.names
+    acting_names = spec.acting.alphabet.names
     problems: list[str] = []
 
     def words(b: str, inverse=False) -> list[Word]:
@@ -249,20 +249,19 @@ def build_semidirect(spec: ActionSpec) -> SemidirectPresentation:
     re-run validation.
     """
     combined = combine_alphabets(spec.acted.alphabet, spec.acting.alphabet)
+    shift = spec.acted.rank
     rel_acted = tuple(
-        free_product_embed(r, Slot.ACTED, combined) for r in spec.acted.relators
+        free_product_embed(r, 0, combined) for r in spec.acted.relators
     )
     rel_acting = tuple(
-        free_product_embed(r, Slot.ACTING, combined) for r in spec.acting.relators
+        free_product_embed(r, shift, combined) for r in spec.acting.relators
     )
     twist = []
-    for a in spec.acted.alphabet.names():
-        a_idx = combined.index(a)
-        a_word = Word(combined, ((a_idx, 1),))
-        for b in spec.acting.alphabet.names():
-            b_idx = combined.index(b)
-            b_word = Word(combined, ((b_idx, 1),))
-            image = free_product_embed(spec.image(a, b), Slot.ACTED, combined)
+    for i, a in enumerate(spec.acted.alphabet.names):
+        a_word = Word(combined, ((i, 1),))
+        for j, b in enumerate(spec.acting.alphabet.names):
+            b_word = Word(combined, ((shift + j, 1),))
+            image = free_product_embed(spec.image(a, b), 0, combined)
             twist.append(a_word.inverse() * image * b_word.commutator(a_word))
     name = f"{spec.acting.name}_on_{spec.acted.name}"
     relators = rel_acted + rel_acting + tuple(twist)

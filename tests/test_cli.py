@@ -154,6 +154,31 @@ class TestSemidirect:
         assert rc == 5
         assert "surjectivity" in err
 
+    @pytest.mark.parametrize("fmt", ["text", "machine"])
+    @pytest.mark.parametrize(
+        "blocks, message",
+        [
+            (
+                "group B\n  gen a\n  rel a^2\nend\naction B on A\n",
+                "line 9: groups 'B' and 'A' share generator 'a'",
+            ),
+            (
+                "group B\n  gen b\n  rel b^2\nend\naction A on A\n",
+                "semidirect expects two group blocks and one action block",
+            ),
+            ("action A on A\n", "semidirect expects two group blocks and one action block"),
+        ],
+        ids=["shared-name", "self-action", "one-group"],
+    )
+    def test_shared_generator_names_refused(self, tmp_path, capsys, fmt, blocks, message):
+        # The combined alphabet needs disjoint names: refused as input
+        # before any output, not as a traceback after the action check.
+        grp = tmp_path / "shared.grp"
+        grp.write_text("group A\n  gen a\n  rel a^2\nend\n" + blocks + "  a : a -> a\nend\n")
+        rc, out, err = run_cli(["semidirect", "--file", str(grp), "--format", fmt], capsys)
+        assert (rc, out) == (2, "")
+        assert err == f"parse error: {message}\n"
+
     def test_machine_verify(self, capsys):
         rc, out, _ = run_cli(
             [

@@ -102,17 +102,17 @@ class SubstitutionEvaluator:
         self._computed_inverse = {}
 
     def _fixes_generators(self, table):
-        for a in self.acted.names():
+        for a in self.acted.names:
             probe = table[a] * Word(self.acted, ((self.acted.index(a), -1),))
             if not self.closure.contains(self.ambient.element_of_word(probe)):
                 return False
         return True
 
     def _forward_table(self, b_name):
-        return {a: self.spec.image(a, b_name) for a in self.acted.names()}
+        return {a: self.spec.image(a, b_name) for a in self.acted.names}
 
     def _substitute(self, word, table):
-        names = self.acted.names()
+        names = self.acted.names
         out = Word(self.acted)
         for g, s in word.letters:
             img = table[names[g]]
@@ -123,7 +123,7 @@ class SubstitutionEvaluator:
         if self.spec.inverse_images is not None:
             return {
                 a: self.spec.image(a, b_name, inverse=True)
-                for a in self.acted.names()
+                for a in self.acted.names
             }
         b_idx = self.acting.index(b_name)
         cached = self._computed_inverse.get(b_idx)
@@ -133,7 +133,7 @@ class SubstitutionEvaluator:
         current = forward
         previous = {
             a: Word(self.acted, ((self.acted.index(a), 1),))
-            for a in self.acted.names()
+            for a in self.acted.names
         }
         for _ in range(_ORACLE_ORDER_SEARCH):
             if self._fixes_generators(current):
@@ -148,7 +148,7 @@ class SubstitutionEvaluator:
         )
 
     def apply_letter(self, word, b_idx, sign):
-        b_name = self.acting.names()[b_idx]
+        b_name = self.acting.names[b_idx]
         table = (
             self._forward_table(b_name) if sign > 0 else self._inverse_table(b_name)
         )
@@ -173,8 +173,8 @@ def substitution_validate(spec, k_acted):
     ambient, closure = cert.ambient, cert.closure
     ev = SubstitutionEvaluator(spec, ambient, closure)
     acted = spec.acted.alphabet
-    acted_names = acted.names()
-    acting_names = spec.acting.alphabet.names()
+    acted_names = acted.names
+    acting_names = spec.acting.alphabet.names
 
     def fixed_modulo_relators(word, a_name):
         probe = word * Word(acted, ((acted.index(a_name), -1),))
@@ -445,7 +445,7 @@ class TestBuild:
         assert [w.render() for w in sp.combined.relators] == [
             "a^4", "b^2", "a^-2 b^-1 a^-1 b a",
         ]
-        assert sp.combined.alphabet.names() == ["a", "b"]
+        assert sp.combined.alphabet.names == ("a", "b")
         closure = relator_closure(sp.combined, AmbientContext(2, 3))
         assert quotient_order(closure) == 8
 

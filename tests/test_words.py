@@ -4,7 +4,6 @@ from hypothesis import given, strategies as st
 from baerkit.errors import ParseError
 from baerkit.presentations import (
     Alphabet,
-    Slot,
     Word,
     combine_alphabets,
     free_product_embed,
@@ -20,15 +19,6 @@ def w(text):
 
 
 class TestParseWord:
-    def test_direct_reading(self):
-        assert w("x^2 y^-1").letters == ((0, 1), (0, 1), (1, -1))
-
-    def test_free_reduction(self):
-        assert w("x x^-1").is_identity
-
-    def test_commutator_convention(self):
-        assert w("[x,y]").letters == ((0, -1), (1, -1), (0, 1), (1, 1))
-
     def test_identity_token(self):
         assert w("1").is_identity
         assert w("[1,x]").is_identity
@@ -96,32 +86,29 @@ class TestFreeProductEmbed:
     B = Alphabet(["b"])
     C = combine_alphabets(A, B)
 
-    def test_slots(self):
-        assert [g.slot for g in self.C.generators] == [
-            Slot.ACTED, Slot.ACTED, Slot.ACTING,
-        ]
-
     def test_embedding_is_injective_renaming(self):
+        assert self.C.names == ("a1", "a2", "b")
         word = Word(self.A, ((0, 1), (0, 1)))
-        out = free_product_embed(word, Slot.ACTED, self.C)
+        out = free_product_embed(word, 0, self.C)
         assert out.letters == ((0, 1), (0, 1))
         bword = Word(self.B, ((0, -1),))
-        assert free_product_embed(bword, Slot.ACTING, self.C).letters == ((2, -1),)
+        assert free_product_embed(bword, 2, self.C).render() == "b^-1"
 
     def test_identity_embeds(self):
-        assert free_product_embed(Word(self.A), Slot.ACTED, self.C).is_identity
+        assert free_product_embed(Word(self.A), 0, self.C).is_identity
 
     def test_homomorphism(self):
         u = Word(self.A, ((0, 1), (1, -1)))
         v = Word(self.A, ((1, 1), (0, 1)))
-        eu = free_product_embed(u, Slot.ACTED, self.C)
-        ev = free_product_embed(v, Slot.ACTED, self.C)
-        assert eu * ev == free_product_embed(u * v, Slot.ACTED, self.C)
+        eu = free_product_embed(u, 0, self.C)
+        ev = free_product_embed(v, 0, self.C)
+        assert eu * ev == free_product_embed(u * v, 0, self.C)
 
-    def test_slot_mismatch(self):
+    def test_out_of_range_refused(self):
+        # An acted word shifted as if it were acting runs past the end.
         word = Word(self.A, ((0, 1),))
-        with pytest.raises(ValueError):
-            free_product_embed(word, Slot.ACTING, self.C)
+        with pytest.raises(ValueError, match="run past"):
+            free_product_embed(word, len(self.A), self.C)
 
     def test_name_collision_rejected(self):
         with pytest.raises(ValueError):
@@ -146,9 +133,8 @@ end
 class TestInputFile:
     def test_d8_file(self):
         parsed = parse_input_file(D8_FILE)
-        z4 = parsed.group("Z4")
-        z2 = parsed.group("Z2")
-        assert z4.alphabet.names() == ["a"]
+        z4, z2 = parsed.presentations
+        assert z4.alphabet.names == ("a",)
         assert [r.render() for r in z4.relators] == ["a^4"]
         assert [r.render() for r in z2.relators] == ["b^2"]
         act = parsed.action
@@ -181,6 +167,56 @@ class TestInputFile:
     def test_error_carries_line_number(self):
         with pytest.raises(ParseError, match="line 3"):
             parse_input_file("group G\n  gen x\n  rel q\nend\n")
+
+    Z2 = "group Z2\n  gen b\n  rel b^2\nend\n"
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("group\n", "line 1: usage: group <name>"),
+            (Z2 + "group Z2\n  gen c\nend\n", "line 5: duplicate group name 'Z2'"),
+            ("# c\n\nfoo bar\n", "line 3: unexpected 'foo' at top level"),
+            ("group G\n  gen x\n", "line 1: group block is missing its end"),
+            (
+                D8_FILE.replace("  b : a -> a^-1\nend\n", "  b : a -> a^-1\n"),
+                "line 9: action block is missing its end",
+            ),
+            ("group G\n  gen  # none\nend\n", "line 2: gen line lists no generators"),
+            ("group G\n  gen x\n  rel\nend\n", "line 3: rel line lists no relators"),
+            ("\ngroup G\n  rel 1\nend\n", "line 2: group 'G' declares no generators"),
+            ("group G\n  gen x\n  foo x\nend\n", "line 3: unexpected 'foo' in group block"),
+            ("group G\n  gen x\n  gen 1x\nend\n", "line 3: invalid generator name '1x'"),
+            (Z2 + "action Z2 of Z2\nend\n", "line 5: usage: action <acting> on <acted>"),
+            (Z2 + "action Z2 on Z4\nend\n", "line 5: unknown group 'Z4'"),
+            (Z2 + "action Z3 on Z2\nend\n", "line 5: unknown group 'Z3'"),
+            (D8_FILE + "action Z2 on Z4\nend\n", "line 12: more than one action block"),
+            (
+                D8_FILE.replace("b : a -> a^-1", "b a -> a^-1"),
+                "line 10: expected '<b> : <a> -> <word>'",
+            ),
+            (
+                D8_FILE.replace("b : a -> a^-1", "c : a -> a^-1"),
+                "line 10: 'c' is not a generator of Z2",
+            ),
+            (
+                D8_FILE.replace("b : a -> a^-1", "b : c -> a^-1"),
+                "line 10: 'c' is not a generator of Z4",
+            ),
+            (
+                D8_FILE.replace("b : a -> a^-1", "b : a -> b"),
+                "line 10: unknown generator 'b'",
+            ),
+            (
+                D8_FILE.replace("  b : a -> a^-1\n", "  b : a -> a^-1\n  b : a -> a\n"),
+                "line 11: duplicate image row for (a, b)",
+            ),
+            ("# nothing\n\n", "line 1: input declares no group"),
+        ],
+    )
+    def test_error_text_and_line(self, text, message):
+        with pytest.raises(ParseError) as info:
+            parse_input_file(text)
+        assert str(info.value) == message
 
     def test_inverse_rows_parsed(self):
         text = D8_FILE.replace(
