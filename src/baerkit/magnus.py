@@ -17,8 +17,11 @@ one degree, index order is the lexicographic order of the monomials.
 Index arithmetic.  Concatenating a degree-da monomial of index ia with a
 degree-db monomial of index ib gives the degree-(da + db) monomial of index
 ia * n^db + ib, so a product is one loop per pair of degrees with
-da + db <= cap, on integer keys alone.  The weight is the first non-empty
-grade above 0 and the leading part of a group element is that grade.
+da, db >= 1 and da + db <= cap, on integer keys alone.  The pairs with a
+degree-0 factor only scale the other operand by a constant (1 for a group
+element), so grade d of a product starts as a copy of one operand's grade
+d.  The weight is the first non-empty grade above 0 and the leading part of
+a group element is that grade.
 
 Rank.  An index means something only together with its rank, so a product
 of two series that both have letters and different ranks is refused, as a
@@ -129,9 +132,28 @@ class TruncatedSeries:
             elif other.weight() is not None:
                 raise ValueError("rank mismatch")
         cap = self.cap
-        right = [(db, gb, n ** db) for db, gb in enumerate(other.grades) if gb]
-        out: list[dict] = [{} for _ in range(cap + 1)]
-        for da, ga in enumerate(self.grades):
+        a0, b0 = self.constant(), other.constant()
+        # Pairs with a degree-0 factor: grade d of the product starts as a
+        # copy of the larger operand's grade d times the other constant,
+        # and the smaller grade times its partner's constant is added.
+        out: list[dict] = [{0: a0 * b0} if a0 and b0 else {}]
+        for ga, gb in zip(self.grades[1:], other.grades[1:]):
+            if len(ga) >= len(gb):
+                big, kb, small, ks = ga, b0, gb, a0
+            else:
+                big, kb, small, ks = gb, a0, ga, b0
+            if not kb:
+                acc = {}
+            elif kb == 1:
+                acc = big.copy()
+            else:
+                acc = {key: kb * c for key, c in big.items()}
+            if ks:
+                _add_grade(acc, small, ks)
+            out.append(acc)
+        right = [(db, gb, n ** db) for db, gb in enumerate(other.grades) if db and gb]
+        for da in range(1, cap):
+            ga = self.grades[da]
             if not ga:
                 continue
             room = cap - da
@@ -240,18 +262,22 @@ class GroupElement:
         """
         cap = self.cap
         w = self.weight()
-        if w is None:
+        if w is None or e == 1:
             return self
+        if e == 0:
+            return identity_element(cap)
         u = self._minus_one()
-        out: list[dict] = [{0: 1}] + [{} for _ in range(cap)]
-        binom = 1
+        # The terms j = 0 and 1, 1 + e*u, are a scaled copy of g.
+        out = [{0: 1}] + [
+            {key: e * c for key, c in grade.items()} for grade in u.grades[1:]
+        ]
+        binom = e
         power = u
-        for j in range(1, cap // w + 1):
+        for j in range(2, cap // w + 1):
             binom = binom * (e - j + 1) // j
             if not binom:
                 break
-            if j > 1:
-                power = power * u
+            power = power * u
             _add_grades(out, power.grades, binom)
         return GroupElement(TruncatedSeries._raw(cap, u.n, out))
 
@@ -313,12 +339,18 @@ def _add_grades(out: list, grades: list, k: int = 1):
     """out += k * grades, in place, degree by degree, dropping coefficients
     that cancel; degrees beyond the end of `out` are ignored."""
     for acc, grade in zip(out, grades):
-        for key, c in grade.items():
-            val = acc.get(key, 0) + k * c
-            if val:
-                acc[key] = val
-            else:
-                del acc[key]
+        _add_grade(acc, grade, k)
+
+
+def _add_grade(acc: dict, grade: dict, k: int):
+    """acc += k * grade, in place, dropping coefficients that cancel."""
+    get = acc.get
+    for key, c in grade.items():
+        val = get(key, 0) + k * c
+        if val:
+            acc[key] = val
+        else:
+            del acc[key]
 
 
 def identity_element(cap: int) -> GroupElement:

@@ -21,6 +21,9 @@ Word grammar:
 spaces, several relators on one `rel` line are separated by commas at
 bracket depth zero.  Exponent 0 is rejected.  Generator names are
 case-sensitive identifiers (letter first, then letters/digits/underscore).
+Words are stored letter by letter, so a term, commutator or word that would
+expand to more than `MAX_WORD_LETTERS` letters (counted before free
+reduction) is refused with a `ParseError` before it is built.
 
 Free products: `combine_alphabets` puts the acted factor's letters first
 and the acting factor's after them, so acting letter j has index
@@ -38,6 +41,9 @@ from dataclasses import dataclass, field
 from .errors import ParseError
 
 _IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
+
+# Far above the exponents of real inputs, which are in the thousands.
+MAX_WORD_LETTERS = 1_000_000
 
 
 class Alphabet:
@@ -250,6 +256,13 @@ class _WordParser:
         if tok != ("sym", sym):
             raise ParseError(f"expected {sym!r}", self.line)
 
+    def check_length(self, letters: int):
+        if letters > MAX_WORD_LETTERS:
+            raise ParseError(
+                f"word would have {letters} letters, more than {MAX_WORD_LETTERS}",
+                self.line,
+            )
+
     def parse_word(self, stop_syms=()) -> Word:
         out = Word(self.alphabet)
         got_term = False
@@ -257,7 +270,9 @@ class _WordParser:
             tok = self.peek()
             if tok is None or (tok[0] == "sym" and tok[1] in stop_syms):
                 break
-            out = out * self.parse_term()
+            term = self.parse_term()
+            self.check_length(len(out) + len(term))
+            out = out * term
             got_term = True
         if not got_term:
             raise ParseError("empty word", self.line)
@@ -273,6 +288,7 @@ class _WordParser:
                 raise ParseError("exponent must be an integer", self.line)
             if etok[1] == 0:
                 raise ParseError("zero exponent is not allowed", self.line)
+            self.check_length(len(atom) * abs(etok[1]))
             return atom ** etok[1]
         return atom
 
@@ -295,6 +311,7 @@ class _WordParser:
             self.expect(",")
             v = self.parse_word(stop_syms=("]",))
             self.expect("]")
+            self.check_length(2 * (len(u) + len(v)))
             return u.commutator(v)
         raise ParseError(f"unexpected token {tok[1]!r} in word", self.line)
 

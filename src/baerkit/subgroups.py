@@ -18,45 +18,70 @@ commutator [r_a, r_b] of every two stored elements sieves to membership,
 and for a normal sequence that [r, x] does for every stored r and ambient
 generator x (the obligations of a filtered polycyclic sequence; Sims,
 "Computation with Finitely Presented Groups", ch. 9).  `insert_and_close`
-establishes this by fixpoint; it terminates because every insertion
-strictly enlarges one of finitely many lattices of bounded rank.  Why this
-certifies the sieve, with H the group the stored elements generate and H_m
-the group generated by those of weight >= m:
+queues the obligations of each residue once, when it inserts it: [r, x] in
+normal mode, [r, s] for the elements s stored before r in plain mode.  It
+stops when the queue is empty, which happens because every insertion
+strictly enlarges one of finitely many lattices of bounded rank; no pass
+looks at the stored elements again.  Why this certifies the sieve, with R_m
+the residues of weight m inserted over the whole closure (a base's stored
+elements count as residues inserted first), H the group the final stored
+elements generate and H_m the group generated by those of weight >= m:
 
 1. Level rows are Hermite rows with distinct pivots, and each degree-m
    section of the free nilpotent group is free abelian: no power
    obligations arise.
-2. Plain sequences.  [r_a, r_b] has weight >= m_a + m_b, so by downward
-   induction on m the normal forms over levels >= m form H_m: level-m
-   elements normalize H_{m+1} (inverses too, by the max condition of
-   finitely generated nilpotent groups) and commute modulo it, and H_m
-   meets gamma_{m+1} in H_{m+1} since the level-m rows are independent.
-   So the sieve decides membership in H.
-3. Normal sequences need no pair obligations.  By downward induction on
-   m, suppose H_{m+1} is normal in F and the sieve decides it.  Then
-   [r, x] lies in H_{m+1} for every level-m element r and generator x
-   (it has weight > m, so its sieve only visits levels > m), and
-   [r, yz] = [r, z][r, y]^z gives [r, y] in H_{m+1} for every y in F
-   (r commuting with x modulo the normal H_{m+1} commutes with x^-1).
-   So each level-m element is central modulo H_{m+1}: H_m is a normal
-   subgroup, its elements are the normal forms over levels >= m, and as
-   in 2 the sieve decides it.
-4. Inverses need no check: H is a group, and by 2 or 3 the sieve decides H.
-5. [r, x] in H gives x^-1 H x <= H, equality by the max condition; so
-   conjugation by x^-1 is covered, and a non-normal base re-closed in
-   normal mode becomes normal.
+2. Hermite steps keep the group.  A merge replaces two level-m tags (a, b)
+   by (a^x b^y, b^p a^-q) with xp + yq = 1; the other steps divide a tag by
+   a power of another or invert it.  Either way the new pair maps onto the
+   abelianization of <a, b>, a nilpotent group, so it generates <a, b>.
+   So at every moment the level-m rows and the level-m leftovers (weight
+   > m, queued) generate the group of the level-m residues so far, and each
+   row is a word in those residues.
+3. Earlier membership stays valid.  A queued element of weight w is sieved
+   through rows of weight >= w and ends at the identity, at a residue of
+   weight >= w, or at weight >= t (item 6), so it lies in the group of
+   R_{>=w}.  With 2, by downward induction on m, H_m is the group of
+   R_{>=m}: the leftovers of level m lie in that of R_{>=m+1}.  So every
+   element the closure queued, inputs and obligations included, lies in
+   the final H_w of its weight w, however the rows changed afterwards.
+4. Normal mode: merged rows inherit their residues' obligations.  By
+   downward induction on m, suppose H_{m+1} is normal in F.  For r in R_m
+   and a generator x, [r, x] has weight > m, so it lies in H_{m+1} by 3:
+   r commutes with x modulo H_{m+1}, hence with x^-1, and by
+   [r, yz] = [r, z][r, y]^z with every element of F.  So each r in R_m is
+   central modulo H_{m+1}, and H_m, generated by R_m and H_{m+1}, is
+   normal; each row, a word in residues, is central as well.  A normal
+   base meets this for its own elements (its own H_m meets gamma_{m+1} in
+   its H_{m+1}, see 5); a plain base closed in normal mode first queues
+   [s, x] for its stored elements s.
+5. Plain mode.  By downward induction on w, suppose [a, b] lies in
+   H_{m_a + m_b} for all residues whose weights sum to more than w.  Then
+   H_w is normal in H: it is generated by R_{>=w}, whose commutators with
+   residues lie in H_{w+1}.  Let a in R_i, b in R_j, i + j = w, with
+   a inserted before b.  At b's insertion [b, s] was queued for each row s
+   of weight i; it lies in H_w by 3.  By 2 and 3, a lies in the group of
+   those rows and of R_{>=i+1}, and b commutes with each residue of weight
+   > i modulo H_{w+1}.  The elements of H commuting with b modulo the
+   normal H_w form a subgroup, so [a, b] lies in H_w.  A consistent base,
+   whose H_m is its intersection with gamma_m, meets the same condition
+   for its own elements.
+   With 4 or 5, each H_m / H_{m+1} is abelian and generated by the level-m
+   rows, whose leading coordinates are independent: H_m meets gamma_{m+1}
+   in H_{m+1}, and by downward induction on m the sieve decides H.
+   Inverses need no check, since H is a group; [r, x] in H gives
+   x^-1 H x <= H, equality by the max condition, so conjugation by x^-1 is
+   covered and a non-normal base re-closed in normal mode becomes normal.
 6. A full suffix contains its lower-central terms.  If levels t .. cap
    are all full, sieving an element of weight w >= t divides off stored
    elements of weight >= w at full levels only and ends at the identity,
-   consistent sequence or not: H_w = gamma_w for every w >= t.
-   `insert_and_close` therefore takes weight >= t as membership without
-   sieving, and skips every obligation whose commutator has weight >= t
-   ([r, x] has weight > m, [r_a, r_b] at least m_a + m_b): such a
-   commutator of weight w lies in H_w, and w exceeds the weight of each
-   entry, as 2 and 3 require.  Insertions only enlarge lattices, so t only
-   falls and a skipped obligation stays met.  `contains` answers the same
-   way; `sieve` always runs to the end, because `quotient_invariants`
-   reads its recipes.
+   consistent sequence or not: H_w = gamma_w for every w >= t.  So
+   `sieve(g, stop=t)` ends as a member at weight >= t, and
+   `insert_and_close` skips every obligation whose commutator has weight
+   >= t ([r, x] has weight > m, [r_a, r_b] at least m_a + m_b): such a
+   commutator of weight w lies in H_w, as 3-5 require.  Insertions only
+   enlarge lattices, so t only falls and a skipped obligation stays met.
+   `contains` stops at t as well; `quotient_invariants` sieves to the end,
+   because it reads the recipes.
 7. Seeded towers.  If U is full from level t on, U = <S> gamma_t with S
    its stored elements of weight < t, and [U, F] is the normal closure K
    of gamma_{t+1} = [gamma_t, F] and the [s, x] for generators x: K lies
@@ -276,15 +301,17 @@ class FilteredSubgroup:
     def lattice_rows(self, m: int) -> list[list[int]]:
         return [row[:] for row in self.levels[m - 1].rows]
 
-    def sieve(self, g: GroupElement) -> SieveResult:
+    def sieve(self, g: GroupElement, stop: int | None = None) -> SieveResult:
         """Reduce g level by level; MEMBER comes with a recipe that
-        multiplies out exactly to g."""
+        multiplies out exactly to g.  With `stop` = t, where the levels
+        t .. cap are full, reaching weight >= t ends the walk as MEMBER
+        (module docstring, item 6), and the recipe is then a prefix."""
         self._check_ambient(g)
         recipe = []
         cur = g
         while True:
             m = cur.weight()
-            if m is None:
+            if m is None or stop is not None and m >= stop:
                 return SieveResult(True, recipe, None)
             _, coords = self.ambient.leading_coordinates(cur)
             level = self.levels[m - 1]
@@ -311,8 +338,8 @@ class FilteredSubgroup:
 
     def contains(self, g: GroupElement) -> bool:
         self._check_ambient(g)
-        m = g.weight()
-        return m is None or m >= self.full_from() or self.sieve(g).member
+        m, t = g.weight(), self.full_from()
+        return m is None or m >= t or self.sieve(g, t).member
 
     def resolve(self, ref) -> GroupElement:
         m, i = ref
@@ -340,10 +367,13 @@ def insert_and_close(
     normal: bool,
 ) -> FilteredSubgroup:
     """Consistent closure of `base` (may be None) together with `elements`,
-    normal when `normal` or the base is.  Each inserted residue queues its
-    commutators with the ambient generators in normal mode; passes re-sieve
-    the consistency obligations (see the module docstring: [r, x] in
-    normal mode, [r_a, r_b] in plain mode) until one inserts nothing."""
+    normal when `normal` or the base is.  Each residue queues its
+    consistency obligations once, when it is inserted: [r, x] for the
+    ambient generators x in normal mode, [r, s] for the elements s stored
+    before it in plain mode.  A plain base closed in normal mode first
+    queues [s, x] for its stored elements; any other base already meets
+    its mode's obligations.  The closure is complete when the queue is
+    empty (module docstring, items 2-6)."""
     if base is not None:
         if not base.ambient.compatible(ambient):
             raise ValueError("ambient mismatch")
@@ -354,47 +384,37 @@ def insert_and_close(
 
     queue = deque(elements)
     t = sub.full_from()  # the sequence contains gamma_t
+    gens = [(1, i, x) for i, x in enumerate(ambient.generators)]
 
-    def process(g: GroupElement) -> bool:
-        nonlocal t
+    def oblige(r: GroupElement, m: int, partners):
+        # partners are ordered by weight, as stored() returns them; a
+        # commutator of weight >= m + weight >= t lies in gamma_t.
+        for ms, _, s in partners:
+            if m + ms >= t:
+                break
+            queue.append(r.commutator(s))
+
+    if sub.normal and base is not None and not base.normal:
+        for m, _, s in base.stored():
+            oblige(s, m, gens)
+
+    while queue:
+        g = queue.popleft()
         m = g.weight()
         if m is None or m >= t:
-            return False
-        res = sub.sieve(g)
-        if res.member:
-            return False
-        r = res.residue
+            continue  # the identity, or an element of gamma_t (item 6)
+        r = sub.sieve(g, t).residue
+        if r is None:
+            continue
         m = r.weight()
+        partners = gens if sub.normal else sub.stored()
         _, coords = ambient.leading_coordinates(r)
         level = sub.levels[m - 1]
         queue.extend(level.add(coords, r))
         if m == t - 1 and level.is_full:
             t = sub.full_from()
-        if sub.normal and m + 1 < t:
-            queue.extend(r.commutator(x) for x in ambient.generators)
-        return True
-
-    checked = False  # a pass was queued and nothing inserted since
-    while True:
-        while queue:
-            if process(queue.popleft()):
-                checked = False
-        if checked:
-            return sub
-        # Consistency pass; stored() is ordered by degree, so both loops
-        # stop at the first commutator whose weight bound reaches t.
-        stored = sub.stored()
-        for a, (ma, _, ra) in enumerate(stored):
-            if ma + 1 >= t:
-                break
-            if sub.normal:
-                queue.extend(ra.commutator(x) for x in ambient.generators)
-                continue
-            for mb, _, rb in stored[a + 1:]:
-                if ma + mb >= t:
-                    break
-                queue.append(ra.commutator(rb))
-        checked = True
+        oblige(r, m, partners)
+    return sub
 
 
 def join(u: FilteredSubgroup, v: FilteredSubgroup) -> FilteredSubgroup:

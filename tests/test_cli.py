@@ -391,6 +391,20 @@ class TestCapacityGuardReach:
         assert proc.stderr == f"capacity guard: {message}\n"
 
 
+def test_huge_exponent_refused_while_parsing(tmp_path):
+    # The relator used to be expanded letter by letter, which ended in a
+    # MemoryError traceback and exit 1.
+    grp = tmp_path / "huge.grp"
+    grp.write_text("group Z\n  gen a\n  rel a^1000000000039\nend\n")
+    proc = run_subprocess(["multiplier", "--file", str(grp)], timeout=10)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == (
+        "parse error: line 3: word would have 1000000000039 letters, "
+        "more than 1000000\n"
+    )
+
+
 @pytest.mark.parametrize("through", [False, True])
 def test_monomial_count_matches_sum(through):
     for n in range(1, 6):

@@ -8,11 +8,13 @@ from baerkit.baer import certified_class_bound, relator_closure, working_closure
 from baerkit.errors import CapacityError
 from baerkit.intlinalg import AbelianInvariants, IntMatrix, abelian_invariants, hnf
 from baerkit.lyndon import lyndon_words
+from baerkit.magnus import GroupElement
 from baerkit.presentations import Alphabet, parse_input_file, parse_word
 from baerkit.semidirect import build_semidirect
 from baerkit.subgroups import (
     AmbientContext,
     FilteredSubgroup,
+    _Level,
     commutator_with,
     embedded_copy,
     insert_and_close,
@@ -434,6 +436,30 @@ class TestSaturation:
                         assert got.contains(a.conjugate(x))
                         assert got.contains(a.conjugate(x.inverse()))
 
+    @pytest.mark.parametrize("base_normal, normal", [
+        (False, True), (False, False), (True, False),
+    ], ids=[
+        "plain_base_closed_normal", "plain_base_closed_plain", "normal_base_plain_elements",
+    ])
+    def test_bases_given_new_elements_match_all_pairs_reference(
+        self, base_normal, normal
+    ):
+        # Only a plain base closed in normal mode has its stored elements'
+        # obligations queued again; every other base is taken as meeting
+        # its own.  New elements go on top of the base in each case.
+        rng = random.Random(f"{base_normal}-{normal}")
+        for _ in range(40):
+            n = rng.randrange(1, 4)
+            cap = rng.randrange(2, 6 if n < 3 else 4)
+            amb = AmbientContext(n, cap)
+            base = insert_and_close(None, amb, random_elements(rng, amb), base_normal)
+            els = random_elements(rng, amb)
+            got = insert_and_close(base, amb, els, normal)
+            want = all_pairs_closure(base, amb, els, normal)
+            assert got.normal == want.normal == (base_normal or normal)
+            for m in range(1, cap + 1):
+                assert got.lattice_rows(m) == want.lattice_rows(m), (n, cap, m)
+
     @pytest.mark.parametrize("source", RELATOR_SOURCES)
     def test_relator_closures_match_all_pairs_reference(self, source):
         # The relator closures the pipeline builds, at the certified class
@@ -472,6 +498,59 @@ class TestSaturation:
                 rng.shuffle(mixed)
                 h, _ = hnf(IntMatrix(mixed))
                 assert rows == h.nonzero_rows()
+
+
+class TestObligationCount:
+    """Each inserted residue has its obligations checked once, at
+    insertion, and no pass looks at the stored elements again: the
+    commutators computed by a closure are exactly those obligations."""
+
+    @staticmethod
+    def count(monkeypatch, amb, elems, normal):
+        made, calls, owed = [], [0], [0]
+        init, add = FilteredSubgroup.__init__, _Level.add
+        commutator = GroupElement.commutator
+
+        def counting_init(self, *args):
+            init(self, *args)
+            made.append(self)
+
+        def counting_add(self, vec, elem):
+            sub = next(u for u in made if any(lv is self for lv in u.levels))
+            before = [ms for ms, _, _ in sub.stored()]
+            left = add(self, vec, elem)
+            # The residue's obligations, against the full suffix after it.
+            m, t = elem.weight(), sub.full_from()
+            partners = [1] * amb.n if sub.normal else before
+            owed[0] += sum(1 for ms in partners if m + ms < t)
+            return left
+
+        def counting_commutator(self, other):
+            calls[0] += 1
+            return commutator(self, other)
+
+        monkeypatch.setattr(FilteredSubgroup, "__init__", counting_init)
+        monkeypatch.setattr(_Level, "add", counting_add)
+        monkeypatch.setattr(GroupElement, "commutator", counting_commutator)
+        insert_and_close(None, amb, elems, normal)
+        return calls[0], owed[0]
+
+    def test_normal_closure_of_d16_relators(self, monkeypatch):
+        amb = AmbientContext(2, 4)
+        (pres,) = relator_presentations("D16")
+        elems = [amb.element_of_word(r) for r in pres.relators]
+        calls, owed = self.count(monkeypatch, amb, elems, normal=True)
+        assert owed > 0
+        assert calls == owed
+
+    def test_plain_closure(self, monkeypatch):
+        amb = AmbientContext(2, 4)
+        # An index-2 subgroup at every level, so no level is full and no
+        # obligation is skipped.
+        elems = [amb.element_of_word(parse_word(t, ABXY)) for t in ("x^2", "y^3 x^2")]
+        calls, owed = self.count(monkeypatch, amb, elems, normal=False)
+        assert owed > 0
+        assert calls == owed
 
 
 class TestSeededClosure:

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from baerkit import presentations
 from baerkit.errors import ParseError
 from baerkit.presentations import (
     Alphabet,
@@ -39,6 +40,28 @@ class TestParseWord:
     def test_unknown_generator_names_line(self):
         with pytest.raises(ParseError, match="line 7"):
             parse_word("q", AB, line=7)
+
+    def test_huge_exponent_refused_before_expansion(self):
+        with pytest.raises(ParseError) as info:
+            parse_word("x^-1000000000039", AB, line=4)
+        assert str(info.value) == (
+            "line 4: word would have 1000000000039 letters, more than 1000000"
+        )
+
+    @pytest.mark.parametrize("text, ok", [
+        ("x^10", True), ("x^11", False), ("(x y)^-5", True), ("(x y)^6", False),
+        ("[x^2 y, x^2]", True), ("[x^3 y, x^2]", False),
+        ("x^5 y^5", True), ("x^6 y^5", False), ("x^5 (y x)^3", False),
+    ])
+    def test_length_bound_on_terms_commutators_and_words(self, monkeypatch, text, ok):
+        # Every way a word grows is checked against the bound, before
+        # free reduction.
+        monkeypatch.setattr(presentations, "MAX_WORD_LETTERS", 10)
+        if ok:
+            assert len(w(text)) <= 10
+        else:
+            with pytest.raises(ParseError, match="more than 10$"):
+                w(text)
 
 
 letters_strategy = st.lists(
