@@ -30,6 +30,18 @@ the same at every rank: `identity_element(cap)` has rank 0, and a product
 takes the rank of its factor that has letters.  Tuple monomials appear only
 at the boundaries: the validating `TruncatedSeries(cap, terms)` constructor,
 the `terms` view and `lyndon.lie_coordinates`.
+
+Letters.  A letter is an element whose series is exactly x = 1 + X_i.
+Multiplying by X_i only moves indices: a degree-d key k becomes k * n + i
+on the right and i * n^d + k on the left.  With u = g - 1 of weight w,
+gx - xg = uX_i - X_i u, so [g, x] = (xg)^-1 gx = 1 + g^-1 x^-1 (uX_i - X_i u).
+E = x^-1 (uX_i - X_i u) has no term below degree w + 1 and solves
+E_d = D_d - X_i E_(d-1) with D = uX_i - X_i u, so g^-1 E reaches the cap
+only through the terms of g^-1 up to degree cap - w - 1, which depend only
+on those of g up to that degree: g is inverted as a series of that cap,
+and not at all when cap - w - 1 < w, where those terms are the constant 1.
+A power of a letter is 1 + sum over j >= 1 of C(e, j) X_i^j, and X_i^j has
+index i (n^(j-1) + ... + n + 1).
 """
 
 from __future__ import annotations
@@ -258,7 +270,9 @@ class GroupElement:
         u = g - 1 of weight w, u^j has no term below degree j*w, so u^j
         vanishes at the cap once j*w > cap and the binomial series of
         (1 + u)^e is a finite sum; C(e, j) = e(e-1)...(e-j+1)/j! is an
-        integer for every integer e, and zero for every j > e >= 0.
+        integer for every integer e, and zero for every j > e >= 0.  A
+        letter's powers u^j = X_i^j are single monomials, written down by
+        index without a product (module docstring, "Letters").
         """
         cap = self.cap
         w = self.weight()
@@ -266,6 +280,16 @@ class GroupElement:
             return self
         if e == 0:
             return identity_element(cap)
+        i = self._letter()
+        if i is not None:
+            n = self.series.n
+            out = [{0: 1}, {i: e}]
+            key, binom = i, e
+            for j in range(2, cap + 1):
+                key = key * n + i
+                binom = binom * (e - j + 1) // j
+                out.append({key: binom} if binom else {})
+            return GroupElement(TruncatedSeries._raw(cap, n, out))
         u = self._minus_one()
         # The terms j = 0 and 1, 1 + e*u, are a scaled copy of g.
         out = [{0: 1}] + [
@@ -296,11 +320,19 @@ class GroupElement:
         product, and they depend only on the terms of hg = 1 + u + v + vu up
         to degree L; so hg is inverted as a series of cap L, and not at all
         when L = 0.  When w_g + w_h > cap the commutator is the identity.
+
+        When h is a letter of g's rank, uv - vu is formed by index shifts
+        and divided by h, g is inverted at cap L = cap - w_g - 1, and not at
+        all when L < w_g, and one series product at the cap remains (module
+        docstring, "Letters").
         """
         cap = self.cap
         wg, wh = self.weight(), other.weight()
         if wg is None or wh is None or wg + wh > cap:
             return identity_element(cap)
+        i = other._letter()
+        if i is not None and other.series.n == self.series.n:
+            return self._commutator_with_letter(i)
         u, v = self._minus_one(), other._minus_one()
         vu = v * u
         uv = u * v
@@ -321,6 +353,50 @@ class GroupElement:
                 ).grades
         diff[0] = {0: 1}
         return GroupElement(TruncatedSeries._raw(cap, n, diff))
+
+    def _letter(self) -> int | None:
+        """i when the series is exactly 1 + X_i, else None."""
+        grades = self.series.grades
+        first = grades[1]
+        if len(first) != 1 or any(grades[2:]):
+            return None
+        ((i, c),) = first.items()
+        return i if c == 1 else None
+
+    def _commutator_with_letter(self, i: int) -> "GroupElement":
+        """[g, x] for the letter x = 1 + X_i of g's rank, g of weight
+        w < cap: 1 + g^-1 E with E_d = D_d - X_i E_(d-1) and D the index
+        shifts of uX_i - X_i u (module docstring, "Letters")."""
+        s = self.series
+        cap, n, grades = s.cap, s.n, s.grades
+        w = self.weight()
+        out: list[dict] = [{0: 1}] + [{} for _ in range(w)]
+        prev: dict = {}
+        for d in range(w + 1, cap + 1):
+            below = grades[d - 1]
+            acc = {k * n + i: c for k, c in below.items()}
+            get = acc.get
+            head = i * n ** (d - 1)
+            for part in (below, prev):
+                for k, c in part.items():
+                    key = head + k
+                    val = get(key, 0) - c
+                    if val:
+                        acc[key] = val
+                    else:
+                        del acc[key]
+            out.append(acc)
+            prev = acc
+        low = cap - w - 1
+        if low >= w and any(out[w + 1:]):
+            inv = GroupElement(TruncatedSeries._raw(low, n, grades[: low + 1])) ** -1
+            lifted = inv.series.grades + [{} for _ in range(cap - low)]
+            out = (
+                TruncatedSeries._raw(cap, n, lifted)
+                * TruncatedSeries._raw(cap, n, [{}] + out[1:])
+            ).grades
+            out[0] = {0: 1}
+        return GroupElement(TruncatedSeries._raw(cap, n, out))
 
     def conjugate(self, by: "GroupElement") -> "GroupElement":
         """g^t = t^-1 g t."""

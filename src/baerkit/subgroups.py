@@ -274,6 +274,7 @@ class SieveResult:
     member: bool
     recipe: list  # ((degree, row index), exponent) pairs, in product order
     residue: GroupElement | None
+    coords: list[int] | None  # the residue's leading coordinates
 
 
 class FilteredSubgroup:
@@ -305,25 +306,27 @@ class FilteredSubgroup:
         """Reduce g level by level; MEMBER comes with a recipe that
         multiplies out exactly to g.  With `stop` = t, where the levels
         t .. cap are full, reaching weight >= t ends the walk as MEMBER
-        (module docstring, item 6), and the recipe is then a prefix."""
+        (module docstring, item 6), and the recipe is then a prefix.  A
+        non-member comes with its residue and the residue's leading
+        coordinates, which the walk has already computed."""
         self._check_ambient(g)
         recipe = []
         cur = g
         while True:
             m = cur.weight()
             if m is None or stop is not None and m >= stop:
-                return SieveResult(True, recipe, None)
+                return SieveResult(True, recipe, None, None)
             _, coords = self.ambient.leading_coordinates(cur)
             level = self.levels[m - 1]
             exps, _ = echelon_solve(level.rows, coords)
             if exps is None:
-                return SieveResult(False, recipe, cur)
+                return SieveResult(False, recipe, cur, coords)
             steps = [((m, i), e) for i, e in enumerate(exps) if e]
             recipe.extend(steps)
             if m == self.ambient.cap:
                 # Dividing off at the top degree leaves weight > cap, which
                 # is the identity here; no group arithmetic needed.
-                return SieveResult(True, recipe, None)
+                return SieveResult(True, recipe, None, None)
             for (_, i), e in steps:
                 cur = (level.elems[i] ** (-e)) * cur
 
@@ -403,14 +406,14 @@ def insert_and_close(
         m = g.weight()
         if m is None or m >= t:
             continue  # the identity, or an element of gamma_t (item 6)
-        r = sub.sieve(g, t).residue
+        res = sub.sieve(g, t)
+        r = res.residue
         if r is None:
             continue
         m = r.weight()
         partners = gens if sub.normal else sub.stored()
-        _, coords = ambient.leading_coordinates(r)
         level = sub.levels[m - 1]
-        queue.extend(level.add(coords, r))
+        queue.extend(level.add(res.coords, r))
         if m == t - 1 and level.is_full:
             t = sub.full_from()
         oblige(r, m, partners)

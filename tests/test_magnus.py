@@ -491,3 +491,93 @@ def test_reindex_homomorphism_across_ranks(source, target, data):
     assert moved == reindex_element(g, offset, target) * reindex_element(h, offset, target)
     assert moved == image(u + v, shifted)
     assert moved.is_identity or moved.series.n == target
+
+
+# Letters: x_i = 1 + X_i of the operand's rank, on the right of a
+# commutator or raised to a power, take the index-shift kernel.  At these
+# shapes n^cap <= 2,187, so every operand is small enough for the oracles.
+
+letter_shapes = st.tuples(st.integers(1, 3), st.integers(1, 7))
+
+
+@st.composite
+def weighted_tuple_series(draw, n, cap, w):
+    """A tuple-keyed group series of weight exactly w <= cap: one nonzero
+    degree-w term and a few more of degree w .. cap."""
+    out = {(): 1}
+    lead = draw(st.tuples(*[st.integers(0, n - 1)] * w))
+    out[lead] = draw(coefficients.filter(bool))
+    for _ in range(draw(st.integers(0, 4))):
+        d = draw(st.integers(w, cap))
+        mono = draw(st.tuples(*[st.integers(0, n - 1)] * d))
+        if mono != lead:
+            out[mono] = draw(coefficients)
+    return {m: c for m, c in out.items() if c}
+
+
+def letter_operand(data, n, cap):
+    """Any group series, or one of weight w = cap - 1 (then cap - w - 1 < w
+    and g is not inverted) or w = cap (then [g, x] is the identity)."""
+    kind = data.draw(st.sampled_from(("any", "cap - 1", "cap")))
+    if kind == "any":
+        return data.draw(tuple_series(n, cap, 1))
+    w = max(1, cap - 1) if kind == "cap - 1" else cap
+    return data.draw(weighted_tuple_series(n, cap, w))
+
+
+def letter_terms(i):
+    return {(): 1, (i,): 1}
+
+
+@given(letter_shapes, st.data())
+@settings(max_examples=150, deadline=None)
+def test_commutator_with_letter_matches_tuple_kernel(shape, data):
+    n, cap = shape
+    a = letter_operand(data, n, cap)
+    g = GroupElement(graded(cap, a, n))
+    for i in range(n):
+        x = generator_element(i, n, cap)
+        assert x._letter() == i
+        want = ref_commutator(cap, a, letter_terms(i))
+        assert dict(g.commutator(x).series.terms) == want
+
+
+@given(letter_shapes, exponents)
+@settings(max_examples=120, deadline=None)
+def test_letter_power_matches_tuple_kernel(shape, e):
+    n, cap = shape
+    for i in range(n):
+        x = generator_element(i, n, cap)
+        assert dict((x ** e).series.terms) == ref_pow(cap, letter_terms(i), e)
+
+
+@given(letter_shapes, st.data(), exponents)
+@settings(max_examples=80, deadline=None)
+def test_operands_that_are_not_letters_keep_the_generic_kernel(shape, data, e):
+    """Weight-1 operands other than 1 + X_i, and a letter on the left of a
+    commutator, match the oracles too."""
+    n, cap = shape
+    a = letter_operand(data, n, cap)
+    g = GroupElement(graded(cap, a, n))
+    i = data.draw(st.integers(0, n - 1))
+    x = generator_element(i, n, cap)
+    square = x * x
+    assert square._letter() is None and x.inverse()._letter() is None
+    squared = ref_pow(cap, letter_terms(i), 2)
+    assert dict(square.series.terms) == squared
+    assert dict((square ** e).series.terms) == ref_pow(cap, squared, e)
+    for h, terms in ((square, squared), (x.inverse(), ref_pow(cap, letter_terms(i), -1))):
+        assert dict(g.commutator(h).series.terms) == ref_commutator(cap, a, terms)
+    assert dict(x.commutator(g).series.terms) == ref_commutator(cap, letter_terms(i), a)
+
+
+def test_letter_of_another_rank_is_refused():
+    g = generator_element(0, 2, 4).commutator(generator_element(1, 2, 4))
+    for h in (generator_element(0, 3, 4), generator_element(2, 3, 4)):
+        assert h._letter() is not None
+        with pytest.raises(ValueError, match="rank mismatch"):
+            g.commutator(h)
+        with pytest.raises(ValueError, match="rank mismatch"):
+            h.commutator(g)
+    # The identity has no letters and commutes at every rank.
+    assert identity_element(4).commutator(generator_element(2, 3, 4)).is_identity

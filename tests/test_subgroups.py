@@ -4,10 +4,11 @@ from pathlib import Path
 
 import pytest
 
+from baerkit import subgroups
 from baerkit.baer import certified_class_bound, relator_closure, working_closure
 from baerkit.errors import CapacityError
 from baerkit.intlinalg import AbelianInvariants, IntMatrix, abelian_invariants, hnf
-from baerkit.lyndon import lyndon_words
+from baerkit.lyndon import LyndonBasis, lyndon_words
 from baerkit.magnus import GroupElement
 from baerkit.presentations import Alphabet, parse_input_file, parse_word
 from baerkit.semidirect import build_semidirect
@@ -551,6 +552,51 @@ class TestObligationCount:
         calls, owed = self.count(monkeypatch, amb, elems, normal=False)
         assert owed > 0
         assert calls == owed
+
+
+class TestCoordinateCount:
+    """The sieve hands back its residue's leading coordinates, so a closure
+    computes Lyndon coordinates once per level the sieve visits and never
+    again for the residue it inserts."""
+
+    def test_normal_closure_of_d16_relators(self, monkeypatch):
+        amb = AmbientContext(2, 4)
+        (pres,) = relator_presentations("D16")
+        elems = [amb.element_of_word(r) for r in pres.relators]
+        counts = {"coordinates": 0, "visits": 0, "inserts": 0}
+        coordinates, solve, add = LyndonBasis.coordinates, subgroups.echelon_solve, _Level.add
+
+        def counting(key, fn):
+            def wrapper(*args):
+                counts[key] += 1
+                return fn(*args)
+            return wrapper
+
+        # The sieve solves against one level per visit, and only there.
+        monkeypatch.setattr(LyndonBasis, "coordinates", counting("coordinates", coordinates))
+        monkeypatch.setattr(subgroups, "echelon_solve", counting("visits", solve))
+        monkeypatch.setattr(_Level, "add", counting("inserts", add))
+        insert_and_close(None, amb, elems, normal=True)
+        assert counts["inserts"] > 0
+        assert counts["coordinates"] == counts["visits"]
+
+    def test_returned_coordinates_are_the_residues(self):
+        rng = random.Random(4271)
+        residues = 0
+        for trial in range(40):
+            n = rng.randrange(1, 4)
+            cap = rng.randrange(2, 6 if n < 3 else 4)
+            amb = AmbientContext(n, cap)
+            sub = insert_and_close(None, amb, random_elements(rng, amb), trial % 2 == 0)
+            for g in random_elements(rng, amb) + [x.commutator(y) for x in amb.generators
+                                                  for y in amb.generators]:
+                res = sub.sieve(g)
+                if res.member:
+                    assert res.residue is None and res.coords is None
+                else:
+                    residues += 1
+                    assert (res.residue.weight(), res.coords) == amb.leading_coordinates(res.residue)
+        assert residues > 0
 
 
 class TestSeededClosure:
