@@ -258,22 +258,27 @@ class TestActionReach:
 
 
 class TestDihedralReach:
-    """Above the certified cap the working closure starts from the
-    lower-central term the certificate puts in the relator closure, so each
-    run takes seconds.  Built from the relators alone, these cap-8 closures
-    take about 30 s (D64) and 60 s (D128) on a 2-vCPU host, which the 60 s
-    timeout is there to catch."""
+    """Dihedral groups of class up to 7.  Above the certified cap the
+    working closure starts from the lower-central term the certificate puts
+    in the relator closure, and every closure takes its queue by least
+    leading content, so each run takes seconds on a 2-vCPU host.  With a
+    first-in, first-out queue each of the last three ran past 60 s, which
+    the timeout is there to catch."""
 
-    @pytest.mark.parametrize("order, c, torsion", [
-        (64, 3, "2,2,8"), (128, 2, "2,4"),
-    ], ids=["d64_c3", "d128_c2"])
-    def test_multiplier(self, tmp_path, order, c, torsion):
+    @pytest.mark.parametrize("order, c, extra, torsion", [
+        (64, 3, [], "2,2,8"),
+        (128, 2, [], "2,4"),
+        (128, 3, [], "2,2,8"),
+        (256, 1, ["--kmax", "7"], "2"),
+        (256, 2, ["--kmax", "7"], "2,4"),
+    ], ids=["d64_c3", "d128_c2", "d128_c3", "d256_c1", "d256_c2"])
+    def test_multiplier(self, tmp_path, order, c, extra, torsion):
         grp = tmp_path / f"d{order}.grp"
         grp.write_text(
             f"group D{order}\n  gen a b\n  rel a^{order // 2}, b^2, b^-1 a b a\nend\n"
         )
         proc = run_subprocess(
-            ["multiplier", "--file", str(grp), "--class-c", str(c),
+            ["multiplier", "--file", str(grp), "--class-c", str(c), *extra,
              "--format", "machine"]
         )
         assert proc.returncode == 0, proc.stderr

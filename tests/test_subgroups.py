@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 from collections import deque
 from pathlib import Path
@@ -9,7 +11,7 @@ from baerkit.baer import certified_class_bound, relator_closure, working_closure
 from baerkit.errors import CapacityError
 from baerkit.intlinalg import AbelianInvariants, IntMatrix, abelian_invariants, hnf
 from baerkit.lyndon import LyndonBasis, lyndon_words
-from baerkit.magnus import GroupElement
+from baerkit.magnus import GroupElement, TruncatedSeries
 from baerkit.presentations import Alphabet, parse_input_file, parse_word
 from baerkit.semidirect import build_semidirect
 from baerkit.subgroups import (
@@ -99,11 +101,8 @@ def all_pairs_commutator_with(u, v):
 
 
 def scratch_relator_closure(pres, amb):
-    """Reference relator closure without a seed.  The relators go in last
-    to first: the lattices do not depend on the order, and in written order
-    D64's closure at cap 8 takes half a minute (a^32 first makes the Hermite
-    merges raise elements to large powers), in reverse order three seconds."""
-    elems = [amb.element_of_word(r) for r in reversed(pres.relators)]
+    """Reference relator closure without a seed."""
+    elems = [amb.element_of_word(r) for r in pres.relators]
     return insert_and_close(None, amb, elems, normal=True)
 
 
@@ -176,6 +175,34 @@ class TestAmbient:
     def test_leading_coordinates(self, amb22):
         g = amb22.element_of_word(parse_word("[x,y]", ABXY))
         assert amb22.leading_coordinates(g) == (2, [1])
+
+    def test_leading_content_is_the_coordinate_gcd(self):
+        # The closure's queue key: the bracketings expand unitriangularly
+        # over the Lyndon monomials, so the gcd of the leading coefficients
+        # is the gcd of the leading Lyndon coordinates.
+        # Products of powers of the degree-m bracketings, with a common
+        # factor k in the exponents, times a random word of weight m + 1.
+        rng = random.Random(3011)
+        checked = 0
+        while checked < 300:
+            n = rng.randrange(1, 4)
+            amb = AmbientContext(n, rng.randrange(2, 6 if n < 3 else 4))
+            m = rng.randrange(1, amb.cap + 1)
+            words = amb.basis(m).words
+            k = rng.choice((1, 2, 6))
+            g = amb.identity()
+            for w in rng.sample(words, min(len(words), 3)):
+                g = g * amb.bracket_element(w) ** (k * rng.randrange(-3, 4))
+            if m < amb.cap:
+                h = random_elements(rng, amb)[0]
+                for _ in range(m):
+                    h = h.commutator(rng.choice(amb.generators))
+                g = g * h
+            if g.is_identity or g.weight() != m:
+                continue
+            _, coords = amb.leading_coordinates(g)
+            assert math.gcd(*g.leading().values()) == math.gcd(*coords)
+            checked += 1
 
 
 class TestClosure:
@@ -597,6 +624,44 @@ class TestCoordinateCount:
                     residues += 1
                     assert (res.residue.weight(), res.coords) == amb.leading_coordinates(res.residue)
         assert residues > 0
+
+
+class TestRelatorOrder:
+    """A closure takes its queue by least leading content, so the order of
+    its inputs sets neither its lattices nor, within 1.5x, its number of
+    series products or the size of its stored elements' coefficients.  With
+    a first-in, first-out queue, D64's relators at cap 8 took 33 s in
+    written order and 1.2-2.5 s with b^2 or the twist relator first.  The
+    product counts of the six orders stayed within 1.5x there; the largest
+    stored coefficient ran from 1,105 to 11,630 bits (27 bits now)."""
+
+    def test_d64_relators_in_every_order(self, monkeypatch):
+        amb = AmbientContext(2, 8)
+        (pres,) = relator_presentations("D64")
+        elems = [amb.element_of_word(r) for r in pres.relators]
+        products = [0]
+        series_mul = TruncatedSeries.__mul__
+
+        def counting_mul(self, other):
+            products[0] += 1
+            return series_mul(self, other)
+
+        monkeypatch.setattr(TruncatedSeries, "__mul__", counting_mul)
+        rows, counts, bits = [], [], []
+        for order in itertools.permutations(elems):
+            products[0] = 0
+            sub = insert_and_close(None, amb, list(order), normal=True)
+            counts.append(products[0])
+            rows.append([sub.lattice_rows(m) for m in range(1, amb.cap + 1)])
+            bits.append(max(
+                abs(v).bit_length()
+                for _, _, el in sub.stored()
+                for grade in el.series.grades
+                for v in grade.values()
+            ))
+        assert all(r == rows[0] for r in rows)
+        assert max(counts) <= 1.5 * min(counts), counts
+        assert max(bits) <= 1.5 * min(bits), bits
 
 
 class TestSeededClosure:
