@@ -24,21 +24,6 @@ def run_cli(argv, capsys):
 
 
 class TestMultiplier:
-    def test_klein(self, capsys):
-        rc, out, _ = run_cli(
-            ["multiplier", "--file", str(DATA / "klein.grp"), "--class-c", "1"],
-            capsys,
-        )
-        assert rc == 0
-        assert "invariants: free_rank=0 torsion=[2]" in out
-
-    def test_free_abelian_needs_bound(self, capsys):
-        rc, _, err = run_cli(
-            ["multiplier", "--file", str(DATA / "zz.grp")], capsys
-        )
-        assert rc == 3
-        assert "--class-bound" in err
-
     def test_free_abelian_rank_three_refused_quickly(self, tmp_path, capsys):
         # An infinite group is refused at the first class bound whose
         # quotient is infinite, not after trying every bound up to kmax.
@@ -47,17 +32,6 @@ class TestMultiplier:
         rc, _, err = run_cli(["multiplier", "--file", str(grp)], capsys)
         assert rc == 3
         assert "--class-bound" in err
-
-    def test_free_abelian_with_bound(self, capsys):
-        rc, out, _ = run_cli(
-            [
-                "multiplier", "--file", str(DATA / "zz.grp"),
-                "--class-c", "1", "--class-bound", "1",
-            ],
-            capsys,
-        )
-        assert rc == 0
-        assert "invariants: free_rank=1 torsion=[]" in out
 
     def test_cyclic_high_c(self, capsys):
         rc, out, _ = run_cli(
@@ -78,22 +52,6 @@ class TestMultiplier:
         rc, _, _ = run_cli(["multiplier", "--file", "/nonexistent.grp"], capsys)
         assert rc == 2
 
-    def test_machine_format(self, capsys):
-        rc, out, _ = run_cli(
-            [
-                "multiplier", "--file", str(DATA / "klein.grp"),
-                "--format", "machine",
-            ],
-            capsys,
-        )
-        assert rc == 0
-        lines = dict(
-            line.split("=", 1) for line in out.strip().splitlines()
-        )
-        assert lines["free_rank"] == "0"
-        assert lines["torsion"] == "2"
-        assert lines["class_bound"] == "1"
-
 
 class TestSemidirect:
     def test_build_only(self, capsys):
@@ -102,31 +60,6 @@ class TestSemidirect:
         )
         assert rc == 0
         assert "a^-2 b^-1 a^-1 b a" in out
-
-    def test_verify_d8(self, capsys):
-        rc, out, _ = run_cli(
-            [
-                "semidirect", "--file", str(DATA / "d8.grp"),
-                "--class-c", "1", "--verify",
-            ],
-            capsys,
-        )
-        assert rc == 0
-        assert "verdict: PASS" in out
-        assert "invariants group:      free_rank=0 torsion=[2]" in out
-        assert "invariants acting:     free_rank=0 torsion=[]" in out
-        assert "invariants complement: free_rank=0 torsion=[2]" in out
-
-    def test_verify_infinite_with_bound(self, capsys):
-        rc, out, _ = run_cli(
-            [
-                "semidirect", "--file", str(DATA / "zz_trivial.grp"),
-                "--class-c", "2", "--verify", "--class-bound", "1",
-            ],
-            capsys,
-        )
-        assert rc == 0
-        assert "verdict: PASS" in out
 
     def test_infinite_acted_group_builds(self, tmp_path, capsys):
         # The acted group's class bound is certified once, without a
@@ -178,18 +111,6 @@ class TestSemidirect:
         rc, out, err = run_cli(["semidirect", "--file", str(grp), "--format", fmt], capsys)
         assert (rc, out) == (2, "")
         assert err == f"parse error: {message}\n"
-
-    def test_machine_verify(self, capsys):
-        rc, out, _ = run_cli(
-            [
-                "semidirect", "--file", str(DATA / "klein_trivial.grp"),
-                "--class-c", "2", "--verify", "--format", "machine",
-            ],
-            capsys,
-        )
-        assert rc == 0
-        assert "verdict=pass" in out
-        assert "group_torsion=2,2" in out
 
 
 def cyclic_action(n, acting_rels, images):
