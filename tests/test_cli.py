@@ -33,6 +33,18 @@ class TestMultiplier:
         assert rc == 3
         assert "--class-bound" in err
 
+    def test_failing_class_bound_refused(self, tmp_path, capsys):
+        grp = tmp_path / "d8.grp"
+        grp.write_text("group D8\n  gen a b\n  rel a^4, b^2, b^-1 a b a\nend\n")
+        rc, out, err = run_cli(
+            ["multiplier", "--file", str(grp), "--class-bound", "1"], capsys
+        )
+        assert (rc, out) == (3, "group D8: 2 generators, 3 relators\n")
+        assert err == (
+            "class bound: --class-bound 1 fails verification for 'D8' "
+            "(lattice deficient at degree 2)\n"
+        )
+
     def test_cyclic_high_c(self, capsys):
         rc, out, _ = run_cli(
             ["multiplier", "--file", str(DATA / "z5.grp"), "--class-c", "3"],
@@ -60,6 +72,25 @@ class TestSemidirect:
         )
         assert rc == 0
         assert "a^-2 b^-1 a^-1 b a" in out
+
+    def test_failing_class_bound_refused(self, capsys):
+        rc, out, err = run_cli(
+            [
+                "semidirect", "--file", str(DATA / "d8.grp"), "--verify",
+                "--class-bound", "1", "--format", "machine",
+            ],
+            capsys,
+        )
+        assert rc == 3
+        assert out == (
+            "command=semidirect\ngroup=Z2_on_Z4\ngenerators=a,b\n"
+            "relators_acted=a^4\nrelators_acting=b^2\n"
+            "relators_twist=a^-2 b^-1 a^-1 b a\n"
+        )
+        assert err == (
+            "class bound: --class-bound 1 fails verification for 'Z2_on_Z4' "
+            "(lattice deficient at degree 2)\n"
+        )
 
     def test_infinite_acted_group_builds(self, tmp_path, capsys):
         # The acted group's class bound is certified once, without a
