@@ -78,11 +78,11 @@ def working_closure(
     gamma_{k+1} above it when the certificate is `ok` (cut 1 of the module
     docstring), else built from the relators alone."""
     own = certificate is not None and certificate.presentation == pres
-    if own and certificate.ambient.cap == cap:
-        return certificate.ambient, certificate.closure
+    if own and certificate.closure.ambient.cap == cap:
+        return certificate.closure.ambient, certificate.closure
     ambient = AmbientContext(pres.rank, cap, monomial_budget)
     seed = None
-    if own and certificate.ok and cap > certificate.ambient.cap:
+    if own and certificate.ok and cap > certificate.closure.ambient.cap:
         seed = intersect_with_gamma(ambient.full_group(), certificate.k + 1)
     return ambient, relator_closure(pres, ambient, seed)
 
@@ -95,15 +95,13 @@ class ClassBoundResult:
     the relators force class <= k on any nilpotent quotient.  `order` is the
     order of the class-(k+1) nilpotent quotient of the presented group (None
     when infinite); when `ok` holds, it equals the class-k quotient's order.
-    `closure` is the relator closure of `presentation` in `ambient`, of
-    class k + 1; the pipeline reuses it where it works at that cap.
+    `closure` is the relator closure of `presentation` in `closure.ambient`,
+    of class k + 1; the pipeline reuses it where it works at that cap.
     """
 
     k: int
     ok: bool
-    fail_degree: int | None
     order: int | None
-    ambient: AmbientContext
     closure: FilteredSubgroup
     presentation: Presentation
 
@@ -139,14 +137,11 @@ def verify_class_bound(
 ) -> ClassBoundResult:
     if k < 1:
         raise ValueError("class bound must be >= 1")
-    ambient, closure = working_closure(pres, k + 1, monomial_budget)
-    ok = closure.levels[k].is_full
+    _, closure = working_closure(pres, k + 1, monomial_budget)
     return ClassBoundResult(
         k=k,
-        ok=ok,
-        fail_degree=None if ok else k + 1,
+        ok=closure.levels[k].is_full,
         order=quotient_order(closure),
-        ambient=ambient,
         closure=closure,
         presentation=pres,
     )

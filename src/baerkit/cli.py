@@ -130,7 +130,7 @@ def _resolve_bound(pres, args, guard: int, echo) -> ClassBoundResult:
         if not res.ok:
             raise CertificateError(
                 f"--class-bound {args.class_bound} fails verification for "
-                f"{pres.name!r} (lattice deficient at degree {res.fail_degree})"
+                f"{pres.name!r} (lattice deficient at degree {res.k + 1})"
             )
         echo(f"class-bound: k={args.class_bound} (supplied, certified)")
         return res

@@ -27,10 +27,6 @@ class TestClassBound:
         res = verify_class_bound(dihedral8(), 2)
         assert res.ok and res.order == 8
 
-    def test_fail_reports_degree(self):
-        res = verify_class_bound(dihedral8(), 1)
-        assert res.fail_degree == 2
-
     def test_free_group_never_certifies(self):
         free2 = make_presentation("free2", ["x", "y"], [])
         for k in (1, 2, 3):

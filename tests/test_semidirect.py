@@ -170,7 +170,7 @@ def substitution_validate(spec, k_acted):
             f"acted group {spec.acted.name!r} is not certified nilpotent of "
             f"class <= {k_acted}"
         ]
-    ambient, closure = cert.ambient, cert.closure
+    ambient, closure = cert.closure.ambient, cert.closure
     ev = SubstitutionEvaluator(spec, ambient, closure)
     acted = spec.acted.alphabet
     acted_names = acted.names
