@@ -14,3 +14,10 @@ CHECKS = iter_checks()
 )
 def test_check(check):
     check(DEFAULT_MONOMIAL_BUDGET)
+
+
+def test_check_names_are_unique():
+    # dict(iter_checks()) would drop all but one check of a repeated name,
+    # and pytest would give the repeats a suffix instead of failing.
+    names = [name for name, _ in CHECKS]
+    assert len(set(names)) == len(names)
