@@ -12,7 +12,9 @@ from baerkit.lyndon import (
     lyndon_words,
     monomial_index,
     standard_factorization,
+    witt_dimension,
 )
+from baerkit.subgroups import AmbientContext
 
 
 def brute_force_lyndon(n, m):
@@ -34,6 +36,13 @@ class TestLyndonWords:
     def test_sorted_output(self):
         words = lyndon_words(3, 4)
         assert words == sorted(words)
+
+
+class TestWitt:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
+    def test_matches_enumeration(self, n, m):
+        assert witt_dimension(n, m) == len(lyndon_words(n, m))
 
 
 class TestBracketing:
@@ -95,6 +104,20 @@ class TestLieCoordinates:
         for mono, c in bracketing((0, 1, 1)).expansion.items():
             both[mono] = both.get(mono, 0) + c
         assert lie_coordinates(both, 2) == [1, 1]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_triangularity(n):
+    """The group-word bracketing of each Lyndon word has weight equal to its
+    length and unit leading coordinates at its own basis position."""
+    amb = AmbientContext(n, 5)
+    for m in range(1, 6):
+        basis = amb.basis(m)
+        for j, word in enumerate(basis.words):
+            el = amb.bracket_element(word)
+            assert el.weight() == m
+            coords = basis.coordinates(el.leading())
+            assert coords == [int(i == j) for i in range(len(basis))]
 
 
 def test_expansion_support_is_upward_closed():
