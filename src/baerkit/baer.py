@@ -72,19 +72,19 @@ def working_closure(
     cap: int,
     monomial_budget: int | None = DEFAULT_MONOMIAL_BUDGET,
     certificate: ClassBoundResult | None = None,
-) -> tuple[AmbientContext, FilteredSubgroup]:
-    """The ambient of class `cap` and the relator closure in it: the
-    certificate's own when it was built for `pres` at this cap, seeded with
-    gamma_{k+1} above it when the certificate is `ok` (cut 1 of the module
-    docstring), else built from the relators alone."""
+) -> FilteredSubgroup:
+    """The relator closure in the ambient of class `cap`: the certificate's
+    own when it was built for `pres` at this cap, seeded with gamma_{k+1}
+    above it when the certificate is `ok` (cut 1 of the module docstring),
+    else built from the relators alone."""
     own = certificate is not None and certificate.presentation == pres
     if own and certificate.closure.ambient.cap == cap:
-        return certificate.closure.ambient, certificate.closure
+        return certificate.closure
     ambient = AmbientContext(pres.rank, cap, monomial_budget)
     seed = None
     if own and certificate.ok and cap > certificate.closure.ambient.cap:
         seed = intersect_with_gamma(ambient.full_group(), certificate.k + 1)
-    return ambient, relator_closure(pres, ambient, seed)
+    return relator_closure(pres, ambient, seed)
 
 
 @dataclass
@@ -137,7 +137,7 @@ def verify_class_bound(
 ) -> ClassBoundResult:
     if k < 1:
         raise ValueError("class bound must be >= 1")
-    _, closure = working_closure(pres, k + 1, monomial_budget)
+    closure = working_closure(pres, k + 1, monomial_budget)
     return ClassBoundResult(
         k=k,
         ok=closure.levels[k].is_full,
@@ -229,7 +229,7 @@ def baer_invariant(
     certificate = certify_class_bound(
         job.presentation, job.k, job.monomial_budget, certificate
     )
-    _, closure = working_closure(
+    closure = working_closure(
         job.presentation, job.cap, job.monomial_budget, certificate
     )
     return quotient_invariants(*hopf_pair(closure, job.c))

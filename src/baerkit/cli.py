@@ -1,10 +1,23 @@
 """Command-line front end.
 
-Commands:
-    multiplier --file F --class-c C [--class-bound K] [--kmax N]
-    semidirect --file F --class-c C [--verify] [--class-bound K] [--kmax N]
-    lyndon     --letters N --weight M
-    selftest   [--format machine]
+usage: baerkit COMMAND [OPTIONS]
+    multiplier --file F [--class-c C] [--class-bound K] [--kmax N] [--format FMT]
+    semidirect --file F [--verify] [--class-c C] [--class-bound K] [--kmax N] [--format FMT]
+    lyndon     --letters N --weight M [--format FMT]
+    selftest   [--format FMT]
+
+Options go in any order, as --name value or --name=value; a unique prefix
+of a name selects its option, and a repeated option keeps its last value.
+    --file F         presentation file (required)
+    --class-c C      the variety parameter c (default 1)
+    --class-bound K  class bound to certify (default: detected; infinite
+                     groups need one)
+    --kmax N         largest class bound that detection tries (default 6)
+    --verify         also verify the direct-factor decomposition (default off)
+    --letters N      number of letters (required)
+    --weight M       weight of the Lyndon words listed (required)
+    --format FMT     text or machine (default text)
+    -h, --help       print this text
 
 Exit codes: 0 ok/pass, 1 a verdict failed, 2 parse error, 3 class
 undetermined, 4 capacity guard, 5 action invalid.  The environment variable
@@ -13,9 +26,10 @@ BAERKIT_CAP_GUARD overrides the monomial budget.
 
 from __future__ import annotations
 
-import argparse
 import os
+import re
 import sys
+from types import SimpleNamespace
 
 from .baer import (
     BaerJob,
@@ -48,55 +62,15 @@ EXIT_ACTION = 5
 def _positive(value: str) -> int:
     n = int(value)
     if n < 1:
-        raise argparse.ArgumentTypeError("must be >= 1")
+        raise ValueError("must be >= 1")
     return n
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="baerkit",
-        description="Exact Baer invariants of nilpotent groups and "
-        "semidirect-product decomposition checks.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, with_file=True):
-        if with_file:
-            p.add_argument("--file", required=True, help="presentation file")
-            p.add_argument(
-                "--class-c", dest="c", type=_positive, default=1,
-                help="nilpotency variety parameter c (default 1)",
-            )
-            p.add_argument(
-                "--class-bound", dest="class_bound", type=_positive,
-                help="verified nilpotency class bound; required for infinite groups",
-            )
-            p.add_argument(
-                "--kmax", dest="k_max", type=_positive, default=6,
-                help="largest class bound tried by detection (default 6)",
-            )
-        p.add_argument(
-            "--format", dest="fmt", choices=("text", "machine"), default="text"
-        )
-
-    p = sub.add_parser("multiplier", help="Baer invariant of one presented group")
-    common(p)
-
-    p = sub.add_parser("semidirect", help="build a semidirect presentation")
-    common(p)
-    p.add_argument(
-        "--verify", action="store_true",
-        help="also verify the direct-factor decomposition",
-    )
-
-    p = sub.add_parser("lyndon", help="list Lyndon words of one degree")
-    p.add_argument("--letters", type=_positive, required=True)
-    p.add_argument("--weight", type=_positive, required=True)
-    common(p, with_file=False)
-
-    p = sub.add_parser("selftest", help="run the built-in verification suite")
-    common(p, with_file=False)
-    return parser
+def _choice(value: str, choices=("text", "machine")) -> str:
+    if value not in choices:
+        listed = ", ".join(map(repr, choices))
+        raise ValueError(f"invalid choice: {value!r} (choose from {listed})")
+    return value
 
 
 def _cap_guard() -> int:
@@ -109,7 +83,7 @@ def _cap_guard() -> int:
             f"BAERKIT_CAP_GUARD must be an integer, got {raw!r}"
         ) from None
     if guard < 1:
-        # argparse rejects c and kmax below 1; the message stays as it was.
+        # argv refuses c and kmax below 1; the message stays as it was.
         raise ValueError("c, kmax, and the cap guard must be >= 1")
     return guard
 
@@ -279,20 +253,116 @@ def cmd_selftest(args, guard: int, echo) -> int:
     return run_selftest(guard, args.fmt, echo)
 
 
+# command -> (handler, {option: (dest, converter, default, required)}); a
+# flag has no converter.
+_GROUP = {
+    "--file": ("file", str, None, True),
+    "--class-c": ("c", _positive, 1, False),
+    "--class-bound": ("class_bound", _positive, None, False),
+    "--kmax": ("k_max", _positive, 6, False),
+    "--format": ("fmt", _choice, "text", False),
+}
+COMMANDS = {
+    "multiplier": (cmd_multiplier, _GROUP),
+    "semidirect": (cmd_semidirect, {**_GROUP, "--verify": ("verify", None, False, False)}),
+    "lyndon": (cmd_lyndon, {
+        "--letters": ("letters", _positive, None, True),
+        "--weight": ("weight", _positive, None, True),
+        "--format": _GROUP["--format"],
+    }),
+    "selftest": (cmd_selftest, {"--format": _GROUP["--format"]}),
+}
+# argparse reads a token as a value unless it starts with "-" and is not
+# "-", a negative number or spaced.
+_VALUE = re.compile(r"(?!-).*|-|-\d+|-\d*\.\d+|.* .*", re.S)
+
+
+def _option(token: str, options) -> tuple[str | None, str | None]:
+    """(option, value after "=") for a token naming an option exactly or by
+    a unique prefix; ("", None) for an unknown option, (None, None) for a
+    value."""
+    name, eq, value = token.partition("=")
+    hits = [
+        n for n in (*options, "-h", "--help")
+        if n == name or (name[:2] == "--" and len(name) > 2 and n.startswith(name))
+    ]
+    if len(hits) > 1:
+        raise ValueError(f"ambiguous option: {name} could match {', '.join(hits)}")
+    if hits:
+        return ("--help" if hits[0] == "-h" else hits[0]), (value if eq else None)
+    return (None, None) if _VALUE.fullmatch(token) else ("", None)
+
+
+def _read_argv(argv: list[str], args) -> bool:
+    """Set args.command and its options' dests from argv as argparse read
+    it; False once -h/--help has printed the usage.  Raises ValueError
+    naming the argument at fault."""
+    cut = argv.index("--") if "--" in argv else len(argv)
+    argv, unknown, options, i = argv[:cut], argv[cut:], {}, 0
+    while i < len(argv):
+        token, i = argv[i], i + 1
+        name, value = _option(token, options)
+        if name is None and args.command is None:
+            try:
+                args.command = _choice(token, COMMANDS)
+            except ValueError as exc:
+                raise ValueError(f"argument command: {exc}") from None
+            options = COMMANDS[token][1]
+            vars(args).update((d, default) for d, _, default, _ in options.values())
+            for later in argv[i:]:
+                _option(later, options)  # an ambiguous prefix is refused first
+            continue
+        if not name:
+            unknown.append(token)
+            continue
+        dest, convert, _, _ = options.get(name, ("help", None, None, False))
+        try:
+            if value is not None and not convert:
+                raise ValueError(f"ignored explicit argument {value!r}")
+            if name == "--help":
+                print(__doc__, end="")
+                return False
+            if value is None and convert:
+                if i == len(argv) or _option(argv[i], options)[0] is not None:
+                    raise ValueError("expected one argument")
+                value, i = argv[i], i + 1
+            setattr(args, dest, convert(value) if convert else True)
+        except ValueError as exc:
+            raise ValueError(f"argument {name}: {exc}") from None
+    missing = [
+        n for n, (d, _, _, need) in options.items() if need and getattr(args, d) is None
+    ]
+    if args.command is None or missing:
+        listed = ", ".join(missing) or "command"
+        raise ValueError(f"the following arguments are required: {listed}")
+    if unknown:
+        raise ValueError(f"unrecognized arguments: {' '.join(unknown)}")
+    return True
+
+
+def _usage(command: str | None) -> str:
+    """The docstring's synopsis line of command, or the generic one."""
+    lines = [" ".join(line.split()) for line in (__doc__ or "").splitlines()]
+    found = [line for line in lines if command and line.startswith(command + " ")]
+    return "baerkit " + (found[0] if found else "COMMAND [OPTIONS]")
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv if argv is not None else sys.argv[1:])
+    args = SimpleNamespace(command=None)
+    try:
+        if not _read_argv(sys.argv[1:] if argv is None else argv, args):
+            return EXIT_OK
+    except ValueError as exc:
+        prog = " ".join(filter(None, ("baerkit", args.command)))
+        print(f"usage: {_usage(args.command)}\n{prog}: error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
     try:
         guard = _cap_guard()
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
 
-    handler = {
-        "multiplier": cmd_multiplier,
-        "semidirect": cmd_semidirect,
-        "lyndon": cmd_lyndon,
-        "selftest": cmd_selftest,
-    }[args.command]
+    handler = COMMANDS[args.command][0]
     try:
         return handler(args, guard, print)
     except ParseError as exc:

@@ -102,9 +102,8 @@ def validate_action(
     as b^(m-1), m the order of b's action modulo the relators, searched up
     to _MAX_ORDER_SEARCH one forward step at a time.
     """
-    ambient, closure = working_closure(
-        spec.acted, k_acted + 1, monomial_budget, certificate
-    )
+    closure = working_closure(spec.acted, k_acted + 1, monomial_budget, certificate)
+    ambient = closure.ambient
     if not closure.levels[k_acted].is_full:
         return [
             f"acted group {spec.acted.name!r} is not certified nilpotent of "
@@ -317,9 +316,8 @@ def materialize_subgroups(
     certificate = certify_class_bound(
         sp.combined, k, monomial_budget, certificate
     )
-    ambient, rel_full = working_closure(
-        sp.combined, cap, monomial_budget, certificate
-    )
+    rel_full = working_closure(sp.combined, cap, monomial_budget, certificate)
+    ambient = rel_full.ambient
     generators = ambient.generators
 
     def closure_of(words, base=None):
@@ -373,7 +371,7 @@ def materialize_subgroups(
 
     # The acting factor's Hopf pair is taken in its own free group, whose
     # c-fold tower commutes with the acting letters only, then embedded.
-    _, acting_sub = working_closure(
+    acting_sub = working_closure(
         sp.action.acting, cap, monomial_budget, acting_certificate
     )
     acting_gamma, acting_tower = hopf_pair(acting_sub, c)

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -423,20 +424,26 @@ def test_console_script_runs():
 
 
 def test_import_leaves_selftest_unloaded():
-    # Only the selftest command loads the check catalogue.
+    # Only the selftest command loads the check catalogue, and reading argv
+    # loads neither argparse nor gettext, whose first import costs
+    # milliseconds in every process.
     root = Path(__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
-    proc = subprocess.run(
-        [
-            sys.executable, "-c",
-            "import sys, baerkit.cli; print('baerkit.selftest' in sys.modules)",
-        ],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    klein = str(DATA / "klein.grp")
+    for run in ("", f"baerkit.cli.main(['multiplier', '--file', {klein!r}])"):
+        proc = subprocess.run(
+            [
+                sys.executable, "-c",
+                f"import sys, baerkit.cli; {run}\n"
+                "print([m for m in ('baerkit.selftest', 'argparse', 'gettext') "
+                "if m in sys.modules])",
+            ],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[]", run
 
 
 def test_benchmark_worker_installs_tracing():
@@ -504,6 +511,85 @@ def test_output_matches_golden(name):
     # refactors, so rewrite it only for an intended output change.
     golden = json.loads(GOLDEN.read_text())
     assert run_captured(GOLDEN_CASES[name]) == golden[name]
+
+
+class TestArgv:
+    """The option table reads argv as argparse did: the same argvs are
+    accepted with the same meaning, and the same ones refused with exit 2."""
+
+    D8, ZZ, KLEIN = (str(DATA / name) for name in ("d8.grp", "zz.grp", "klein.grp"))
+
+    @pytest.mark.parametrize("row, argv", [
+        ("d8.grp c=2 machine",
+         ["semidirect", f"--file={D8}", "--verify", "--class-c=2", "--format=machine"]),
+        ("d8.grp c=2 machine",
+         ["semidirect", "--fi", D8, "--ve", "--class-c", "2", "--fo", "machine",
+          "--k", "6"]),
+        ("d8.grp c=2 machine",
+         ["semidirect", "--file", KLEIN, "--class-c", "1", "--format", "text",
+          "--verify", "--file", D8, "--class-c", "2", "--format", "machine", "--verify"]),
+        ("d8.grp c=2 machine",
+         ["semidirect", "--format", "machine", "--class-c", "2", "--verify", "--file", D8]),
+        ("zz.grp c=2 text --class-bound 1",
+         ["multiplier", "--class-b=1", "--kmax", "3", "--kmax=2", "--fil", ZZ,
+          "--class-c", "2"]),
+    ], ids=["equals", "prefixes", "repeated", "shuffled", "mixed"])
+    def test_accepted_forms(self, row, argv):
+        # Each argv means the golden row's spelled-out argv.
+        assert run_captured(argv) == json.loads(GOLDEN.read_text())[row]
+
+    @pytest.mark.parametrize("argv, named", [
+        ([], "command"),
+        (["frobnicate"], "'frobnicate'"),
+        (["--verify", "selftest"], "--verify"),
+        (["multiplier", "--file", KLEIN, "--frob"], "--frob"),
+        (["multiplier", "--file", KLEIN, "--frob=1"], "--frob=1"),
+        (["selftest", "extra"], "extra"),
+        (["lyndon", "--letters", "2", "--weight", "2", "--verify"], "--verify"),
+        (["multiplier", "--file"], "--file"),
+        (["multiplier", "--file", "--class-c", "2"], "--file"),
+        (["multiplier", "--file", KLEIN, "--class-c", "two"], "--class-c"),
+        (["multiplier", "--file", KLEIN, "--class-c", "1.5"], "--class-c"),
+        (["multiplier", "--file", KLEIN, "--kmax", "0"], "--kmax"),
+        (["lyndon", "--letters", "-2", "--weight", "3"], "--letters"),
+        (["selftest", "--format", "xml"], "--format"),
+        (["multiplier", "--class-c", "2"], "--file"),
+        (["lyndon", "--weight", "3"], "--letters"),
+        (["multiplier", "--file", KLEIN, "--class", "2"], "--class"),
+        (["semidirect", "--file", D8, "--f", "text"], "--f"),
+        (["semidirect", "--file", D8, "--verify=yes"], "--verify"),
+        (["multiplier", "--file", KLEIN, "--"], "--"),
+    ], ids=[
+        "no-command", "unknown-command", "option-before-command", "unknown-option",
+        "unknown-option-with-value", "stray-value", "other-command-option",
+        "missing-value", "option-as-value", "non-integer", "non-integer-float",
+        "zero", "negative", "bad-format", "missing-file", "missing-letters",
+        "ambiguous-prefix", "ambiguous-short-prefix", "flag-with-value",
+        "double-dash",
+    ])
+    def test_malformed_refused(self, capsys, argv, named):
+        rc, out, err = run_cli(argv, capsys)
+        assert (rc, out) == (2, "")
+        assert err.startswith("usage: baerkit")
+        prog, _, message = err.splitlines()[-1].partition(": error: ")
+        assert re.fullmatch(r"baerkit( [a-z]+)?", prog)
+        assert named in message
+
+    def test_argv_error_before_cap_guard_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("BAERKIT_CAP_GUARD", "abc")
+        rc, out, err = run_cli(["lyndon", "--letters", "0", "--weight", "3"], capsys)
+        assert (rc, out) == (2, "")
+        assert "--letters" in err and "BAERKIT_CAP_GUARD" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ["-h"], ["--help"], ["--he"], ["multiplier", "-h"],
+        ["lyndon", "--letters", "2", "--help", "--weight", "x"],
+        ["semidirect", "--class-c", "2", "--h"],
+    ])
+    def test_help(self, capsys, argv):
+        rc, out, err = run_cli(argv, capsys)
+        assert (rc, err) == (0, "")
+        assert "usage:" in out.lower()
 
 
 class TestClosureReuse:

@@ -498,9 +498,8 @@ def former_subgroups(sp, c, k, certificate=None, acting_certificate=None):
     n_acted, n_acting = sp.n_acted, sp.n_acting
     n = n_acted + n_acting
     certificate = certify_class_bound(sp.combined, k, certificate=certificate)
-    ambient, rel_full = working_closure(
-        sp.combined, cap, certificate=certificate
-    )
+    rel_full = working_closure(sp.combined, cap, certificate=certificate)
+    ambient = rel_full.ambient
     full = ambient.full_group()
 
     def closure_of(words, normal=True):
@@ -536,9 +535,8 @@ def former_subgroups(sp, c, k, certificate=None, acting_certificate=None):
     mixed_tower = insert_and_close(None, ambient, mixed_elems, normal=True)
     complement_denominator = join(mixed_tower, twist_tower)
 
-    amb_acting, acting_sub = working_closure(
-        sp.action.acting, cap, certificate=acting_certificate
-    )
+    acting_sub = working_closure(sp.action.acting, cap, certificate=acting_certificate)
+    amb_acting = acting_sub.ambient
     acting_gamma_embedded = embedded_copy(
         intersect_with_gamma(acting_sub, c + 1), ambient, n_acted, normal=False
     )

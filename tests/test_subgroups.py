@@ -605,7 +605,7 @@ class TestSeededClosure:
             cert = certified_class_bound(pres, 6)
             for c in (2, 3):
                 cap = cert.k + c
-                amb, got = working_closure(pres, cap, certificate=cert)
+                got = working_closure(pres, cap, certificate=cert)
                 label = (pres.name, cap)
                 want = scratch_relator_closure(pres, AmbientContext(pres.rank, cap))
                 self.assert_same_rows(got, want, label)
@@ -613,7 +613,7 @@ class TestSeededClosure:
                 term = got
                 for j in range(1, c + 1):
                     want = generator_pairing(term)
-                    term = commutator_with(term, amb.full_group())
+                    term = commutator_with(term, got.ambient.full_group())
                     self.assert_same_rows(term, want, (*label, j))
                     self.assert_contains_agrees_with_sieve(rng, term)
 
