@@ -476,7 +476,9 @@ def golden_cases():
     """Case name -> argv: `multiplier` on each one-group input and
     `semidirect --verify` on each input with an action, at c = 1 and 2 in
     both formats; the infinite inputs (zz*.grp) also run with
-    `--class-bound 1`."""
+    `--class-bound 1`.  Each input with an action also runs `semidirect`
+    without `--verify`, and `lyndon` lists 2 letters at weight 3 and 27
+    letters at weight 1 (the `g26` spellings), in both formats."""
     cases = {}
     for path in sorted(DATA.glob("*.grp")):
         text = path.read_text()
@@ -491,6 +493,15 @@ def golden_cases():
                         command[0], "--file", str(path), *command[1:],
                         "--class-c", c, "--format", fmt, *bound,
                     ]
+        for fmt in ("text", "machine") if has_action else ():
+            cases[f"{path.name} build {fmt}"] = [
+                "semidirect", "--file", str(path), "--format", fmt,
+            ]
+    for n, m in (("2", "3"), ("27", "1")):
+        for fmt in ("text", "machine"):
+            cases[f"lyndon letters={n} weight={m} {fmt}"] = [
+                "lyndon", "--letters", n, "--weight", m, "--format", fmt,
+            ]
     return cases
 
 
