@@ -1,28 +1,4 @@
-"""Command-line front end.
-
-usage: baerkit COMMAND [OPTIONS]
-    multiplier --file F [--class-c C] [--class-bound K] [--kmax N] [--format FMT]
-    semidirect --file F [--verify] [--class-c C] [--class-bound K] [--kmax N] [--format FMT]
-    lyndon     --letters N --weight M [--format FMT]
-    selftest   [--format FMT]
-
-Options go in any order, as --name value or --name=value; a unique prefix
-of a name selects its option, and a repeated option keeps its last value.
-    --file F         presentation file (required)
-    --class-c C      the variety parameter c (default 1)
-    --class-bound K  class bound to certify (default: detected; infinite
-                     groups need one)
-    --kmax N         largest class bound that detection tries (default 6)
-    --verify         also verify the direct-factor decomposition (default off)
-    --letters N      number of letters (required)
-    --weight M       weight of the Lyndon words listed (required)
-    --format FMT     text or machine (default text)
-    -h, --help       print this text
-
-Exit codes: 0 ok/pass, 1 a verdict failed, 2 parse error, 3 class
-undetermined, 4 capacity guard, 5 action invalid.  The environment variable
-BAERKIT_CAP_GUARD overrides the monomial budget.
-"""
+"""Command-line front end."""
 
 from __future__ import annotations
 
@@ -50,6 +26,32 @@ from .lyndon import bracket_shape, lyndon_words, witt_dimension
 from .presentations import parse_input_file
 from .semidirect import build_semidirect, validate_action, verify_direct_factor
 from .subgroups import DEFAULT_MONOMIAL_BUDGET, monomials_over_budget
+
+# --help prints it and usage errors quote a command's synopsis from it; it
+# is not the module docstring, which python -OO drops.
+USAGE = """usage: baerkit COMMAND [OPTIONS]
+    multiplier --file F [--class-c C] [--class-bound K] [--kmax N] [--format FMT]
+    semidirect --file F [--verify] [--class-c C] [--class-bound K] [--kmax N] [--format FMT]
+    lyndon     --letters N --weight M [--format FMT]
+    selftest   [--format FMT]
+
+Options go in any order, as --name value or --name=value; a unique prefix
+of a name selects its option, and a repeated option keeps its last value.
+    --file F         presentation file (required)
+    --class-c C      the variety parameter c (default 1)
+    --class-bound K  class bound to certify (default: detected; infinite
+                     groups need one)
+    --kmax N         largest class bound that detection tries (default 6)
+    --verify         also verify the direct-factor decomposition (default off)
+    --letters N      number of letters (required)
+    --weight M       weight of the Lyndon words listed (required)
+    --format FMT     text or machine (default text)
+    -h, --help       print this text
+
+Exit codes: 0 ok/pass, 1 a verdict failed, 2 parse error, 3 class
+undetermined, 4 capacity guard, 5 action invalid.  The environment variable
+BAERKIT_CAP_GUARD overrides the monomial budget.
+"""
 
 EXIT_OK = 0
 EXIT_VERDICT_FAIL = 1
@@ -320,7 +322,7 @@ def _read_argv(argv: list[str], args) -> bool:
             if value is not None and not convert:
                 raise ValueError(f"ignored explicit argument {value!r}")
             if name == "--help":
-                print(__doc__, end="")
+                print(USAGE, end="")
                 return False
             if value is None and convert:
                 if i == len(argv) or _option(argv[i], options)[0] is not None:
@@ -341,8 +343,8 @@ def _read_argv(argv: list[str], args) -> bool:
 
 
 def _usage(command: str | None) -> str:
-    """The docstring's synopsis line of command, or the generic one."""
-    lines = [" ".join(line.split()) for line in (__doc__ or "").splitlines()]
+    """USAGE's synopsis line of command, or the generic one."""
+    lines = [" ".join(line.split()) for line in USAGE.splitlines()]
     found = [line for line in lines if command and line.startswith(command + " ")]
     return "baerkit " + (found[0] if found else "COMMAND [OPTIONS]")
 

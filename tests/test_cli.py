@@ -423,6 +423,28 @@ def test_console_script_runs():
     assert "witt=1" in proc.stdout
 
 
+def test_usage_kept_under_optimize():
+    # python -OO drops docstrings; --help and the usage line of an argv
+    # error must not depend on them.
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+
+    def run(*argv):
+        return subprocess.run(
+            [sys.executable, *argv], capture_output=True, text=True, env=env
+        )
+
+    plain, optimized = run("-m", "baerkit", "--help"), run("-OO", "-m", "baerkit", "--help")
+    assert (optimized.returncode, optimized.stdout) == (0, plain.stdout)
+    assert plain.stdout.startswith("usage: baerkit COMMAND [OPTIONS]\n")
+    refused = run("-OO", "-m", "baerkit", "multiplier")
+    assert (refused.returncode, refused.stdout) == (2, "")
+    assert refused.stderr.splitlines()[0] == (
+        "usage: baerkit multiplier --file F [--class-c C] [--class-bound K] "
+        "[--kmax N] [--format FMT]"
+    )
+
+
 def test_import_leaves_selftest_unloaded():
     # Only the selftest command loads the check catalogue, and reading argv
     # loads neither argparse nor gettext, whose first import costs
