@@ -1,4 +1,5 @@
-"""Command-line front end."""
+"""Command-line front end: argv read from one option table, output printed
+through one text-or-machine renderer (`out` in `main`)."""
 
 from __future__ import annotations
 
@@ -99,7 +100,7 @@ def _read_input(path: str):
     return parse_input_file(text)
 
 
-def _resolve_bound(pres, args, guard: int, echo) -> ClassBoundResult:
+def _resolve_bound(pres, args, guard: int, out) -> ClassBoundResult:
     """The class-bound certificate; its closure is reused downstream."""
     if args.class_bound is not None:
         res = verify_class_bound(pres, args.class_bound, guard)
@@ -108,7 +109,7 @@ def _resolve_bound(pres, args, guard: int, echo) -> ClassBoundResult:
                 f"--class-bound {args.class_bound} fails verification for "
                 f"{pres.name!r} (lattice deficient at degree {res.k + 1})"
             )
-        echo(f"class-bound: k={args.class_bound} (supplied, certified)")
+        out(f"class-bound: k={args.class_bound} (supplied, certified)")
         return res
     res = detect_class(pres, args.k_max, guard)
     if res is None:
@@ -117,41 +118,40 @@ def _resolve_bound(pres, args, guard: int, echo) -> ClassBoundResult:
             f"kmax={args.k_max}; supply --class-bound explicitly "
             f"(required for infinite groups)"
         )
-    echo(f"class-bound: k={res.k} (detected)")
+    out(f"class-bound: k={res.k} (detected)")
     return res
 
 
-def cmd_multiplier(args, guard: int, echo) -> int:
+def _invariant_lines(prefix: str, inv) -> tuple[str, str]:
+    """The machine lines of an abelian invariant: free rank and torsion."""
+    return (
+        f"{prefix}free_rank={inv.free_rank}",
+        f"{prefix}torsion={','.join(map(str, inv.torsion))}",
+    )
+
+
+def cmd_multiplier(args, guard: int, out) -> int:
     parsed = _read_input(args.file)
     if len(parsed.presentations) != 1 or parsed.action is not None:
         raise ParseError("multiplier expects exactly one group block")
     pres = parsed.presentations[0]
-    machine = args.fmt == "machine"
-    trace = (lambda _msg: None) if machine else echo
-    trace(f"group {pres.name}: {pres.rank} generators, {len(pres.relators)} relators")
-    cert = _resolve_bound(pres, args, guard, trace)
+    out(f"group {pres.name}: {pres.rank} generators, {len(pres.relators)} relators")
+    cert = _resolve_bound(pres, args, guard, out)
     k = cert.k
-    trace(f"cap: {k + args.c}")
+    out(f"cap: {k + args.c}")
     inv = baer_invariant(BaerJob(pres, args.c, k, guard), cert)
-    if machine:
-        echo("command=multiplier")
-        echo(f"group={pres.name}")
-        echo(f"class_c={args.c}")
-        echo(f"class_bound={k}")
-        echo(f"free_rank={inv.free_rank}")
-        echo(f"torsion={','.join(str(d) for d in inv.torsion)}")
-    else:
-        echo(f"invariants: {inv.describe()}")
+    out(
+        f"invariants: {inv.describe()}", "command=multiplier", f"group={pres.name}",
+        f"class_c={args.c}", f"class_bound={k}", *_invariant_lines("", inv),
+    )
     return EXIT_OK
 
 
-def cmd_semidirect(args, guard: int, echo) -> int:
+def cmd_semidirect(args, guard: int, out) -> int:
     parsed = _read_input(args.file)
     spec = parsed.action
     if len(parsed.presentations) != 2 or spec is None or spec.acting is spec.acted:
         raise ParseError("semidirect expects two group blocks and one action block")
-    machine = args.fmt == "machine"
-    trace = (lambda _msg: None) if machine else echo
 
     acted = certified_class_bound(spec.acted, args.k_max, guard)
     if acted is None:
@@ -162,50 +162,42 @@ def cmd_semidirect(args, guard: int, echo) -> int:
     problems = validate_action(spec, acted.k, guard, acted)
     if problems:
         raise ActionError(problems)
-    trace(f"action: certified on {spec.acted.name!r} at class bound {acted.k}")
+    out(f"action: certified on {spec.acted.name!r} at class bound {acted.k}")
 
     sp = build_semidirect(spec)
-    if machine:
-        echo("command=semidirect")
-        echo(f"group={sp.combined.name}")
-        echo(f"generators={','.join(sp.combined.alphabet.names)}")
-        echo(f"relators_acted={';'.join(w.render() for w in sp.rel_acted)}")
-        echo(f"relators_acting={';'.join(w.render() for w in sp.rel_acting)}")
-        echo(f"relators_twist={';'.join(w.render() for w in sp.rel_twist)}")
-    else:
-        echo(f"combined group {sp.combined.name}:")
-        echo(f"  generators: {' '.join(sp.combined.alphabet.names)}")
-        echo(f"  relators (acted):  {', '.join(w.render() for w in sp.rel_acted) or '-'}")
-        echo(f"  relators (acting): {', '.join(w.render() for w in sp.rel_acting) or '-'}")
-        echo(f"  relators (twist):  {', '.join(w.render() for w in sp.rel_twist)}")
+    names = sp.combined.alphabet.names
+    group = sp.combined.name
+    out(f"combined group {group}:", "command=semidirect", f"group={group}")
+    out(f"  generators: {' '.join(names)}", f"generators={','.join(names)}")
+    for kind, words in (
+        ("acted", sp.rel_acted), ("acting", sp.rel_acting), ("twist", sp.rel_twist)
+    ):
+        rendered = [w.render() for w in words]
+        out(
+            f"  relators {f'({kind}):':<10}{', '.join(rendered) or '-'}",
+            f"relators_{kind}={';'.join(rendered)}",
+        )
     if not args.verify:
         return EXIT_OK
 
-    cert = _resolve_bound(sp.combined, args, guard, trace)
+    cert = _resolve_bound(sp.combined, args, guard, out)
     k = cert.k
     report = verify_direct_factor(sp, args.c, k, guard, cert)
-    if machine:
-        echo(f"class_c={args.c}")
-        echo(f"class_bound={k}")
-        for name, ok in report.checks.items():
-            echo(f"check_{name}={'pass' if ok else 'fail'}")
-        echo(f"group_free_rank={report.invariants_group.free_rank}")
-        echo(f"group_torsion={','.join(map(str, report.invariants_group.torsion))}")
-        echo(f"acting_free_rank={report.invariants_acting.free_rank}")
-        echo(f"acting_torsion={','.join(map(str, report.invariants_acting.torsion))}")
-        echo(f"complement_free_rank={report.invariants_complement.free_rank}")
-        echo(
-            f"complement_torsion="
-            f"{','.join(map(str, report.invariants_complement.torsion))}"
+    out(None, f"class_c={args.c}", f"class_bound={k}")
+    for name, ok in report.checks.items():
+        status = "pass" if ok else "fail"
+        out(f"check {name}: {status.upper()}", f"check_{name}={status}")
+    for kind, inv in (
+        ("group", report.invariants_group),
+        ("acting", report.invariants_acting),
+        ("complement", report.invariants_complement),
+    ):
+        out(
+            f"invariants {f'{kind}:':<12}{inv.describe()}",
+            *_invariant_lines(f"{kind}_", inv),
         )
-        echo(f"verdict={'pass' if report.passed else 'fail'}")
-    else:
-        for name, ok in report.checks.items():
-            echo(f"check {name}: {'PASS' if ok else 'FAIL'}")
-        echo(f"invariants group:      {report.invariants_group.describe()}")
-        echo(f"invariants acting:     {report.invariants_acting.describe()}")
-        echo(f"invariants complement: {report.invariants_complement.describe()}")
-        echo(f"verdict: {'PASS' if report.passed else 'FAIL'}")
+    verdict = "pass" if report.passed else "fail"
+    out(f"verdict: {verdict.upper()}", f"verdict={verdict}")
     return EXIT_OK if report.passed else EXIT_VERDICT_FAIL
 
 
@@ -219,7 +211,7 @@ def _shape_str(shape) -> str:
     return f"[{_shape_str(u)},{_shape_str(v)}]"
 
 
-def cmd_lyndon(args, guard: int, echo) -> int:
+def cmd_lyndon(args, guard: int, out) -> int:
     n, m = args.letters, args.weight
     need = monomials_over_budget(n, m, guard, through=False)
     if need is not None:
@@ -227,32 +219,23 @@ def cmd_lyndon(args, guard: int, echo) -> int:
             f"degree-{m} basis over {n} letters needs {need} monomials, "
             f"budget is {guard}"
         )
-    rows = [
-        (
-            "".join(_LETTER_NAMES[i] if i < 26 else f"(g{i})" for i in w),
-            _shape_str(bracket_shape(w)),
-        )
-        for w in lyndon_words(n, m)
-    ]
-    if args.fmt == "machine":
-        echo("command=lyndon")
-        echo(f"letters={n}")
-        echo(f"weight={m}")
-        echo(f"witt={witt_dimension(n, m)}")
-        for spelled, shape in rows:
-            echo(f"word={spelled} bracketing={shape}")
-    else:
-        echo(f"letters={n} weight={m} witt={witt_dimension(n, m)}")
-        for spelled, shape in rows:
-            echo(f"  {spelled}  {shape}")
+    witt = witt_dimension(n, m)
+    out(
+        f"letters={n} weight={m} witt={witt}",
+        "command=lyndon", f"letters={n}", f"weight={m}", f"witt={witt}",
+    )
+    for w in lyndon_words(n, m):
+        spelled = "".join(_LETTER_NAMES[i] if i < 26 else f"(g{i})" for i in w)
+        shape = _shape_str(bracket_shape(w))
+        out(f"  {spelled}  {shape}", f"word={spelled} bracketing={shape}")
     return EXIT_OK
 
 
-def cmd_selftest(args, guard: int, echo) -> int:
+def cmd_selftest(args, guard: int, out) -> int:
     # Imported here so that the other commands do not load the catalogue.
     from .selftest import run_selftest
 
-    return run_selftest(guard, args.fmt, echo)
+    return run_selftest(guard, out)
 
 
 # command -> (handler, {option: (dest, converter, default, required)}); a
@@ -364,9 +347,15 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
 
+    def out(text: str | None, *machine_lines: str) -> None:
+        """Print one record: its text line (if any) or its machine lines."""
+        for line in machine_lines if args.fmt == "machine" else (text,):
+            if line is not None:
+                print(line)
+
     handler = COMMANDS[args.command][0]
     try:
-        return handler(args, guard, print)
+        return handler(args, guard, out)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE

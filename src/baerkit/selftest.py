@@ -57,7 +57,6 @@ from .semidirect import (
 )
 from .subgroups import (
     AmbientContext,
-    DEFAULT_MONOMIAL_BUDGET,
     commutator_with,
     insert_and_close,
     intersect_with_gamma,
@@ -1029,13 +1028,11 @@ def iter_checks():
     return list(_CHECKS)
 
 
-def run_selftest(
-    monomial_budget: int | None = DEFAULT_MONOMIAL_BUDGET,
-    fmt: str = "text",
-    echo=print,
-) -> int:
-    """Run every check; returns 0 when all pass, 1 otherwise.  Capacity
-    errors propagate so the caller can map them to their own exit code."""
+def run_selftest(monomial_budget: int | None, out) -> int:
+    """Run every check, emitting one record per check and a summary through
+    out(text, *machine_lines); returns 0 when all pass, 1 otherwise.
+    Capacity errors propagate so the caller can map them to their own exit
+    code."""
     failures = 0
     for name, fn in _CHECKS:
         try:
@@ -1045,12 +1042,9 @@ def run_selftest(
             status, detail = "fail", f" ({exc})"
         else:
             status, detail = "pass", ""
-        if fmt == "machine":
-            echo(f"check={name} status={status}")
-        else:
-            echo(f"check {name}: {status}{detail}")
-    if fmt == "machine":
-        echo(f"checks={len(_CHECKS)} failures={failures}")
-    else:
-        echo(f"selftest: {len(_CHECKS)} checks, {failures} failures")
+        out(f"check {name}: {status}{detail}", f"check={name} status={status}")
+    out(
+        f"selftest: {len(_CHECKS)} checks, {failures} failures",
+        f"checks={len(_CHECKS)} failures={failures}",
+    )
     return 0 if failures == 0 else 1
