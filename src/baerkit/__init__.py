@@ -3,7 +3,6 @@ nilpotent groups, with a builder and verifier for semidirect-product
 presentations and their multiplier decompositions."""
 
 from .baer import (
-    BaerJob,
     baer_invariant,
     check_presentation_independence,
     detect_class,

@@ -12,9 +12,10 @@ relators cover the whole (k+1)-st lower-central section.
 
 The certificate comes from the class-bound search: `verify_class_bound`,
 `detect_class` and `certified_class_bound` return a `ClassBoundResult`
-carrying the relator closure they built at cap k + 1, and
-`certify_class_bound` re-checks its degree-(k+1) lattice before any
-closure at a larger cap is trusted.
+carrying the relator closure they built at cap k + 1.  It is the only way
+into the pipeline: `working_closure`, `baer_invariant` and the semidirect
+stages take a certificate, read k, the presentation and the monomial budget
+(`closure.ambient`) from it, and refuse one that is not `ok`.
 
 Lemma.  If level k + 1 of the cap-(k+1) relator closure is full, that is
 gamma_{k+1} <= R gamma_{k+2}, then gamma_{k+1} lies in the relator closure
@@ -29,12 +30,10 @@ the certificate's own.  Above it, `working_closure` starts from gamma_{k+1}
 closes the relator images into it.  By the lemma the result is the
 relator closure itself, and since each level is the unique Hermite form of
 the closure's degree-m lattice, it has the same rows as a closure built
-from the relators alone.  Only an `ok` certificate of the same presentation
-seeds.  The seeded levels are full by construction, so the degree-(k+1)
-check is made on the certificate's unseeded closure; `baer_invariant`
-without a certificate first obtains one from `verify_class_bound`.  Cuts 2
-and 3, which let a full suffix and the towers over it skip work, are in the
-`subgroups` module docstring.
+from the relators alone.  The seeded levels are full by construction, so
+the degree-(k+1) check is the certificate's `ok`, read off its own unseeded
+closure.  Cuts 2 and 3, which let a full suffix and the towers over it skip
+work, are in the `subgroups` module docstring.
 """
 
 from __future__ import annotations
@@ -67,24 +66,22 @@ def relator_closure(
     return insert_and_close(seed, ambient, elems, normal=True)
 
 
-def working_closure(
-    pres: Presentation,
-    cap: int,
-    monomial_budget: int | None = DEFAULT_MONOMIAL_BUDGET,
-    certificate: ClassBoundResult | None = None,
-) -> FilteredSubgroup:
-    """The relator closure in the ambient of class `cap`: the certificate's
-    own when it was built for `pres` at this cap, seeded with gamma_{k+1}
-    above it when the certificate is `ok` (cut 1 of the module docstring),
-    else built from the relators alone."""
-    own = certificate is not None and certificate.presentation == pres
-    if own and certificate.closure.ambient.cap == cap:
-        return certificate.closure
-    ambient = AmbientContext(pres.rank, cap, monomial_budget)
-    seed = None
-    if own and certificate.ok and cap > certificate.closure.ambient.cap:
-        seed = intersect_with_gamma(ambient.full_group(), certificate.k + 1)
-    return relator_closure(pres, ambient, seed)
+def working_closure(certificate: ClassBoundResult, cap: int) -> FilteredSubgroup:
+    """The relator closure of the certificate's presentation in the ambient
+    of class `cap` >= k + 1: the certificate's own at k + 1, seeded with
+    gamma_{k+1} above it (cut 1 of the module docstring).  Refuses a
+    certificate that is not `ok`."""
+    k, own = certificate.k, certificate.closure
+    if not certificate.ok:
+        raise CertificateError(
+            f"class bound k={k} fails for {certificate.presentation.name!r}: "
+            f"degree-{k + 1} lattice is not full"
+        )
+    if cap == k + 1:
+        return own
+    ambient = AmbientContext(own.ambient.n, cap, own.ambient.monomial_budget)
+    seed = intersect_with_gamma(ambient.full_group(), k + 1)
+    return relator_closure(certificate.presentation, ambient, seed)
 
 
 @dataclass
@@ -96,7 +93,8 @@ class ClassBoundResult:
     order of the class-(k+1) nilpotent quotient of the presented group (None
     when infinite); when `ok` holds, it equals the class-k quotient's order.
     `closure` is the relator closure of `presentation` in `closure.ambient`,
-    of class k + 1; the pipeline reuses it where it works at that cap.
+    of class k + 1 and under the run's monomial budget; every pipeline stage
+    starts from it (`working_closure`).
     """
 
     k: int
@@ -106,30 +104,6 @@ class ClassBoundResult:
     presentation: Presentation
 
 
-def certify_class_bound(
-    pres: Presentation,
-    k: int,
-    monomial_budget: int | None = DEFAULT_MONOMIAL_BUDGET,
-    certificate: ClassBoundResult | None = None,
-) -> ClassBoundResult:
-    """The certificate of class bound k for `pres`: `certificate` when it
-    is the check of k for `pres`, else a new one.  Refuses unless the
-    degree-(k+1) lattice of its own, unseeded, cap-(k+1) closure is full;
-    on a seeded closure that check would be vacuous."""
-    if (
-        certificate is None
-        or certificate.presentation != pres
-        or certificate.k != k
-    ):
-        certificate = verify_class_bound(pres, k, monomial_budget)
-    if not certificate.closure.levels[k].is_full:
-        raise CertificateError(
-            f"class bound k={k} fails for {pres.name!r}: "
-            f"degree-{k + 1} lattice is not full"
-        )
-    return certificate
-
-
 def verify_class_bound(
     pres: Presentation,
     k: int,
@@ -137,7 +111,7 @@ def verify_class_bound(
 ) -> ClassBoundResult:
     if k < 1:
         raise ValueError("class bound must be >= 1")
-    closure = working_closure(pres, k + 1, monomial_budget)
+    closure = relator_closure(pres, AmbientContext(pres.rank, k + 1, monomial_budget))
     return ClassBoundResult(
         k=k,
         ok=closure.levels[k].is_full,
@@ -188,25 +162,6 @@ def certified_class_bound(
     return None
 
 
-@dataclass(frozen=True)
-class BaerJob:
-    """One invariant computation: presentation, variety parameter c >= 1,
-    verified class bound k >= 1; the working cap is k + c."""
-
-    presentation: Presentation
-    c: int
-    k: int
-    monomial_budget: int | None = DEFAULT_MONOMIAL_BUDGET
-
-    def __post_init__(self):
-        if self.c < 1 or self.k < 1:
-            raise ValueError("need c >= 1 and k >= 1")
-
-    @property
-    def cap(self) -> int:
-        return self.k + self.c
-
-
 def hopf_pair(
     closure: FilteredSubgroup, c: int
 ) -> tuple[FilteredSubgroup, FilteredSubgroup]:
@@ -220,19 +175,13 @@ def hopf_pair(
     return intersect_with_gamma(closure, c + 1), tower
 
 
-def baer_invariant(
-    job: BaerJob, certificate: ClassBoundResult | None = None
-) -> AbelianInvariants:
-    """Run the pipeline at cap k + c on the working closure of the class
-    bound's certificate, re-checked first (a new one when `certificate`
-    is not the check of k for this presentation)."""
-    certificate = certify_class_bound(
-        job.presentation, job.k, job.monomial_budget, certificate
-    )
-    closure = working_closure(
-        job.presentation, job.cap, job.monomial_budget, certificate
-    )
-    return quotient_invariants(*hopf_pair(closure, job.c))
+def baer_invariant(certificate: ClassBoundResult, c: int) -> AbelianInvariants:
+    """The Baer invariant for variety parameter c >= 1, computed at cap
+    k + c on the working closure of the class-bound certificate."""
+    if c < 1:
+        raise ValueError("need c >= 1")
+    closure = working_closure(certificate, certificate.k + c)
+    return quotient_invariants(*hopf_pair(closure, c))
 
 
 @dataclass(frozen=True)
@@ -251,6 +200,6 @@ def check_presentation_independence(
 ) -> IndependenceReport:
     """Both presentations are expected to present the same group (the
     caller's responsibility); their invariants must then agree."""
-    a = baer_invariant(BaerJob(p1, c, k, monomial_budget))
-    b = baer_invariant(BaerJob(p2, c, k, monomial_budget))
+    a = baer_invariant(verify_class_bound(p1, k, monomial_budget), c)
+    b = baer_invariant(verify_class_bound(p2, k, monomial_budget), c)
     return IndependenceReport(a == b, a, b)

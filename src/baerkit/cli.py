@@ -9,7 +9,6 @@ import sys
 from types import SimpleNamespace
 
 from .baer import (
-    BaerJob,
     ClassBoundResult,
     baer_invariant,
     certified_class_bound,
@@ -139,7 +138,7 @@ def cmd_multiplier(args, guard: int, out) -> int:
     cert = _resolve_bound(pres, args, guard, out)
     k = cert.k
     out(f"cap: {k + args.c}")
-    inv = baer_invariant(BaerJob(pres, args.c, k, guard), cert)
+    inv = baer_invariant(cert, args.c)
     out(
         f"invariants: {inv.describe()}", "command=multiplier", f"group={pres.name}",
         f"class_c={args.c}", f"class_bound={k}", *_invariant_lines("", inv),
@@ -159,7 +158,7 @@ def cmd_semidirect(args, guard: int, out) -> int:
             f"cannot certify a class bound for the acted group "
             f"{spec.acted.name!r}; it must be nilpotent"
         )
-    problems = validate_action(spec, acted.k, guard, acted)
+    problems = validate_action(spec, acted)
     if problems:
         raise ActionError(problems)
     out(f"action: certified on {spec.acted.name!r} at class bound {acted.k}")
@@ -181,9 +180,8 @@ def cmd_semidirect(args, guard: int, out) -> int:
         return EXIT_OK
 
     cert = _resolve_bound(sp.combined, args, guard, out)
-    k = cert.k
-    report = verify_direct_factor(sp, args.c, k, guard, cert)
-    out(None, f"class_c={args.c}", f"class_bound={k}")
+    report = verify_direct_factor(sp, args.c, cert)
+    out(None, f"class_c={args.c}", f"class_bound={cert.k}")
     for name, ok in report.checks.items():
         status = "pass" if ok else "fail"
         out(f"check {name}: {status.upper()}", f"check_{name}={status}")

@@ -14,7 +14,6 @@ from __future__ import annotations
 import random
 
 from .baer import (
-    BaerJob,
     baer_invariant,
     check_presentation_independence,
     detect_class,
@@ -56,6 +55,7 @@ from .semidirect import (
     verify_direct_factor,
 )
 from .subgroups import (
+    DEFAULT_MONOMIAL_BUDGET,
     AmbientContext,
     commutator_with,
     insert_and_close,
@@ -886,7 +886,7 @@ def _(budget):
 @_check("baer/multiplier-table")
 def _(budget):
     for name, pres, c, k, expected in multiplier_table():
-        got = baer_invariant(BaerJob(pres, c, k, budget))
+        got = baer_invariant(verify_class_bound(pres, k, budget), c)
         _expect(got == expected, f"{name}: got {got}, expected {expected}")
 
 
@@ -895,7 +895,7 @@ def _(budget):
     # Recomputing with the class bound raised by one runs at cap W+1 and
     # must reproduce every table entry.
     for name, pres, c, k, expected in multiplier_table():
-        got = baer_invariant(BaerJob(pres, c, k + 1, budget))
+        got = baer_invariant(verify_class_bound(pres, k + 1, budget), c)
         _expect(got == expected, f"{name} at cap+1: got {got}")
 
 
@@ -944,16 +944,18 @@ def _(budget):
 @_check("semidirect/validate-examples")
 def _(budget):
     spec, _ = _suite_entry("d8")
-    _expect(validate_action(spec, 1, budget) == [], "inversion is valid")
+    z4 = verify_class_bound(spec.acted, 1, budget)
+    _expect(validate_action(spec, z4) == [], "inversion is valid")
 
     bad = parse_input_file(D8_FILE.replace("a -> a^-1", "a -> a^2")).action
-    problems = validate_action(bad, 1, budget)
+    problems = validate_action(bad, z4)
     _expect(
         any("surjectivity" in p for p in problems), "squaring on Z4 not caught"
     )
 
     spec, _ = _suite_entry("klein_trivial")
-    _expect(validate_action(spec, 1, budget) == [], "trivial action is valid")
+    z2 = verify_class_bound(spec.acted, 1, budget)
+    _expect(validate_action(spec, z2) == [], "trivial action is valid")
 
 
 @_check("semidirect/merge-examples")
@@ -977,12 +979,22 @@ def _(budget):
         _expect(merge_invariants(a, T.trivial()) == a, "unit law")
 
 
-def _decomposition_case(name, c, budget):
+def suite_case(name, budget=DEFAULT_MONOMIAL_BUDGET):
+    """The combined presentation of a suite example and its class-bound
+    certificate: the check of the suite's fixed bound, else detected."""
     spec, k_fixed = _suite_entry(name)
     sp = build_semidirect(spec)
-    k = k_fixed if k_fixed is not None else detect_class(sp.combined, 6, budget).k
-    _expect(k is not None, f"{name}: class bound undetermined")
-    report = verify_direct_factor(sp, c, k, monomial_budget=budget)
+    if k_fixed is None:
+        cert = detect_class(sp.combined, 6, budget)
+    else:
+        cert = verify_class_bound(sp.combined, k_fixed, budget)
+    _expect(cert is not None, f"{name}: class bound undetermined")
+    return sp, cert
+
+
+def _decomposition_case(name, c, budget):
+    sp, cert = suite_case(name, budget)
+    report = verify_direct_factor(sp, c, cert)
     failed = [n for n, ok in report.checks.items() if not ok]
     _expect(not failed, f"{name} c={c}: failed {failed}")
     return report

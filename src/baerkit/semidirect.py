@@ -40,16 +40,13 @@ from dataclasses import dataclass, field
 from itertools import product
 
 from .baer import (
-    BaerJob,
     ClassBoundResult,
     baer_invariant,
     certified_class_bound,
-    certify_class_bound,
     hopf_pair,
-    verify_class_bound,
     working_closure,
 )
-from .errors import ActionError
+from .errors import ActionError, CertificateError
 from .intlinalg import AbelianInvariants, abelian_invariants
 from .lyndon import lyndon_words
 from .magnus import _word_element
@@ -77,20 +74,26 @@ from .subgroups import (
 _MAX_ORDER_SEARCH = 4096
 
 
-def validate_action(
-    spec: ActionSpec,
-    k_acted: int,
-    monomial_budget: int | None = DEFAULT_MONOMIAL_BUDGET,
-    certificate: ClassBoundResult | None = None,
-) -> list[str]:
+def _own(certificate: ClassBoundResult, pres: Presentation) -> ClassBoundResult:
+    """`certificate`, refused unless it was built for `pres`."""
+    if certificate.presentation != pres:
+        raise ValueError(
+            f"certificate of {certificate.presentation.name!r} "
+            f"passed for {pres.name!r}"
+        )
+    return certificate
+
+
+def validate_action(spec: ActionSpec, certificate: ClassBoundResult) -> list[str]:
     """Check that the table defines automorphisms of the acted group and
     that the acting relators act trivially.  Returns an itemized problem
     list; empty means certified.
 
-    Works in the acted group's nilpotent quotient: the class bound is
-    verified first, which makes every membership test against the relator
-    closure exact.  The closure is the certificate's when it was built for
-    the acted group at cap k_acted + 1.
+    `certificate` is the acted group's class-bound certificate, and the
+    check works in its closure, in the free nilpotent quotient of class
+    k + 1.  When the certificate is `ok` the acted group is nilpotent of
+    class <= k, so every membership test against that closure is exact;
+    otherwise the only problem reported is the missing certificate.
 
     An acting letter b is the endomorphism of the free nilpotent quotient
     sending generator a_i to the element of its image word w[a_i, b], and it
@@ -102,13 +105,13 @@ def validate_action(
     as b^(m-1), m the order of b's action modulo the relators, searched up
     to _MAX_ORDER_SEARCH one forward step at a time.
     """
-    closure = working_closure(spec.acted, k_acted + 1, monomial_budget, certificate)
-    ambient = closure.ambient
-    if not closure.levels[k_acted].is_full:
+    if not _own(certificate, spec.acted).ok:
         return [
             f"acted group {spec.acted.name!r} is not certified nilpotent of "
-            f"class <= {k_acted}"
+            f"class <= {certificate.k}"
         ]
+    closure = certificate.closure
+    ambient = closure.ambient
     cap, generators = ambient.cap, ambient.generators
     acted_names = spec.acted.alphabet.names
     acting_names = spec.acting.alphabet.names
@@ -301,22 +304,18 @@ class SemidirectSubgroups:
 def materialize_subgroups(
     sp: SemidirectPresentation,
     c: int,
-    k: int,
-    monomial_budget: int | None = DEFAULT_MONOMIAL_BUDGET,
-    certificate: ClassBoundResult | None = None,
-    acting_certificate: ClassBoundResult | None = None,
+    certificate: ClassBoundResult,
+    acting_certificate: ClassBoundResult,
 ) -> SemidirectSubgroups:
-    """Build all subgroups at cap k + c, re-certifying the class bound.
+    """Build all subgroups at cap k + c, k the class bound of `certificate`,
+    the combined group's; `acting_certificate` is the acting factor's.
 
     The relator closures of the combined group and of the acting factor
     are the working closures of their certificates (see `baer`): their own
     at cap k + 1, seeded with the lower-central term above it."""
-    cap = k + c
+    cap = certificate.k + c
     n_acted, n = sp.n_acted, sp.n_acted + sp.n_acting
-    certificate = certify_class_bound(
-        sp.combined, k, monomial_budget, certificate
-    )
-    rel_full = working_closure(sp.combined, cap, monomial_budget, certificate)
+    rel_full = working_closure(_own(certificate, sp.combined), cap)
     ambient = rel_full.ambient
     generators = ambient.generators
 
@@ -371,9 +370,7 @@ def materialize_subgroups(
 
     # The acting factor's Hopf pair is taken in its own free group, whose
     # c-fold tower commutes with the acting letters only, then embedded.
-    acting_sub = working_closure(
-        sp.action.acting, cap, monomial_budget, acting_certificate
-    )
+    acting_sub = working_closure(_own(acting_certificate, sp.action.acting), cap)
     acting_gamma, acting_tower = hopf_pair(acting_sub, c)
 
     return SemidirectSubgroups(
@@ -482,38 +479,38 @@ def resolve_acting_class_bound(
     k_limit: int,
     monomial_budget: int | None = DEFAULT_MONOMIAL_BUDGET,
 ) -> ClassBoundResult:
-    """Certificate of the smallest class bound of the acting factor alone,
-    else its (failed) check at the given limit, since the factor's class
-    never exceeds the product's; whatever comes out is re-verified
-    downstream."""
+    """Certificate of the smallest class bound <= k_limit of the acting
+    factor alone; CertificateError when there is none, which a product
+    certified at k_limit never gives.  The factor is a retract of the
+    product: killing the acted letters maps F onto F2, the relator closure
+    R onto the acting one R2 (acted and twist relators go to 1) and
+    gamma_j(F) onto gamma_j(F2), so gamma_{k+1}(F) <= R gamma_{k+2}(F)
+    gives gamma_{k+1}(F2) <= R2 gamma_{k+2}(F2), the factor's certificate."""
     cert = certified_class_bound(acting, k_limit, monomial_budget)
     if cert is None:
-        cert = verify_class_bound(acting, k_limit, monomial_budget)
+        raise CertificateError(
+            f"no class bound <= {k_limit} certifies the acting factor "
+            f"{acting.name!r}"
+        )
     return cert
 
 
 def verify_direct_factor(
-    sp: SemidirectPresentation,
-    c: int,
-    k: int,
-    monomial_budget: int | None = DEFAULT_MONOMIAL_BUDGET,
-    certificate: ClassBoundResult | None = None,
+    sp: SemidirectPresentation, c: int, certificate: ClassBoundResult
 ) -> DecompositionReport:
     """Full decomposition report: subgroup checks, the three invariants, the
     direct-sum verdict and, in the classical c = 1 case, agreement of the
     complement denominator with its older one-step form.  `certificate`
-    is the combined group's class-bound certificate, if the caller has
-    one; see `materialize_subgroups`."""
-    acting = resolve_acting_class_bound(sp.action.acting, k, monomial_budget)
-    table = materialize_subgroups(
-        sp, c, k, monomial_budget, certificate, acting
+    is the combined group's class-bound certificate; see
+    `materialize_subgroups`."""
+    acting = resolve_acting_class_bound(
+        sp.action.acting, certificate.k, certificate.closure.ambient.monomial_budget
     )
+    table = materialize_subgroups(sp, c, certificate, acting)
     checks = verify_subgroup_decomposition(table)
 
     invariants_group = quotient_invariants(table.numerator, table.denominator)
-    invariants_acting = baer_invariant(
-        BaerJob(sp.action.acting, c, acting.k, monomial_budget), acting
-    )
+    invariants_acting = baer_invariant(acting, c)
     invariants_complement = complement_factor(table)
     merged = merge_invariants(invariants_acting, invariants_complement)
     checks["direct_sum_matches"] = merged == invariants_group

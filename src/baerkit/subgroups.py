@@ -169,7 +169,8 @@ def monomials_over_budget(n: int, top: int, budget: int, through: bool) -> str |
 
 class AmbientContext:
     """The free nilpotent group on n generators of class `cap`, together with
-    the per-degree Lyndon bases used for coordinates."""
+    the per-degree Lyndon bases used for coordinates and the monomial budget
+    it was built under (None when unguarded)."""
 
     def __init__(self, n: int, cap: int, monomial_budget: int | None = DEFAULT_MONOMIAL_BUDGET):
         if n < 1 or cap < 1:
@@ -183,6 +184,7 @@ class AmbientContext:
                 )
         self.n = n
         self.cap = cap
+        self.monomial_budget = monomial_budget
         self.bases = [get_basis(n, m) for m in range(1, cap + 1)]
         self.generators = [generator_element(i, n, cap) for i in range(n)]
         self._brackets: dict[tuple[int, ...], GroupElement] = {}

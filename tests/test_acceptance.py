@@ -10,18 +10,18 @@ import time
 
 import pytest
 
-from baerkit.baer import BaerJob, baer_invariant, check_presentation_independence, detect_class
+from baerkit.baer import baer_invariant, check_presentation_independence, verify_class_bound
 from baerkit.cli import main
 from baerkit.intlinalg import AbelianInvariants
-from baerkit.presentations import parse_input_file
 from baerkit.selftest import (
     SEMIDIRECT_SUITE,
     iter_checks,
     klein,
     klein_redundant,
     multiplier_table,
+    suite_case,
 )
-from baerkit.semidirect import build_semidirect, verify_direct_factor
+from baerkit.semidirect import verify_direct_factor
 
 T = AbelianInvariants
 
@@ -36,13 +36,10 @@ def suite_reports():
     """Decomposition reports for the five-example suite at c in {1, 2}."""
     t0 = time.monotonic()
     reports = {}
-    for name, (text, k_fixed) in SEMIDIRECT_SUITE.items():
-        spec = parse_input_file(text).action
-        sp = build_semidirect(spec)
-        k = k_fixed if k_fixed is not None else detect_class(sp.combined, 6).k
-        assert k is not None, f"{name}: no class bound"
+    for name in SEMIDIRECT_SUITE:
+        sp, cert = suite_case(name)
         for c in (1, 2):
-            reports[(name, c)] = verify_direct_factor(sp, c, k)
+            reports[(name, c)] = verify_direct_factor(sp, c, cert)
     reports["elapsed"] = time.monotonic() - t0
     return reports
 
@@ -51,7 +48,7 @@ def test_criterion_1_multiplier_table():
     ok = True
     for name, pres, c, k, expected in multiplier_table():
         t0 = time.monotonic()
-        got = baer_invariant(BaerJob(pres, c, k))
+        got = baer_invariant(verify_class_bound(pres, k), c)
         elapsed = time.monotonic() - t0
         if got != expected or elapsed >= 10.0:
             print(f"  {name}: got {got}, expected {expected}, {elapsed:.2f}s")

@@ -2,12 +2,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from baerkit.baer import (
-    BaerJob,
     baer_invariant,
     certified_class_bound,
     check_presentation_independence,
     detect_class,
     verify_class_bound,
+    working_closure,
 )
 from baerkit.errors import CertificateError
 from baerkit.intlinalg import AbelianInvariants
@@ -50,18 +50,28 @@ class TestBaerInvariant:
     @pytest.mark.parametrize("m", [2, 3, 4, 5])
     def test_cyclic_trivial(self, m):
         for c in (1, 2, 3):
-            assert baer_invariant(BaerJob(cyclic(m), c, 1)).is_trivial
+            assert baer_invariant(verify_class_bound(cyclic(m), 1), c).is_trivial
 
     def test_dihedral_multiplier(self):
-        assert baer_invariant(BaerJob(dihedral8(), 1, 2)) == AbelianInvariants(0, (2,))
+        got = baer_invariant(verify_class_bound(dihedral8(), 2), 1)
+        assert got == AbelianInvariants(0, (2,))
 
     def test_wrong_bound_raises(self):
         with pytest.raises(CertificateError):
-            baer_invariant(BaerJob(dihedral8(), 1, 1))
+            baer_invariant(verify_class_bound(dihedral8(), 1), 1)
 
     def test_job_validation(self):
         with pytest.raises(ValueError):
-            BaerJob(klein(), 0, 1)
+            baer_invariant(verify_class_bound(klein(), 1), 0)
+
+    def test_working_closure_refuses_failed_certificate_at_its_cap(self):
+        # At c = 1 the working closure is the certificate's own.
+        with pytest.raises(CertificateError, match="degree-2 lattice is not full"):
+            working_closure(verify_class_bound(dihedral8(), 1), 2)
+
+    def test_working_closure_refuses_cap_below_certificate(self):
+        with pytest.raises(ValueError):
+            working_closure(verify_class_bound(dihedral8(), 2), 2)
 
 
 def witt(n, m):
@@ -129,7 +139,7 @@ class TestBurnsEllis:
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(chain=divisor_chains(), c=st.integers(1, 3))
     def test_matches_engine(self, chain, c):
-        got = baer_invariant(BaerJob(self.abelian(chain), c, 1))
+        got = baer_invariant(verify_class_bound(self.abelian(chain), 1), c)
         assert got == self.expected(chain, c)
 
     @pytest.mark.parametrize("chain, c", [
@@ -137,7 +147,7 @@ class TestBurnsEllis:
         ((6, 2), 2), ((9, 3), 2), ((4, 2, 2), 3),
     ])
     def test_chains_checked_before(self, chain, c):
-        got = baer_invariant(BaerJob(self.abelian(chain), c, 1))
+        got = baer_invariant(verify_class_bound(self.abelian(chain), 1), c)
         assert got == self.expected(chain, c)
 
 

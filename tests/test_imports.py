@@ -1,13 +1,17 @@
 """Every module of the package, and every test file, uses each name it
-imports."""
+imports; every name the benchmark's tracer patches exists."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 TESTS = Path(__file__).resolve().parent
-PACKAGE = TESTS.parent / "src" / "baerkit"
+ROOT = TESTS.parent
+PACKAGE = ROOT / "src" / "baerkit"
 # The package's __init__.py imports names only to export them.
 SOURCES = {p.name: p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"}
 SOURCES.update({f"tests/{p.name}": p for p in TESTS.glob("*.py")})
@@ -47,3 +51,16 @@ def test_every_import_is_used(module):
 def test_detects_an_unused_import():
     source = "from os import path, sep\nimport sys\nprint(sep, sys.argv)\n"
     assert unused_imports(source) == ["path (line 1)"]
+
+
+def test_tracer_finds_every_patched_name():
+    """perfbench/tracing.py wraps package functions by name, so a patched
+    name that was renamed or deleted fails its install."""
+    run = subprocess.run(
+        [sys.executable, "-c", "import tracing; tracing.install(tracing.Tracer())"],
+        cwd=ROOT / "perfbench",
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        capture_output=True,
+        text=True,
+    )
+    assert run.returncode == 0, run.stderr

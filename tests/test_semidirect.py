@@ -9,16 +9,14 @@ from hypothesis import given, settings, strategies as st
 
 from baerkit.baer import (
     certified_class_bound,
-    certify_class_bound,
-    detect_class,
     relator_closure,
     verify_class_bound,
     working_closure,
 )
-from baerkit.errors import ActionError
+from baerkit.errors import ActionError, CertificateError
 from baerkit.intlinalg import AbelianInvariants
 from baerkit.presentations import Word, parse_input_file
-from baerkit.selftest import SEMIDIRECT_SUITE
+from baerkit.selftest import SEMIDIRECT_SUITE, dihedral8, klein, suite_case
 from baerkit.semidirect import (
     SemidirectSubgroups,
     build_semidirect,
@@ -51,11 +49,15 @@ def suite_action(name):
 
 
 def suite_report(name, c):
-    spec, k_fixed = suite_action(name)
-    sp = build_semidirect(spec)
-    k = k_fixed if k_fixed is not None else detect_class(sp.combined, 6).k
-    assert k is not None
-    return verify_direct_factor(sp, c, k)
+    sp, cert = suite_case(name)
+    return verify_direct_factor(sp, c, cert)
+
+
+def suite_table(name, c):
+    """The verifier's subgroup table for a suite example."""
+    sp, cert = suite_case(name)
+    acting = resolve_acting_class_bound(sp.action.acting, cert.k)
+    return materialize_subgroups(sp, c, cert, acting)
 
 
 class TestValidateAction:
@@ -64,7 +66,7 @@ class TestValidateAction:
         bad = parse_input_file(
             text.replace("inverse b : a -> a^-1", "inverse b : a -> a")
         ).action
-        problems = validate_action(bad, 1)
+        problems = validate_action(bad, verify_class_bound(bad.acted, 1))
         assert any("does not undo" in p for p in problems)
 
     def test_infinite_acted_needs_inverses(self):
@@ -72,15 +74,41 @@ class TestValidateAction:
         spec = parse_input_file(
             text.replace("  inverse b : a -> a\n", "")
         ).action
-        problems = validate_action(spec, 1)
+        problems = validate_action(spec, verify_class_bound(spec.acted, 1))
         assert any("inverse images required" in p for p in problems)
 
     def test_acting_relator_must_act_trivially(self):
         # Inversion under Z3 fails: b^3 would act as inversion, not identity.
         text = SEMIDIRECT_SUITE["d8"][0].replace("rel b^2", "rel b^3")
         spec = parse_input_file(text).action
-        problems = validate_action(spec, 1)
+        problems = validate_action(spec, verify_class_bound(spec.acted, 1))
         assert any("moves" in p for p in problems)
+
+
+class TestCertificates:
+    """Each stage reads its class bound from a certificate, and refuses one
+    built for another presentation."""
+
+    def test_foreign_certificate_in_validate_action(self):
+        spec, _ = suite_action("d8")
+        with pytest.raises(ValueError, match="certificate of 'klein'"):
+            validate_action(spec, verify_class_bound(klein(), 1))
+
+    def test_foreign_certificate_in_materialize_subgroups(self):
+        sp, cert = suite_case("d8")
+        acting = resolve_acting_class_bound(sp.action.acting, cert.k)
+        foreign = verify_class_bound(dihedral8(), cert.k)
+        assert foreign.ok and foreign.presentation != sp.combined
+        for certs in [(foreign, acting), (cert, foreign)]:
+            with pytest.raises(ValueError, match="certificate of 'd8'"):
+                materialize_subgroups(sp, 1, *certs)
+        with pytest.raises(ValueError, match="certificate of 'd8'"):
+            verify_direct_factor(sp, 1, foreign)
+
+    def test_acting_factor_without_a_bound(self):
+        # D8 has class 2, so no bound <= 1 certifies it.
+        with pytest.raises(CertificateError, match="acting factor 'd8'"):
+            resolve_acting_class_bound(dihedral8(), 1)
 
 
 # --- word-substitution oracle ------------------------------------------------
@@ -412,7 +440,8 @@ class TestSubstitutionOracle:
     @pytest.mark.parametrize("index", range(len(CASES)))
     def test_same_problems_as_word_substitution(self, index):
         spec = parse_input_file(self.CASES[index]).action
-        assert validate_action(spec, 1) == substitution_validate(spec, 1)
+        cert = verify_class_bound(spec.acted, 1)
+        assert validate_action(spec, cert) == substitution_validate(spec, 1)
 
     def test_family_reaches_every_branch(self):
         problems = []
@@ -466,9 +495,7 @@ class TestDecomposition:
         assert "classic_denominator_agrees" not in suite_report("d8", 2).checks
 
     def test_subgroup_checks_standalone(self):
-        spec, _ = suite_action("klein_trivial")
-        sp = build_semidirect(spec)
-        table = materialize_subgroups(sp, 1, 1)
+        table = suite_table("klein_trivial", 1)
         checks = verify_subgroup_decomposition(table)
         assert all(checks.values()), checks
         assert table.twist.contains_all(table.rel_acted)
@@ -492,13 +519,12 @@ def _iterated_commutator(ambient, base_elem, letters):
     return out
 
 
-def former_subgroups(sp, c, k, certificate=None, acting_certificate=None):
+def former_subgroups(sp, c, certificate, acting_certificate):
     """The former table, keyed by the field names of the current one."""
-    cap = k + c
+    cap = certificate.k + c
     n_acted, n_acting = sp.n_acted, sp.n_acting
     n = n_acted + n_acting
-    certificate = certify_class_bound(sp.combined, k, certificate=certificate)
-    rel_full = working_closure(sp.combined, cap, certificate=certificate)
+    rel_full = working_closure(certificate, cap)
     ambient = rel_full.ambient
     full = ambient.full_group()
 
@@ -535,7 +561,7 @@ def former_subgroups(sp, c, k, certificate=None, acting_certificate=None):
     mixed_tower = insert_and_close(None, ambient, mixed_elems, normal=True)
     complement_denominator = join(mixed_tower, twist_tower)
 
-    acting_sub = working_closure(sp.action.acting, cap, certificate=acting_certificate)
+    acting_sub = working_closure(acting_certificate, cap)
     amb_acting = acting_sub.ambient
     acting_gamma_embedded = embedded_copy(
         intersect_with_gamma(acting_sub, c + 1), ambient, n_acted, normal=False
@@ -674,10 +700,8 @@ class TestDerivedTable:
     )
     def test_same_lattices_as_former_construction(self, name, text, c):
         sp, cert, acting = certified_presentation(text)
-        table = materialize_subgroups(
-            sp, c, cert.k, certificate=cert, acting_certificate=acting
-        )
-        want = former_subgroups(sp, c, cert.k, cert, acting)
+        table = materialize_subgroups(sp, c, cert, acting)
+        want = former_subgroups(sp, c, cert, acting)
         got = {f.name: getattr(table, f.name)
                for f in dataclasses.fields(SemidirectSubgroups)}
         assert got.keys() == want.keys()
@@ -711,9 +735,7 @@ class TestChecksDetectFailure:
 
     @pytest.mark.parametrize("name", ["d8", "z4_by_z4"])
     def test_each_check_fails_under_its_perturbation(self, name):
-        spec, _ = suite_action(name)
-        sp = build_semidirect(spec)
-        table = materialize_subgroups(sp, 1, detect_class(sp.combined, 6).k)
+        table = suite_table(name, 1)
         checks = verify_subgroup_decomposition(table)
         assert all(checks.values())
         perturbations = self.perturbations(table)

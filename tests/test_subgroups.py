@@ -605,7 +605,7 @@ class TestSeededClosure:
             cert = certified_class_bound(pres, 6)
             for c in (2, 3):
                 cap = cert.k + c
-                got = working_closure(pres, cap, certificate=cert)
+                got = working_closure(cert, cap)
                 label = (pres.name, cap)
                 want = scratch_relator_closure(pres, AmbientContext(pres.rank, cap))
                 self.assert_same_rows(got, want, label)
