@@ -4,7 +4,6 @@ presentations and their multiplier decompositions."""
 
 from .baer import (
     baer_invariant,
-    check_presentation_independence,
     detect_class,
     verify_class_bound,
 )

@@ -56,13 +56,12 @@ from .subgroups import (
 
 
 def relator_closure(
-    pres: Presentation,
-    ambient: AmbientContext,
-    seed: FilteredSubgroup | None = None,
+    relators, ambient: AmbientContext, seed: FilteredSubgroup | None = None
 ) -> FilteredSubgroup:
-    """Normal closure of the relators in the ambient nilpotent quotient,
-    together with `seed` when one is given."""
-    elems = [ambient.element_of_word(r) for r in pres.relators]
+    """Normal closure of the relator words in the ambient nilpotent
+    quotient, together with `seed` when one is given: the one way a
+    subgroup is closed from words."""
+    elems = [ambient.element_of_word(r) for r in relators]
     return insert_and_close(seed, ambient, elems, normal=True)
 
 
@@ -81,7 +80,7 @@ def working_closure(certificate: ClassBoundResult, cap: int) -> FilteredSubgroup
         return own
     ambient = AmbientContext(own.ambient.n, cap, own.ambient.monomial_budget)
     seed = intersect_with_gamma(ambient.full_group(), k + 1)
-    return relator_closure(certificate.presentation, ambient, seed)
+    return relator_closure(certificate.presentation.relators, ambient, seed)
 
 
 @dataclass
@@ -107,11 +106,13 @@ class ClassBoundResult:
 def verify_class_bound(
     pres: Presentation,
     k: int,
-    monomial_budget: int | None = DEFAULT_MONOMIAL_BUDGET,
+    monomial_budget: int = DEFAULT_MONOMIAL_BUDGET,
 ) -> ClassBoundResult:
     if k < 1:
         raise ValueError("class bound must be >= 1")
-    closure = relator_closure(pres, AmbientContext(pres.rank, k + 1, monomial_budget))
+    closure = relator_closure(
+        pres.relators, AmbientContext(pres.rank, k + 1, monomial_budget)
+    )
     return ClassBoundResult(
         k=k,
         ok=closure.levels[k].is_full,
@@ -124,7 +125,7 @@ def verify_class_bound(
 def detect_class(
     pres: Presentation,
     k_max: int,
-    monomial_budget: int | None = DEFAULT_MONOMIAL_BUDGET,
+    monomial_budget: int = DEFAULT_MONOMIAL_BUDGET,
 ) -> ClassBoundResult | None:
     """Certificate of the smallest verified class bound k <= k_max whose
     nilpotent quotient is finite and already stable at class k+1; None when
@@ -150,7 +151,7 @@ def detect_class(
 def certified_class_bound(
     pres: Presentation,
     k_max: int,
-    monomial_budget: int | None = DEFAULT_MONOMIAL_BUDGET,
+    monomial_budget: int = DEFAULT_MONOMIAL_BUDGET,
 ) -> ClassBoundResult | None:
     """Certificate of the smallest k <= k_max passing verify_class_bound,
     without the finiteness test; the right notion for infinite nilpotent
@@ -168,10 +169,9 @@ def hopf_pair(
     """The Hopf numerator and denominator of a normal closure R: R meet
     gamma_{c+1}, and the c-fold iterated commutator [R, F, ..., F] of R
     with the full ambient group F."""
-    full = closure.ambient.full_group()
     tower = closure
     for _ in range(c):
-        tower = commutator_with(tower, full)
+        tower = commutator_with(tower)
     return intersect_with_gamma(closure, c + 1), tower
 
 
@@ -182,24 +182,3 @@ def baer_invariant(certificate: ClassBoundResult, c: int) -> AbelianInvariants:
         raise ValueError("need c >= 1")
     closure = working_closure(certificate, certificate.k + c)
     return quotient_invariants(*hopf_pair(closure, c))
-
-
-@dataclass(frozen=True)
-class IndependenceReport:
-    agree: bool
-    first: AbelianInvariants
-    second: AbelianInvariants
-
-
-def check_presentation_independence(
-    p1: Presentation,
-    p2: Presentation,
-    c: int,
-    k: int,
-    monomial_budget: int | None = DEFAULT_MONOMIAL_BUDGET,
-) -> IndependenceReport:
-    """Both presentations are expected to present the same group (the
-    caller's responsibility); their invariants must then agree."""
-    a = baer_invariant(verify_class_bound(p1, k, monomial_budget), c)
-    b = baer_invariant(verify_class_bound(p2, k, monomial_budget), c)
-    return IndependenceReport(a == b, a, b)

@@ -320,14 +320,6 @@ class AbelianInvariants:
             if b % a:
                 raise ValueError("torsion is not a divisor chain")
 
-    @classmethod
-    def trivial(cls) -> "AbelianInvariants":
-        return cls(0, ())
-
-    @property
-    def is_trivial(self) -> bool:
-        return self.free_rank == 0 and not self.torsion
-
     def order(self) -> int | None:
         """Group order, or None when infinite."""
         if self.free_rank:

@@ -15,7 +15,6 @@ import random
 
 from .baer import (
     baer_invariant,
-    check_presentation_independence,
     detect_class,
     relator_closure,
     verify_class_bound,
@@ -38,7 +37,7 @@ from .lyndon import (
     monomial_index,
     witt_dimension,
 )
-from .magnus import series_of_word
+from .magnus import identity_element, series_of_word
 from .presentations import (
     Alphabet,
     Presentation,
@@ -57,13 +56,13 @@ from .semidirect import (
 from .subgroups import (
     DEFAULT_MONOMIAL_BUDGET,
     AmbientContext,
+    FilteredSubgroup,
     commutator_with,
     insert_and_close,
     intersect_with_gamma,
     join,
     quotient_invariants,
     quotient_order,
-    trivial_subgroup,
 )
 
 # --- catalog of standing examples --------------------------------------------
@@ -683,9 +682,8 @@ def _(budget):
 # subgroups -------------------------------------------------------------------
 
 
-def _closure_of(amb, ab, words, normal=True):
-    els = [amb.element_of_word(parse_word(w, ab)) for w in words]
-    return insert_and_close(None, amb, els, normal)
+def _closure_of(amb, ab, words):
+    return relator_closure([parse_word(w, ab) for w in words], amb)
 
 
 @_check("subgroups/closure-examples")
@@ -715,7 +713,7 @@ def _(budget):
     _expect(res.member and res.recipe == [((1, 0), 2)], "x^4 member")
     res = u.sieve(amb.element_of_word(parse_word("x", abx)))
     _expect(not res.member and res.residue.weight() == 1, "x residue")
-    res = u.sieve(amb.identity())
+    res = u.sieve(identity_element(amb.cap))
     _expect(res.member and res.recipe == [], "identity member, empty recipe")
 
 
@@ -723,16 +721,15 @@ def _(budget):
 def _(budget):
     amb = AmbientContext(2, 2, budget)
     ab = Alphabet(["x", "y"])
-    full = amb.full_group()
-    t = commutator_with(trivial_subgroup(amb), full)
+    t = commutator_with(FilteredSubgroup(amb, True))
     _expect(not any(l.rows for l in t.levels), "[1, F] = 1")
 
     amb1 = AmbientContext(1, 2, budget)
-    t = commutator_with(amb1.full_group(), amb1.full_group())
+    t = commutator_with(amb1.full_group())
     _expect(not any(l.rows for l in t.levels), "rank-1 free group is abelian")
 
     r = _closure_of(amb, ab, ["x^2", "y^2", "[x,y]"])
-    d = commutator_with(r, full)
+    d = commutator_with(r)
     _expect(d.levels[1].rows == [[2]], "[R,F] lattice is 2Z at degree 2")
 
 
@@ -747,7 +744,7 @@ def _(budget):
     r = _closure_of(amb, ab, ["x^2", "y^2", "[x,y]"])
     s = intersect_with_gamma(r, 2)
     _expect(s.levels[0].rows == [] and s.levels[1].is_full, "klein slice")
-    t = intersect_with_gamma(trivial_subgroup(amb), 2)
+    t = intersect_with_gamma(FilteredSubgroup(amb, True), 2)
     _expect(not any(l.rows for l in t.levels), "trivial slice")
 
 
@@ -756,7 +753,7 @@ def _(budget):
     amb = AmbientContext(1, 1, budget)
     abx = Alphabet(["x"])
     u = _closure_of(amb, abx, ["x^2"])
-    _expect(join(u, trivial_subgroup(amb)).equal_as_subgroup(u), "join with 1")
+    _expect(join(u, FilteredSubgroup(amb, True)).equal_as_subgroup(u), "join with 1")
     _expect(join(u, u).equal_as_subgroup(u), "idempotence")
     v = _closure_of(amb, abx, ["x^3"])
     _expect(join(u, v).levels[0].is_full, "gcd(2,3) = 1")
@@ -772,11 +769,11 @@ def _(budget):
         quotient_invariants(num, num) == AbelianInvariants(0), "N = D"
     )
     _expect(
-        quotient_invariants(num, trivial_subgroup(amb)) == AbelianInvariants(1),
+        quotient_invariants(num, FilteredSubgroup(amb, True)) == AbelianInvariants(1),
         "multiplier numerator of Z^2",
     )
     rk = _closure_of(amb, ab, ["x^2", "y^2", "[x,y]"])
-    den = commutator_with(rk, amb.full_group())
+    den = commutator_with(rk)
     _expect(
         quotient_invariants(intersect_with_gamma(rk, 2), den)
         == AbelianInvariants(0, (2,)),
@@ -823,15 +820,15 @@ def _(budget):
         stored = u.stored()
         if not stored:
             continue
-        g = amb.identity()
+        g = identity_element(amb.cap)
         for _ in range(rng.randrange(1, 5)):
             _, _, el = stored[rng.randrange(len(stored))]
             g = g * el ** rng.choice((-2, -1, 1, 2))
         res = u.sieve(g)
         _expect(res.member, "product of stored elements escaped the sieve")
-        out = amb.identity()
-        for ref, e in res.recipe:
-            out = out * u.resolve(ref) ** e
+        out = identity_element(amb.cap)
+        for (m, i), e in res.recipe:
+            out = out * u.levels[m - 1].elems[i] ** e
         _expect(out == g, "recipe does not multiply out to the element")
         done += 1
 
@@ -856,7 +853,7 @@ def _(budget):
                 words.append(text)
         words += [f"[{gens[i]},{gens[j]}]" for i in range(n) for j in range(i + 1, n)]
         amb = AmbientContext(n, 2, budget) if n > 1 else AmbientContext(1, 1, budget)
-        u = _closure_of(amb, ab, words) if words else trivial_subgroup(amb)
+        u = _closure_of(amb, ab, words) if words else FilteredSubgroup(amb, True)
         predicted = abelian_invariants(n, rows).order()
         _expect(
             quotient_order(u) == predicted,
@@ -901,11 +898,18 @@ def _(budget):
 
 @_check("baer/presentation-independence")
 def _(budget):
+    def invariant(pres, c):
+        return baer_invariant(verify_class_bound(pres, 1, budget), c)
+
     for c in (1, 2):
-        rep = check_presentation_independence(klein(), klein_redundant(), c, 1, budget)
-        _expect(rep.agree, f"redundant-generator presentation disagrees at c={c}")
-    rep = check_presentation_independence(cyclic(2), cyclic(3), 1, 1, budget)
-    _expect(rep.agree, "rank-1 multipliers are trivially equal")
+        _expect(
+            invariant(klein(), c) == invariant(klein_redundant(), c),
+            f"redundant-generator presentation disagrees at c={c}",
+        )
+    _expect(
+        invariant(cyclic(2), 1) == invariant(cyclic(3), 1),
+        "rank-1 multipliers are trivially equal",
+    )
 
 
 # semidirect -----------------------------------------------------------------
@@ -923,9 +927,7 @@ def _(budget):
     sp = build_semidirect(spec)
     rendered = [w.render() for w in sp.combined.relators]
     _expect(rendered == ["a^4", "b^2", "a^-2 b^-1 a^-1 b a"], "d8 relators")
-    closure = relator_closure(
-        sp.combined, AmbientContext(2, 3, budget)
-    )
+    closure = relator_closure(sp.combined.relators, AmbientContext(2, 3, budget))
     _expect(quotient_order(closure) == 8, "d8 has order 8")
 
     spec, _ = _suite_entry("klein_trivial")
@@ -937,7 +939,7 @@ def _(budget):
 
     spec, _ = _suite_entry("z4_by_z4")
     sp = build_semidirect(spec)
-    closure = relator_closure(sp.combined, AmbientContext(2, 3, budget))
+    closure = relator_closure(sp.combined.relators, AmbientContext(2, 3, budget))
     _expect(quotient_order(closure) == 16, "Z4 acting on Z4 has order 16")
 
 
@@ -976,7 +978,7 @@ def _(budget):
             == merge_invariants(a, merge_invariants(b, c)),
             "associativity",
         )
-        _expect(merge_invariants(a, T.trivial()) == a, "unit law")
+        _expect(merge_invariants(a, T(0)) == a, "unit law")
 
 
 def suite_case(name, budget=DEFAULT_MONOMIAL_BUDGET):
@@ -1040,7 +1042,7 @@ def iter_checks():
     return list(_CHECKS)
 
 
-def run_selftest(monomial_budget: int | None, out) -> int:
+def run_selftest(monomial_budget: int, out) -> int:
     """Run every check, emitting one record per check and a summary through
     out(text, *machine_lines); returns 0 when all pass, 1 otherwise.
     Capacity errors propagate so the caller can map them to their own exit

@@ -18,8 +18,13 @@ nilpotent quotient F of class k + c, whose first letters are the acted ones:
   denominator joins the tower of S with the mixed tower, the normal closure
   of [r2, x_1, ..., x_c] for the stored elements r2 of R2 and generator tuples
   that use the acted factor.
-- The free factors F1 (acted) and F2 (acting) and their gamma_{c+1}, as
-  plain closures of the bracketings of their Lyndon words, and the normal
+- The mixed commutators [R2, F1], F1 the acted free factor: the normal
+  closure K of [r, a] over the stored elements r of R2 and the acted
+  generators a.  Modulo K each r commutes with each a, so with F1 = <a>,
+  and the r generate R2, so K is the normal closure of [R2, F1].  F1
+  itself is never built.
+- The acting free factor F2, and both factors' gamma_{c+1}, as plain
+  closures of the bracketings of their Lyndon words, and the normal
   closure of [a, b, x_1, ..., x_{c-1}] over acted a and acting b.
 - The Hopf pair of the acting factor's relator closure, taken in its own
   free group, since its tower commutes with F2 only, and embedded by the
@@ -44,6 +49,7 @@ from .baer import (
     baer_invariant,
     certified_class_bound,
     hopf_pair,
+    relator_closure,
     working_closure,
 )
 from .errors import ActionError, CertificateError
@@ -60,11 +66,9 @@ from .presentations import (
 from .subgroups import (
     DEFAULT_MONOMIAL_BUDGET,
     FilteredSubgroup,
-    commutator_with,
     embedded_copy,
     insert_and_close,
     intersect_with_gamma,
-    is_full,
     join,
     lattices_intersect_trivially,
     quotient_invariants,
@@ -169,7 +173,7 @@ def validate_action(spec: ActionSpec, certificate: ClassBoundResult) -> list[str
                     [el for _, _, el in closure.stored()] + forward[b],
                     normal=False,
                 )
-                if not is_full(generated):
+                if quotient_order(generated) != 1:
                     problems.append(
                         f"surjectivity fails for {b!r}: images generate a "
                         f"proper subgroup"
@@ -319,10 +323,6 @@ def materialize_subgroups(
     ambient = rel_full.ambient
     generators = ambient.generators
 
-    def closure_of(words, base=None):
-        elems = [ambient.element_of_word(w) for w in words]
-        return insert_and_close(base, ambient, elems, normal=True)
-
     def free_factor(first, end, degree):
         """The free factor on generators first .. end - 1, meet
         gamma_degree: the bracketings of its Lyndon words, shifted."""
@@ -348,9 +348,9 @@ def materialize_subgroups(
                     elems.append(out)
         return insert_and_close(None, ambient, elems, normal=True)
 
-    rel_acting = closure_of(sp.rel_acting)
-    rel_acted = closure_of(sp.rel_acted)
-    twist = closure_of(sp.rel_twist, rel_acted)
+    rel_acting = relator_closure(sp.rel_acting, ambient)
+    rel_acted = relator_closure(sp.rel_acted, ambient)
+    twist = relator_closure(sp.rel_twist, ambient, rel_acted)
     numerator, denominator = hopf_pair(rel_full, c)
     twist_numerator, twist_tower = hopf_pair(twist, c)
 
@@ -384,15 +384,12 @@ def materialize_subgroups(
         twist_tower=twist_tower,
         mixed_tower=mixed_tower,
         complement_denominator=complement_denominator,
-        mixed_commutators=commutator_with(
-            rel_acting, free_factor(0, n_acted, 1)
+        mixed_commutators=left_normed(
+            [r for _, _, r in rel_acting.stored()],
+            [(a,) for a in range(n_acted)],
         ),
-        acting_gamma_embedded=embedded_copy(
-            acting_gamma, ambient, n_acted, normal=False
-        ),
-        acting_tower_embedded=embedded_copy(
-            acting_tower, ambient, n_acted, normal=False
-        ),
+        acting_gamma_embedded=embedded_copy(acting_gamma, ambient, n_acted),
+        acting_tower_embedded=embedded_copy(acting_tower, ambient, n_acted),
         acting_full=free_factor(n_acted, n, 1),
         acted_normal_closure=insert_and_close(
             None, ambient, generators[:n_acted], normal=True
@@ -477,7 +474,7 @@ class DecompositionReport:
 def resolve_acting_class_bound(
     acting: Presentation,
     k_limit: int,
-    monomial_budget: int | None = DEFAULT_MONOMIAL_BUDGET,
+    monomial_budget: int = DEFAULT_MONOMIAL_BUDGET,
 ) -> ClassBoundResult:
     """Certificate of the smallest class bound <= k_limit of the acting
     factor alone; CertificateError when there is none, which a product

@@ -96,12 +96,13 @@ generated by those of weight >= m:
    enlarge lattices, so t only falls and a skipped obligation stays met.
    `contains` stops at t as well; `quotient_invariants` sieves to the end,
    because it reads the recipes.
-7. Seeded towers.  If U is full from level t on, U = <S> gamma_t with S
-   its stored elements of weight < t, and [U, F] is the normal closure K
-   of gamma_{t+1} = [gamma_t, F] and the [s, x] for generators x: K lies
-   in [U, F], and modulo K each s commutes with each x while gamma_t is
-   central, so U is central and [U, F] <= K.  `commutator_with` against
-   the full group starts from gamma_{t+1} and pairs only S.
+7. Seeded towers.  The only commutator subgroup the engine builds is
+   [U, F] with the whole ambient group F = <X>.  If U is full from level
+   t on, U = <S> gamma_t with S its stored elements of weight < t, and
+   [U, F] is the normal closure K of gamma_{t+1} = [gamma_t, F] and the
+   [s, x] for generators x: K lies in [U, F], and modulo K each s commutes
+   with each x while gamma_t is central, so U is central and [U, F] <= K.
+   `commutator_with` starts from gamma_{t+1} and pairs only S with X.
 """
 
 from __future__ import annotations
@@ -127,7 +128,6 @@ from .magnus import (
     GroupElement,
     _word_element,
     generator_element,
-    identity_element,
     reindex_element,
 )
 
@@ -170,18 +170,17 @@ def monomials_over_budget(n: int, top: int, budget: int, through: bool) -> str |
 class AmbientContext:
     """The free nilpotent group on n generators of class `cap`, together with
     the per-degree Lyndon bases used for coordinates and the monomial budget
-    it was built under (None when unguarded)."""
+    it was built under."""
 
-    def __init__(self, n: int, cap: int, monomial_budget: int | None = DEFAULT_MONOMIAL_BUDGET):
+    def __init__(self, n: int, cap: int, monomial_budget: int = DEFAULT_MONOMIAL_BUDGET):
         if n < 1 or cap < 1:
             raise ValueError("need n >= 1 and cap >= 1")
-        if monomial_budget is not None:
-            need = monomials_over_budget(n, cap, monomial_budget, through=True)
-            if need is not None:
-                raise CapacityError(
-                    f"job needs {need} monomials (n={n}, cap={cap}), "
-                    f"budget is {monomial_budget}"
-                )
+        need = monomials_over_budget(n, cap, monomial_budget, through=True)
+        if need is not None:
+            raise CapacityError(
+                f"job needs {need} monomials (n={n}, cap={cap}), "
+                f"budget is {monomial_budget}"
+            )
         self.n = n
         self.cap = cap
         self.monomial_budget = monomial_budget
@@ -195,9 +194,6 @@ class AmbientContext:
 
     def basis(self, m: int):
         return self.bases[m - 1]
-
-    def identity(self) -> GroupElement:
-        return identity_element(self.cap)
 
     def element_of_word(self, word) -> GroupElement:
         if len(word.alphabet) > self.n:
@@ -258,8 +254,11 @@ class _Level:
         self.elems: list[GroupElement] = []
 
     def copy(self) -> "_Level":
+        """A level whose lists can grow apart from this one's; the rows
+        themselves are shared, since `hermite_insert` replaces a row and
+        never edits one in place."""
         out = _Level(self.dim)
-        out.rows = [row[:] for row in self.rows]
+        out.rows = self.rows[:]
         out.elems = self.elems[:]
         return out
 
@@ -296,7 +295,11 @@ class SieveResult:
 
 
 class FilteredSubgroup:
-    """See the module docstring; construct through the functions below."""
+    """See the module docstring; construct through the functions below.
+
+    Subgroups may share levels: `intersect_with_gamma` hands out the levels
+    it keeps, and `copy` shares the rows.  So a built subgroup is never
+    changed in place; `insert_and_close` grows a copy of its base."""
 
     def __init__(self, ambient: AmbientContext, normal: bool):
         self.ambient = ambient
@@ -316,9 +319,6 @@ class FilteredSubgroup:
             for i, el in enumerate(level.elems):
                 out.append((m, i, el))
         return out
-
-    def lattice_rows(self, m: int) -> list[list[int]]:
-        return [row[:] for row in self.levels[m - 1].rows]
 
     def sieve(self, g: GroupElement, stop: int | None = None) -> SieveResult:
         """Reduce g level by level; MEMBER comes with a recipe that
@@ -362,10 +362,6 @@ class FilteredSubgroup:
         m, t = g.weight(), self.full_from()
         return m is None or m >= t or self.sieve(g, t).member
 
-    def resolve(self, ref) -> GroupElement:
-        m, i = ref
-        return self.levels[m - 1].elems[i]
-
     def contains_all(self, other: "FilteredSubgroup") -> bool:
         return all(self.contains(el) for _, _, el in other.stored())
 
@@ -375,10 +371,6 @@ class FilteredSubgroup:
     def _check_ambient(self, g: GroupElement):
         if g.cap != self.ambient.cap:
             raise ValueError("element cap does not match the ambient")
-
-
-def trivial_subgroup(ambient: AmbientContext, normal: bool = True) -> FilteredSubgroup:
-    return FilteredSubgroup(ambient, normal)
 
 
 def insert_and_close(
@@ -463,51 +455,41 @@ def join(u: FilteredSubgroup, v: FilteredSubgroup) -> FilteredSubgroup:
     )
 
 
-def commutator_with(u: FilteredSubgroup, v: FilteredSubgroup) -> FilteredSubgroup:
-    """Normal closure of the commutators of the stored realizing elements of
-    the two subgroups; iterating with v = full ambient group computes
-    iterated commutator subgroups with the whole group.
+def commutator_with(u: FilteredSubgroup) -> FilteredSubgroup:
+    """[U, F], the commutator subgroup of u with the whole ambient group F;
+    iterating it builds the towers [U, F, ..., F].
 
-    Against the full group, u's elements are paired with the ambient
-    generators only: for U = <S> and F = <X>, [U, F] is the normal closure
-    K of the [s, x], since K <= [U, F], which is normal, and modulo K every
-    s commutes with every x, so U is central and [U, F] <= K.  When u is
-    full from level t on, the result starts from gamma_{t+1} and only u's
-    elements of weight < t are paired (module docstring, item 7)."""
-    if not u.ambient.compatible(v.ambient):
-        raise ValueError("ambient mismatch")
-    cap = u.ambient.cap
-    seed, t = None, cap + 1
-    if v is u.ambient._full:
-        partners = [(1, x) for x in u.ambient.generators]
-        t = u.full_from()
-        if t < cap:
-            seed = intersect_with_gamma(v, t + 1)
-    else:
-        partners = [(m, b) for m, _, b in v.stored()]
+    u's elements are paired with the ambient generators only: for U = <S>
+    and F = <X>, [U, F] is the normal closure K of the [s, x], since
+    K <= [U, F], which is normal, and modulo K every s commutes with every
+    x, so U is central and [U, F] <= K.  When u is full from level t on,
+    the result starts from gamma_{t+1} and only u's elements of weight < t
+    are paired (module docstring, item 7)."""
+    ambient = u.ambient
+    cap, t = ambient.cap, u.full_from()
+    seed = intersect_with_gamma(ambient.full_group(), t + 1) if t < cap else None
     elems = []
-    for m1, _, a in u.stored():
-        if m1 >= t:
-            break
-        for m2, b in partners:
-            if m1 + m2 > cap:
-                continue  # commutator weight >= m1 + m2: identity here
-            c = a.commutator(b)
+    for m, _, a in u.stored():
+        if m >= min(t, cap):
+            break  # [a, x] lies in gamma_{t+1}, or is the identity here
+        for x in ambient.generators:
+            c = a.commutator(x)
             if not c.is_identity:
                 elems.append(c)
-    return insert_and_close(seed, u.ambient, elems, normal=True)
+    return insert_and_close(seed, ambient, elems, normal=True)
 
 
 def intersect_with_gamma(u: FilteredSubgroup, m: int) -> FilteredSubgroup:
     """Intersection with the degree-m lower-central term: keep the levels at
-    degree >= m.  A saturated filtered sequence is induced along the central
-    filtration, so the stored elements of weight >= m generate exactly the
-    intersection, and their sieve paths never visit lower degrees."""
+    degree >= m, shared with u.  A saturated filtered sequence is induced
+    along the central filtration, so the stored elements of weight >= m
+    generate exactly the intersection, and their sieve paths never visit
+    lower degrees."""
     if m > u.ambient.cap:
         raise ValueError("gamma degree exceeds the cap")
     out = copy.copy(u)
     out.levels = [
-        level.copy() if j >= m else _Level(level.dim)
+        level if j >= m else _Level(level.dim)
         for j, level in enumerate(u.levels, start=1)
     ]
     return out
@@ -523,10 +505,6 @@ def quotient_order(u: FilteredSubgroup) -> int | None:
             return None
         total *= ix
     return total
-
-
-def is_full(u: FilteredSubgroup) -> bool:
-    return all(level.is_full for level in u.levels)
 
 
 def quotient_invariants(
@@ -578,19 +556,18 @@ def quotient_invariants(
 
 
 def embedded_copy(
-    u: FilteredSubgroup,
-    target: AmbientContext,
-    offset: int,
-    normal: bool,
+    u: FilteredSubgroup, target: AmbientContext, offset: int
 ) -> FilteredSubgroup:
     """Image of a subgroup under the free-factor embedding that shifts every
-    generator index by `offset`; re-closed in the target ambient."""
+    generator index by `offset`: the plain closure of the shifted stored
+    elements, the subgroup they generate, which need not be normal in the
+    target even when u is normal in its own ambient."""
     if target.cap != u.ambient.cap:
         raise ValueError("cap mismatch between ambients")
     elems = [
         reindex_element(el, offset, target.n) for _, _, el in u.stored()
     ]
-    return insert_and_close(None, target, elems, normal)
+    return insert_and_close(None, target, elems, normal=False)
 
 
 def lattices_intersect_trivially(

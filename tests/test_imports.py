@@ -1,5 +1,6 @@
 """Every module of the package, and every test file, uses each name it
-imports; every name the benchmark's tracer patches exists."""
+imports; every name the benchmark's tracer patches exists; every public
+member of an engine module is read by the package or the tracer."""
 
 import ast
 import os
@@ -15,6 +16,13 @@ PACKAGE = ROOT / "src" / "baerkit"
 # The package's __init__.py imports names only to export them.
 SOURCES = {p.name: p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"}
 SOURCES.update({f"tests/{p.name}": p for p in TESTS.glob("*.py")})
+# The modules whose members the program runs on: not the check catalogue,
+# the exports or the entry point.
+ENGINE = sorted(
+    p for p in PACKAGE.glob("*.py")
+    if p.name not in {"selftest.py", "__init__.py", "__main__.py"}
+)
+TRACER = ROOT / "perfbench" / "tracing.py"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -36,6 +44,30 @@ def unused_imports(source: str) -> list[str]:
         f"{name} (line {line})" for name, line in imported.items()
         if name not in used
     )
+
+
+def public_members(source: str) -> list[tuple[str, int]]:
+    """(name, line) of every function, class and method whose name has no
+    leading underscore."""
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    return [
+        (node.name, node.lineno) for node in ast.walk(ast.parse(source))
+        if isinstance(node, defs) and not node.name.startswith("_")
+    ]
+
+
+def names_read(source: str, strings: bool = False) -> set[str]:
+    """Names that expressions load and attribute names, plus every string
+    constant when `strings` (the tracer looks members up by name)."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            out.add(node.value)
+    return out
 
 
 def test_modules_found():
@@ -64,3 +96,23 @@ def test_tracer_finds_every_patched_name():
         text=True,
     )
     assert run.returncode == 0, run.stderr
+
+
+def test_every_engine_member_is_read():
+    """A member that only tests call is code the program does not need."""
+    read = set().union(*(names_read(p.read_text()) for p in PACKAGE.glob("*.py")))
+    read |= names_read(TRACER.read_text(), strings=True)
+    unread = [
+        f"{path.name}: {name} (line {line})"
+        for path in ENGINE
+        for name, line in public_members(path.read_text())
+        if name not in read
+    ]
+    assert unread == []
+
+
+def test_detects_an_unread_member():
+    source = "class A:\n    def used(self): pass\n    def unused(self): pass\nA().used()\n"
+    unread = [name for name, _ in public_members(source) if name not in names_read(source)]
+    assert unread == ["unused"]
+    assert names_read("patch(cls, 'unused')", strings=True) >= {"unused"}

@@ -136,7 +136,7 @@ class TestAbelianInvariants:
     def test_order(self):
         assert AbelianInvariants(0, (2, 4)).order() == 8
         assert AbelianInvariants(1, (2,)).order() is None
-        assert AbelianInvariants.trivial().order() == 1
+        assert AbelianInvariants(0).order() == 1
 
     def test_describe(self):
         assert AbelianInvariants(1, (2, 6)).describe() == "free_rank=1 torsion=[2,6]"

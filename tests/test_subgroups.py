@@ -7,11 +7,11 @@ from pathlib import Path
 import pytest
 
 from baerkit import subgroups
-from baerkit.baer import certified_class_bound, relator_closure, working_closure
+from baerkit.baer import baer_invariant, certified_class_bound, relator_closure, working_closure
 from baerkit.errors import CapacityError
 from baerkit.intlinalg import IntMatrix, abelian_invariants, hnf
 from baerkit.lyndon import LyndonBasis, lyndon_words
-from baerkit.magnus import GroupElement, TruncatedSeries
+from baerkit.magnus import GroupElement, TruncatedSeries, identity_element
 from baerkit.presentations import Alphabet, parse_input_file, parse_word
 from baerkit.semidirect import build_semidirect
 from baerkit.subgroups import (
@@ -22,12 +22,10 @@ from baerkit.subgroups import (
     embedded_copy,
     insert_and_close,
     intersect_with_gamma,
-    is_full,
     join,
     lattices_intersect_trivially,
     quotient_invariants,
     quotient_order,
-    trivial_subgroup,
 )
 
 ABX = Alphabet(["x"])
@@ -124,7 +122,7 @@ def random_elements(rng, amb):
     with exponents in -2..3, as elements of amb."""
     els = []
     for _ in range(rng.randrange(1, 4)):
-        g = amb.identity()
+        g = identity_element(amb.cap)
         for _ in range(rng.randrange(1, 5)):
             x = amb.generators[rng.randrange(amb.n)]
             g = g * x ** rng.choice((-2, -1, 1, 2, 3))
@@ -160,11 +158,10 @@ class TestAmbient:
     def test_capacity_guard(self):
         with pytest.raises(CapacityError):
             AmbientContext(2, 3, monomial_budget=5)
-        AmbientContext(2, 3, monomial_budget=None)
 
     def test_full_group_is_saturated_and_full(self, amb22):
         full = amb22.full_group()
-        assert is_full(full)
+        assert all(level.is_full for level in full.levels)
         assert quotient_order(full) == 1
 
     def test_leading_coordinates(self, amb22):
@@ -185,7 +182,7 @@ class TestAmbient:
             m = rng.randrange(1, amb.cap + 1)
             words = amb.basis(m).words
             k = rng.choice((1, 2, 6))
-            g = amb.identity()
+            g = identity_element(amb.cap)
             for w in rng.sample(words, min(len(words), 3)):
                 g = g * amb.bracket_element(w) ** (k * rng.randrange(-3, 4))
             if m < amb.cap:
@@ -223,9 +220,9 @@ class TestSieve:
         g = amb22.element_of_word(parse_word("x^2 y^2 [x,y]", ABXY))
         res = u.sieve(g)
         assert res.member
-        out = amb22.identity()
-        for ref, e in res.recipe:
-            out = out * u.resolve(ref) ** e
+        out = identity_element(amb22.cap)
+        for (m, i), e in res.recipe:
+            out = out * u.levels[m - 1].elems[i] ** e
         assert out == g
 
     def test_ambient_mismatch(self, amb22):
@@ -255,24 +252,24 @@ class TestCommutator:
             full = amb.full_group()
             els = []
             for _ in range(rng.randrange(1, 4)):
-                g = amb.identity()
+                g = identity_element(amb.cap)
                 for _ in range(rng.randrange(1, 5)):
                     x = amb.generators[rng.randrange(n)]
                     g = g * x ** rng.choice((-2, -1, 1, 2, 3))
                 els.append(g)
             got = want = insert_and_close(None, amb, els, trial % 2 == 0)
             for _ in range(3):
-                got = commutator_with(got, full)
+                got = commutator_with(got)
                 want = all_pairs_commutator_with(want, full)
                 for m in range(1, cap + 1):
-                    assert got.lattice_rows(m) == want.lattice_rows(m)
+                    assert got.levels[m - 1].rows == want.levels[m - 1].rows
 
 
 class TestGammaSlice:
     def test_klein_slice(self, amb22):
         r = closure(amb22, ABXY, ["x^2", "y^2", "[x,y]"])
         s = intersect_with_gamma(r, 2)
-        assert s.lattice_rows(1) == []
+        assert s.levels[0].rows == []
         assert s.levels[1].is_full
         # Every stored element of weight >= 2 stays a member.
         for m, _, el in r.stored():
@@ -297,7 +294,7 @@ class TestQuotients:
             None, amb, amb.generators, normal=True
         )
         with pytest.raises(ValueError, match="not abelian"):
-            quotient_invariants(full, trivial_subgroup(amb))
+            quotient_invariants(full, FilteredSubgroup(amb, True))
 
 
 class TestOrder:
@@ -356,11 +353,11 @@ class TestSaturation:
                 base = insert_and_close(None, amb, els, False)
                 plain = all_pairs_closure(None, amb, els, False)
                 for m in range(1, cap + 1):
-                    assert base.lattice_rows(m) == plain.lattice_rows(m)
+                    assert base.levels[m - 1].rows == plain.levels[m - 1].rows
                 got = insert_and_close(base, amb, [], True)
                 want = all_pairs_closure(base, amb, [], True)
             for m in range(1, cap + 1):
-                assert got.lattice_rows(m) == want.lattice_rows(m)
+                assert got.levels[m - 1].rows == want.levels[m - 1].rows
             stored = [el for _, _, el in got.stored()]
             for a in stored:
                 assert got.contains(a.inverse())
@@ -393,7 +390,7 @@ class TestSaturation:
             want = all_pairs_closure(base, amb, els, normal)
             assert got.normal == want.normal == (base_normal or normal)
             for m in range(1, cap + 1):
-                assert got.lattice_rows(m) == want.lattice_rows(m), (n, cap, m)
+                assert got.levels[m - 1].rows == want.levels[m - 1].rows, (n, cap, m)
 
     @pytest.mark.parametrize("source", RELATOR_SOURCES)
     def test_relator_closures_match_all_pairs_reference(self, source):
@@ -403,11 +400,11 @@ class TestSaturation:
             k = certified_class_bound(pres, 6).k
             for cap in (k + 1, k + 2):
                 amb = AmbientContext(pres.rank, cap)
-                got = relator_closure(pres, amb)
+                got = relator_closure(pres.relators, amb)
                 rels = [amb.element_of_word(r) for r in pres.relators]
                 want = all_pairs_closure(None, amb, rels, True)
                 for m in range(1, cap + 1):
-                    assert got.lattice_rows(m) == want.lattice_rows(m), (pres.name, cap, m)
+                    assert got.levels[m - 1].rows == want.levels[m - 1].rows, (pres.name, cap, m)
 
     def test_levels_are_hermite_normal_forms(self):
         # Each level holds the unique Hermite form of its lattice: the batch
@@ -421,7 +418,7 @@ class TestSaturation:
             amb = AmbientContext(n, cap)
             sub = insert_and_close(None, amb, random_elements(rng, amb), trial % 2 == 0)
             for m in range(1, cap + 1):
-                rows = sub.lattice_rows(m)
+                rows = sub.levels[m - 1].rows
                 for el, row in zip(sub.levels[m - 1].elems, rows):
                     assert amb.leading_coordinates(el) == (m, row)
                 if not rows:
@@ -559,7 +556,7 @@ class TestRelatorOrder:
             products[0] = 0
             sub = insert_and_close(None, amb, list(order), normal=True)
             counts.append(products[0])
-            rows.append([sub.lattice_rows(m) for m in range(1, amb.cap + 1)])
+            rows.append([sub.levels[m - 1].rows for m in range(1, amb.cap + 1)])
             bits.append(max(
                 abs(v).bit_length()
                 for _, _, el in sub.stored()
@@ -579,7 +576,7 @@ class TestSeededClosure:
     @staticmethod
     def assert_same_rows(got, want, label):
         for m in range(1, got.ambient.cap + 1):
-            assert got.lattice_rows(m) == want.lattice_rows(m), (*label, m)
+            assert got.levels[m - 1].rows == want.levels[m - 1].rows, (*label, m)
 
     @staticmethod
     def assert_contains_agrees_with_sieve(rng, sub):
@@ -613,9 +610,52 @@ class TestSeededClosure:
                 term = got
                 for j in range(1, c + 1):
                     want = generator_pairing(term)
-                    term = commutator_with(term, got.ambient.full_group())
+                    term = commutator_with(term)
                     self.assert_same_rows(term, want, (*label, j))
                     self.assert_contains_agrees_with_sieve(rng, term)
+
+
+def level_snapshot(sub):
+    """Copies of every level's rows and of its element list."""
+    return [([row[:] for row in level.rows], level.elems[:]) for level in sub.levels]
+
+
+class TestSharedLevels:
+    """`intersect_with_gamma` hands out the levels it keeps, and a level's
+    copy shares its rows, so nothing built from a subgroup may change it:
+    not the certificate's closure, not the working closure, and not the
+    full groups whose lower-central terms seed closures and towers.  The
+    pipeline only seeds with full levels, which no closure writes to; the
+    slice closure at the end writes to copies of levels that are not."""
+
+    def test_builds_leave_their_sources(self, monkeypatch):
+        (pres,) = relator_presentations("D16")
+        cert = certified_class_bound(pres, 6)
+        closure_before = level_snapshot(cert.closure)
+        seen = {}  # id -> (full group, its levels when first handed out)
+        full_group = AmbientContext.full_group
+
+        def recording(self):
+            full = full_group(self)
+            seen.setdefault(id(full), (full, level_snapshot(full)))
+            return full
+
+        monkeypatch.setattr(AmbientContext, "full_group", recording)
+        baer_invariant(cert, 3)
+        working = working_closure(cert, cert.k + 3)
+        working_before = level_snapshot(working)
+        term = working
+        for _ in range(3):
+            term = commutator_with(term)
+        amb = cert.closure.ambient
+        ab = amb.generators[0].commutator(amb.generators[1])
+        grown = insert_and_close(intersect_with_gamma(cert.closure, 2), amb, [ab], True)
+        assert grown.contains(ab) and not cert.closure.contains(ab)
+        assert len(seen) == 2  # the invariant's ambient and the working one
+        assert level_snapshot(cert.closure) == closure_before
+        assert level_snapshot(working) == working_before
+        for full, before in seen.values():
+            assert level_snapshot(full) == before
 
 
 class TestEmbedding:
@@ -623,7 +663,7 @@ class TestEmbedding:
         target = AmbientContext(3, 2)
         sub = AmbientContext(1, 2)
         u = closure(sub, ABX, ["x^2"])
-        e = embedded_copy(u, target, 2, normal=False)
+        e = embedded_copy(u, target, 2)
         abz = Alphabet(["a", "b", "z"])
         assert e.contains(target.element_of_word(parse_word("z^2", abz)))
         assert not e.contains(target.element_of_word(parse_word("a", abz)))
@@ -631,7 +671,7 @@ class TestEmbedding:
     def test_free_factors_meet_trivially(self):
         target = AmbientContext(2, 3)
         sub = AmbientContext(1, 3)
-        left = embedded_copy(sub.full_group(), target, 0, normal=False)
-        right = embedded_copy(sub.full_group(), target, 1, normal=False)
+        left = embedded_copy(sub.full_group(), target, 0)
+        right = embedded_copy(sub.full_group(), target, 1)
         assert lattices_intersect_trivially(left, right)
         assert not lattices_intersect_trivially(left, left)
