@@ -8,13 +8,16 @@ invariants of a finitely generated abelian group (`abelian_invariants`).
 Hermite form has one algorithm, the incremental `hermite_insert`: `hnf`
 inserts a matrix's rows with unit-vector tags, and each degree of a
 filtered subgroup inserts leading coordinates tagged by the group elements
-that realize them.  Echelon rows have one solver, `echelon_solve`, used by
-the subgroup sieve.  `IntMatrix.det`, `@` and `determinant_divisor` serve
-the cross-checks of the test catalogue.
+that realize them.  It is also how `snf` finds the Smith diagonal, from
+row Hermite forms of the matrix and its transposes, untagged.  Echelon
+rows have one solver, `echelon_solve`, used by the subgroup sieve.
+`IntMatrix.det`, `@` and `determinant_divisor` serve the cross-checks of
+the test catalogue.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import combinations
 from math import gcd, prod
@@ -105,18 +108,16 @@ class IntMatrix:
         return sign * m[n - 1][n - 1]
 
 
-def _negate_row(mat, i):
-    mat[i] = [-x for x in mat[i]]
-
-
-def _sub_row(mat, i, q, j):
-    """mat[i] -= q * mat[j]"""
-    ri, rj = mat[i], mat[j]
-    mat[i] = [a - q * b for a, b in zip(ri, rj)]
-
-
-def _pivot(row) -> int:
-    return next(j for j, x in enumerate(row) if x)
+def _pivots(rows) -> list[int]:
+    """Pivot columns of nonzero echelon rows in one left-to-right sweep:
+    they strictly increase, so each search starts past the last pivot."""
+    out, j = [], 0
+    for row in rows:
+        while not row[j]:
+            j += 1
+        out.append(j)
+        j += 1
+    return out
 
 
 def hermite_insert(rows, tags, vec, tag, add, scale):
@@ -129,18 +130,22 @@ def hermite_insert(rows, tags, vec, tag, add, scale):
     by an extended gcd; a new pivot is inserted with a positive sign.
     Entries above every pivot are then reduced into [0, pivot), on every
     path: a merge rewrites a stored row even when the vector then
-    vanishes.  Returns the tag left over when the vector reduces to zero,
-    else None.
+    vanishes.  The reduction starts at the first row the insert changed
+    (the new row, or the first merged one): the rows above it were
+    reduced against one another before the call, so each step it skips
+    would subtract zero times a row.  Returns the tag left over when the
+    vector reduces to zero, else None.
     """
     v = list(vec)
+    piv = _pivots(rows)
+    start = len(rows)
+    j = 0
     while True:
-        j = next((k for k, x in enumerate(v) if x), None)
+        j = next((k for k in range(j, len(v)) if v[k]), None)
         if j is None:
             break
-        pos = 0
-        while pos < len(rows) and _pivot(rows[pos]) < j:
-            pos += 1
-        if pos < len(rows) and _pivot(rows[pos]) == j:
+        pos = bisect_left(piv, j)
+        if pos < len(rows) and piv[pos] == j:
             row = rows[pos]
             a, b = row[j], v[j]
             if b % a == 0:
@@ -155,16 +160,19 @@ def hermite_insert(rows, tags, vec, tag, add, scale):
             v = [ag * rb - bg * ra for ra, rb in zip(row, v)]
             tag = add(scale(tag, ag), scale(tags[pos], -bg))
             tags[pos] = merged
+            start = min(start, pos)
             continue
         if v[j] < 0:
             v = [-x for x in v]
             tag = scale(tag, -1)
         rows.insert(pos, v)
         tags.insert(pos, tag)
+        piv.insert(pos, j)
+        start = min(start, pos)
         tag = None
         break
-    for t, row in enumerate(rows):
-        p = _pivot(row)
+    for t in range(start, len(rows)):
+        row, p = rows[t], piv[t]
         for i in range(t):
             q = rows[i][p] // row[p]
             if q:
@@ -197,84 +205,42 @@ def hnf(matrix: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
     return IntMatrix(h, cols=c), IntMatrix(tags + kernel, cols=r)
 
 
+def _untagged(*_):
+    return None
+
+
 def snf(matrix: IntMatrix) -> IntMatrix:
     """Smith normal form D of `matrix`: diagonal, with nonnegative entries
-    each dividing the next and the zeros last.  Only row and column
-    operations invertible over the integers are applied, so D presents the
-    same abelian group as the matrix."""
-    a = [row[:] for row in matrix.data]
-    r, c = matrix.rows, matrix.cols
+    each dividing the next and the zeros last.
 
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-
-    def swap_cols(i, j):
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-
-    def pivot_search(t):
-        best = None
-        for i in range(t, r):
-            for j in range(t, c):
-                x = a[i][j]
-                if x and (best is None or abs(x) < abs(best[2])):
-                    best = (i, j, x)
-        return best
-
-    t = 0
-    while t < min(r, c):
-        found = pivot_search(t)
-        if found is None:
+    The nonzero rows are put in row Hermite form, the form is transposed,
+    and so on until every row has one nonzero entry (Kannan and Bachem,
+    SIAM J. Comput. 8, 1979).  This ends: a round's first pivot h is the
+    gcd of its input's first nonzero column, so the next round's first
+    pivot is the gcd of the first Hermite row and divides h.  Either it is
+    a proper divisor, which can happen only finitely often, or h divides
+    its row; then the next round divides the row off and leaves the first
+    row and column at (h, 0, ..., 0) for good, and the argument moves to
+    the submatrix.  Pairs (a, b) of the diagonal then become (gcd, lcm)
+    for all i < j, which sorts each prime's exponents into a divisor
+    chain.  Only invertible row and column operations are applied, so D
+    presents the same abelian group as the matrix."""
+    rows = matrix.nonzero_rows()
+    while True:
+        h, tags = [], []
+        for vec in rows:
+            hermite_insert(h, tags, vec, None, _untagged, _untagged)
+        if all(sum(map(bool, row)) == 1 for row in h):
             break
-        i, j, _ = found
-        swap_rows(t, i)
-        swap_cols(t, j)
-        if a[t][t] < 0:
-            _negate_row(a, t)
-        # Clear row and column t; a remainder smaller than the pivot becomes
-        # the new pivot, so |a[t][t]| strictly decreases and the loop ends.
-        while True:
-            p = a[t][t]
-            dirty = False
-            for i in range(t + 1, r):
-                if a[i][t]:
-                    q = a[i][t] // p
-                    if q:
-                        _sub_row(a, i, q, t)
-                    if a[i][t]:
-                        swap_rows(t, i)
-                        dirty = True
-                        break
-            if dirty:
-                continue
-            for j in range(t + 1, c):
-                if a[t][j]:
-                    q = a[t][j] // p
-                    if q:
-                        for row in a:
-                            row[j] -= q * row[t]
-                    if a[t][j]:
-                        swap_cols(t, j)
-                        dirty = True
-                        break
-            if not dirty:
-                break
-        # Pivot must divide every remaining entry; if not, fold the offending
-        # row into row t and redo this position.
-        p = a[t][t]
-        offender = None
-        for i in range(t + 1, r):
-            for j in range(t + 1, c):
-                if a[i][j] % p:
-                    offender = i
-                    break
-            if offender is not None:
-                break
-        if offender is not None:
-            _sub_row(a, t, -1, offender)
-            continue
-        t += 1
-    return IntMatrix(a, cols=c)
+        rows = [list(col) for col in zip(*h) if any(col)]
+    diag = [row[p] for row, p in zip(h, _pivots(h))]
+    for i, j in combinations(range(len(diag)), 2):
+        g = gcd(diag[i], diag[j])
+        diag[i], diag[j] = g, diag[i] // g * diag[j]
+    d = IntMatrix.zeros(matrix.rows, matrix.cols)
+    for i, x in enumerate(diag):
+        d.data[i][i] = x
+    return d
 
 
 def echelon_solve(rows, vector) -> tuple[list[int] | None, list[int]]:
@@ -287,8 +253,7 @@ def echelon_solve(rows, vector) -> tuple[list[int] | None, list[int]]:
     """
     v = list(vector)
     coords = []
-    for row in rows:
-        p = _pivot(row)
+    for row, p in zip(rows, _pivots(rows)):
         b = v[p]
         if b == 0:
             coords.append(0)

@@ -111,13 +111,14 @@ import copy
 import heapq
 import itertools
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, prod
 from operator import mul
 
 from .errors import CapacityError
 from .intlinalg import (
     AbelianInvariants,
     IntMatrix,
+    _pivots,
     abelian_invariants,
     echelon_solve,
     hermite_insert,
@@ -266,10 +267,7 @@ class _Level:
         """Index of the lattice in Z^dim, None when the rank is deficient."""
         if len(self.rows) < self.dim:
             return None
-        out = 1
-        for row in self.rows:
-            out *= next(x for x in row if x)
-        return out
+        return prod(row[p] for row, p in zip(self.rows, _pivots(self.rows)))
 
     @property
     def is_full(self) -> bool:

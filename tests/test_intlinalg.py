@@ -5,6 +5,7 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from baerkit import intlinalg
 from baerkit.intlinalg import (
     AbelianInvariants,
     IntMatrix,
@@ -33,6 +34,122 @@ def minor_gcd(matrix, k):
         for cols in combinations(range(matrix.cols), k):
             g = gcd(g, det(list(rows), list(cols)))
     return g
+
+
+def reference_snf(matrix):
+    """Test-local oracle: the whole-matrix Smith form `snf` used before it
+    alternated Hermite forms.  Each step moves the smallest remaining entry
+    to the diagonal, clears its row and column, and folds in a row the
+    pivot does not divide."""
+    a = [row[:] for row in matrix.data]
+    r, c = matrix.rows, matrix.cols
+
+    def sub_row(i, q, j):
+        a[i] = [x - q * y for x, y in zip(a[i], a[j])]
+
+    def swap_rows(i, j):
+        a[i], a[j] = a[j], a[i]
+
+    def swap_cols(i, j):
+        for row in a:
+            row[i], row[j] = row[j], row[i]
+
+    def pivot_search(t):
+        best = None
+        for i in range(t, r):
+            for j in range(t, c):
+                x = a[i][j]
+                if x and (best is None or abs(x) < abs(best[2])):
+                    best = (i, j, x)
+        return best
+
+    t = 0
+    while t < min(r, c):
+        found = pivot_search(t)
+        if found is None:
+            break
+        i, j, _ = found
+        swap_rows(t, i)
+        swap_cols(t, j)
+        if a[t][t] < 0:
+            a[t] = [-x for x in a[t]]
+        # A remainder smaller than the pivot becomes the new pivot, so
+        # |a[t][t]| strictly decreases and the clearing ends.
+        while True:
+            p = a[t][t]
+            dirty = False
+            for i in range(t + 1, r):
+                if a[i][t]:
+                    q = a[i][t] // p
+                    if q:
+                        sub_row(i, q, t)
+                    if a[i][t]:
+                        swap_rows(t, i)
+                        dirty = True
+                        break
+            if dirty:
+                continue
+            for j in range(t + 1, c):
+                if a[t][j]:
+                    q = a[t][j] // p
+                    if q:
+                        for row in a:
+                            row[j] -= q * row[t]
+                    if a[t][j]:
+                        swap_cols(t, j)
+                        dirty = True
+                        break
+            if not dirty:
+                break
+        p = a[t][t]
+        # The pivot must divide every remaining entry; if not, fold the
+        # offending row into row t and redo this position.
+        offender = next(
+            (i for i in range(t + 1, r)
+             if any(a[i][j] % p for j in range(t + 1, c))),
+            None,
+        )
+        if offender is not None:
+            sub_row(t, -1, offender)
+            continue
+        t += 1
+    return IntMatrix(a, cols=c)
+
+
+def sparse_relation_matrix(rng, lo, hi):
+    """lo to hi rows and columns, one to three nonzero entries a row, most
+    of them small and some up to 10**30, some zero rows and some rows that
+    combine the two before them."""
+    rows, cols = rng.randint(lo, hi), rng.randint(lo, hi)
+    data = [[0] * cols for _ in range(rows)]
+    for i, row in enumerate(data):
+        roll = rng.random()
+        if roll < 0.1:
+            continue
+        if roll < 0.25 and i >= 2:
+            a, b = rng.randint(-3, 3), rng.randint(-3, 3)
+            data[i] = [a * x + b * y for x, y in zip(data[i - 1], data[i - 2])]
+            continue
+        for j in rng.sample(range(cols), rng.randint(1, min(3, cols))):
+            scale = rng.choices((9, 10**6, 10**30), (6, 3, 1))[0]
+            row[j] = rng.randint(-scale, scale)
+    return IntMatrix(data, cols=cols)
+
+
+def snf_rounds(matrix):
+    """snf(matrix) and the number of Hermite forms it took; each one starts
+    with an insert into no rows."""
+    rounds = 0
+    insert = intlinalg.hermite_insert
+
+    def counting(rows, *args):
+        nonlocal rounds
+        rounds += not rows
+        return insert(rows, *args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(intlinalg, "hermite_insert", counting)
+        return snf(matrix), rounds
 
 
 matrices = st.integers(1, 4).flatmap(
@@ -122,6 +239,32 @@ class TestSNF:
         if len(nz) < len(diag):
             assert minor_gcd(m, len(nz) + 1) == 0
 
+    def test_several_rounds(self):
+        m = IntMatrix([[14, 14, 16], [8, 26, 30], [-8, 10, 23]])
+        d, rounds = snf_rounds(m)
+        assert d == IntMatrix([[1, 0, 0], [0, 2, 0], [0, 0, 1422]])
+        assert d == reference_snf(m)
+        assert rounds == 5
+
+    def test_against_reference_on_large_sparse(self):
+        # Larger and sparser than the strategy above draws, with big
+        # entries, zero rows and dependent rows.
+        rng = random.Random(23)
+        kinds, most_rounds = set(), 0
+        for _ in range(40):
+            m = sparse_relation_matrix(rng, 5, 30)
+            d, rounds = snf_rounds(m)
+            assert d == reference_snf(m)
+            most_rounds = max(most_rounds, rounds)
+            if any(not any(row) for row in m.data):
+                kinds.add("zero row")
+            if not all(d.data[i][i] for i in range(min(m.rows, m.cols))):
+                kinds.add("rank deficient")
+            if max(abs(x) for row in m.data for x in row) > 10**20:
+                kinds.add("large")
+        assert kinds == {"zero row", "rank deficient", "large"}
+        assert most_rounds > 2
+
 
 class TestAbelianInvariants:
     def test_unit_entries_dropped(self):
@@ -187,3 +330,13 @@ def test_abelian_invariants_match_sympy():
         if max(abs(x) for row in data for x in row) > 10**20:
             kinds.add("large")
     assert kinds == {"zero row", "rank deficient", "large"}
+    # Inputs on which snf alternates Hermite forms more than once.
+    for _ in range(10):
+        m = sparse_relation_matrix(rng, 8, 20)
+        factors = invariant_factors(sympy.Matrix(m.data), domain=sympy.ZZ)
+        nonzero = [abs(int(x)) for x in factors if x]
+        want = AbelianInvariants(
+            m.cols - len(nonzero), tuple(x for x in nonzero if x > 1)
+        )
+        assert abelian_invariants(m.cols, m) == want
+        assert snf_rounds(m)[1] > 1
