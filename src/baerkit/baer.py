@@ -62,7 +62,7 @@ def relator_closure(
     quotient, together with `seed` when one is given: the one way a
     subgroup is closed from words."""
     elems = [ambient.element_of_word(r) for r in relators]
-    return insert_and_close(seed, ambient, elems, normal=True)
+    return insert_and_close(seed, ambient, elems)
 
 
 def working_closure(certificate: ClassBoundResult, cap: int) -> FilteredSubgroup:

@@ -266,8 +266,7 @@ def _random_closure(rng, budget):
     for _ in range(rng.randrange(1, 4)):
         letters = _random_letters(rng, n, 5)
         els.append(amb.element_of_word(Word(ab, letters)))
-    normal = rng.random() < 0.7
-    return amb, ab, insert_and_close(None, amb, els, normal)
+    return amb, ab, insert_and_close(None, amb, els)
 
 
 # --- the checks ----------------------------------------------------------------
@@ -721,7 +720,7 @@ def _(budget):
 def _(budget):
     amb = AmbientContext(2, 2, budget)
     ab = Alphabet(["x", "y"])
-    t = commutator_with(FilteredSubgroup(amb, True))
+    t = commutator_with(FilteredSubgroup(amb))
     _expect(not any(l.rows for l in t.levels), "[1, F] = 1")
 
     amb1 = AmbientContext(1, 2, budget)
@@ -744,7 +743,7 @@ def _(budget):
     r = _closure_of(amb, ab, ["x^2", "y^2", "[x,y]"])
     s = intersect_with_gamma(r, 2)
     _expect(s.levels[0].rows == [] and s.levels[1].is_full, "klein slice")
-    t = intersect_with_gamma(FilteredSubgroup(amb, True), 2)
+    t = intersect_with_gamma(FilteredSubgroup(amb), 2)
     _expect(not any(l.rows for l in t.levels), "trivial slice")
 
 
@@ -753,7 +752,7 @@ def _(budget):
     amb = AmbientContext(1, 1, budget)
     abx = Alphabet(["x"])
     u = _closure_of(amb, abx, ["x^2"])
-    _expect(join(u, FilteredSubgroup(amb, True)).equal_as_subgroup(u), "join with 1")
+    _expect(join(u, FilteredSubgroup(amb)).equal_as_subgroup(u), "join with 1")
     _expect(join(u, u).equal_as_subgroup(u), "idempotence")
     v = _closure_of(amb, abx, ["x^3"])
     _expect(join(u, v).levels[0].is_full, "gcd(2,3) = 1")
@@ -769,7 +768,7 @@ def _(budget):
         quotient_invariants(num, num) == AbelianInvariants(0), "N = D"
     )
     _expect(
-        quotient_invariants(num, FilteredSubgroup(amb, True)) == AbelianInvariants(1),
+        quotient_invariants(num, FilteredSubgroup(amb)) == AbelianInvariants(1),
         "multiplier numerator of Z^2",
     )
     rk = _closure_of(amb, ab, ["x^2", "y^2", "[x,y]"])
@@ -802,7 +801,7 @@ def _(budget):
     rng = random.Random(401)
     for _ in range(200):
         amb, ab, u = _random_closure(rng, budget)
-        v = insert_and_close(u, amb, [], u.normal)
+        v = insert_and_close(u, amb, [])
         _expect(
             all(
                 l1.rows == l2.rows for l1, l2 in zip(u.levels, v.levels)
@@ -853,7 +852,7 @@ def _(budget):
                 words.append(text)
         words += [f"[{gens[i]},{gens[j]}]" for i in range(n) for j in range(i + 1, n)]
         amb = AmbientContext(n, 2, budget) if n > 1 else AmbientContext(1, 1, budget)
-        u = _closure_of(amb, ab, words) if words else FilteredSubgroup(amb, True)
+        u = _closure_of(amb, ab, words) if words else FilteredSubgroup(amb)
         predicted = abelian_invariants(n, rows).order()
         _expect(
             quotient_order(u) == predicted,

@@ -23,19 +23,21 @@ nilpotent quotient F of class k + c, whose first letters are the acted ones:
   generators a.  Modulo K each r commutes with each a, so with F1 = <a>,
   and the r generate R2, so K is the normal closure of [R2, F1].  F1
   itself is never built.
-- The acting free factor F2, and both factors' gamma_{c+1}, as plain
-  closures of the bracketings of their Lyndon words, and the normal
-  closure of [a, b, x_1, ..., x_{c-1}] over acted a and acting b.
+- The acting free factor F2, and both factors' gamma_{c+1}, stored as the
+  bracketings of their Lyndon words (`subgroups.free_factor`): the only
+  subgroups that are not normal, and never a closure base.  Also the
+  normal closure of [a, b, x_1, ..., x_{c-1}] over acted a and acting b.
 - The Hopf pair of the acting factor's relator closure, taken in its own
   free group, since its tower commutes with F2 only, and embedded by the
-  same offset (`subgroups.embedded_copy`).
+  same offset as normal closures (`subgroups.embedded_copy`).  They are
+  only joined with normal subgroups, so closing them changes no verdict.
 
 The checks are two-sided containments: R is R2 joined with S; its Hopf
 numerator is the acting numerator joined with S's; its Hopf denominator is
 the acting tower joined with the complement denominator; gamma_{c+1}(F) is
-generated by the factors' terms and the mixed commutators; and F2 meets the
-normal closure of F1 trivially.  Finally the Baer invariant of the whole
-group must be the direct sum of the acting factor's invariant with the
+the normal closure of the mixed commutators and the factors' terms; and F2
+meets the normal closure of F1 trivially.  Finally the Baer invariant of the
+whole group must be the direct sum of the acting factor's invariant with the
 complement quotient carried by S.
 """
 
@@ -54,7 +56,6 @@ from .baer import (
 )
 from .errors import ActionError, CertificateError
 from .intlinalg import AbelianInvariants, abelian_invariants
-from .lyndon import lyndon_words
 from .magnus import _word_element
 from .presentations import (
     ActionSpec,
@@ -67,6 +68,7 @@ from .subgroups import (
     DEFAULT_MONOMIAL_BUDGET,
     FilteredSubgroup,
     embedded_copy,
+    free_factor,
     insert_and_close,
     intersect_with_gamma,
     join,
@@ -167,12 +169,10 @@ def validate_action(spec: ActionSpec, certificate: ClassBoundResult) -> list[str
             )
         else:
             for b in acting_names:
-                generated = insert_and_close(
-                    None,
-                    ambient,
-                    [el for _, _, el in closure.stored()] + forward[b],
-                    normal=False,
-                )
+                # The images and the relators generate some H, and its
+                # normal closure is the same verdict: ncl(H) <= H gamma_2,
+                # and in a nilpotent group H gamma_2 = F forces H = F.
+                generated = insert_and_close(closure, ambient, forward[b])
                 if quotient_order(generated) != 1:
                     problems.append(
                         f"surjectivity fails for {b!r}: images generate a "
@@ -295,13 +295,13 @@ class SemidirectSubgroups:
     mixed_tower: FilteredSubgroup       # closure of [r2, g1..gc], some gi acted
     complement_denominator: FilteredSubgroup  # mixed_tower join twist_tower
     mixed_commutators: FilteredSubgroup  # closure of [rel_acting, acted factor]
-    acting_gamma_embedded: FilteredSubgroup  # (R2 meet gamma_{c+1}(F2)) embedded
-    acting_tower_embedded: FilteredSubgroup  # [R2, c-fold F2] embedded
-    acting_full: FilteredSubgroup       # the acting free factor as a subgroup
+    acting_gamma_embedded: FilteredSubgroup  # closure of R2 meet gamma_{c+1}(F2)
+    acting_tower_embedded: FilteredSubgroup  # closure of [R2, c-fold F2]
+    acting_full: FilteredSubgroup       # the acting free factor F2, not normal
     acted_normal_closure: FilteredSubgroup
     gamma_full: FilteredSubgroup
-    gamma_acted_embedded: FilteredSubgroup   # the acted factor meet gamma_{c+1}
-    gamma_acting_embedded: FilteredSubgroup  # the acting factor meet gamma_{c+1}
+    gamma_acted_embedded: FilteredSubgroup   # F1 meet gamma_{c+1}, not normal
+    gamma_acting_embedded: FilteredSubgroup  # F2 meet gamma_{c+1}, not normal
     mixed_gamma_tower: FilteredSubgroup      # closure of [a, b, g1..g(c-1)]
 
 
@@ -323,16 +323,6 @@ def materialize_subgroups(
     ambient = rel_full.ambient
     generators = ambient.generators
 
-    def free_factor(first, end, degree):
-        """The free factor on generators first .. end - 1, meet
-        gamma_degree: the bracketings of its Lyndon words, shifted."""
-        elems = [
-            ambient.bracket_element(tuple(first + i for i in w))
-            for m in range(degree, cap + 1)
-            for w in lyndon_words(end - first, m)
-        ]
-        return insert_and_close(None, ambient, elems, normal=False)
-
     def left_normed(bases, letter_tuples):
         """Normal closure of [b, x_g1, ..., x_gj] for every base b and
         generator index tuple (g1, ..., gj)."""
@@ -346,7 +336,7 @@ def materialize_subgroups(
                         break
                 if not out.is_identity:
                     elems.append(out)
-        return insert_and_close(None, ambient, elems, normal=True)
+        return insert_and_close(None, ambient, elems)
 
     rel_acting = relator_closure(sp.rel_acting, ambient)
     rel_acted = relator_closure(sp.rel_acted, ambient)
@@ -390,13 +380,11 @@ def materialize_subgroups(
         ),
         acting_gamma_embedded=embedded_copy(acting_gamma, ambient, n_acted),
         acting_tower_embedded=embedded_copy(acting_tower, ambient, n_acted),
-        acting_full=free_factor(n_acted, n, 1),
-        acted_normal_closure=insert_and_close(
-            None, ambient, generators[:n_acted], normal=True
-        ),
+        acting_full=free_factor(ambient, range(n_acted, n), 1),
+        acted_normal_closure=insert_and_close(None, ambient, generators[:n_acted]),
         gamma_full=intersect_with_gamma(ambient.full_group(), c + 1),
-        gamma_acted_embedded=free_factor(0, n_acted, c + 1),
-        gamma_acting_embedded=free_factor(n_acted, n, c + 1),
+        gamma_acted_embedded=free_factor(ambient, range(n_acted), c + 1),
+        gamma_acting_embedded=free_factor(ambient, range(n_acted, n), c + 1),
         mixed_gamma_tower=mixed_gamma_tower,
     )
 
@@ -423,8 +411,8 @@ def verify_subgroup_decomposition(table: SemidirectSubgroups) -> dict[str, bool]
     )
     checks["lower_central_splits"] = t.gamma_full.equal_as_subgroup(
         join(
-            join(t.gamma_acted_embedded, t.gamma_acting_embedded),
-            t.mixed_gamma_tower,
+            join(t.mixed_gamma_tower, t.gamma_acted_embedded),
+            t.gamma_acting_embedded,
         )
     )
     checks["factor_complement_meets_trivially"] = lattices_intersect_trivially(

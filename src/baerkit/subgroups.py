@@ -13,17 +13,17 @@ The lattice algebra is `intlinalg`'s: insertion is `hermite_insert` with
 the realizing elements as tags (group products and powers standing for row
 sums and multiples), and the sieve's reduction is `echelon_solve`.
 
-Consistency means, for a plain (not necessarily normal) sequence, that the
-commutator [r_a, r_b] of every two stored elements sieves to membership,
-and for a normal sequence that [r, x] does for every stored r and ambient
-generator x (the obligations of a filtered polycyclic sequence; Sims,
-"Computation with Finitely Presented Groups", ch. 9).  `insert_and_close`
-queues the obligations of each residue once, when it inserts it: [r, x] in
-normal mode, [r, s] for the elements s stored before r in plain mode.  It
-stops when the queue is empty, which happens because every insertion
-strictly enlarges one of finitely many lattices of bounded rank, and an
-ascending chain of lattices in Z^d is finite; no pass looks at the stored
-elements again.
+Every subgroup closed here is a normal closure.  Consistency means that
+the commutator [r, x] of every stored r with every ambient generator x
+sieves to membership (the obligations of a filtered polycyclic sequence;
+Sims, "Computation with Finitely Presented Groups", ch. 9).
+`insert_and_close` queues the obligations of each residue once, when it
+inserts it.  It stops when the queue is empty, which happens because every
+insertion strictly enlarges one of finitely many lattices of bounded rank,
+and an ascending chain of lattices in Z^d is finite; no pass looks at the
+stored elements again.  The one subgroup that is not normal, a free factor
+on some of the generators, is stored directly (`free_factor`) and is never
+closed.
 
 The queue is a heap: inputs, obligations and Hermite leftovers alike come
 out by least content of the leading part, then least weight, then arrival.
@@ -34,7 +34,7 @@ Small contents first thus set small pivots early, and later rows at that
 level divide off exactly.  An xgcd merge instead raises both tags to
 cofactor powers: with a^32 taken ahead of D64's content-2 rows, the merges
 made the relator closure at cap 8 ten times slower.  Termination and
-items 2-6 below hold for any order in which the queue is taken.
+items 2-5 below hold for any order in which the queue is taken.
 
 Why this certifies the sieve, with R_m the residues of weight m inserted
 over the whole closure (a base's stored elements count as residues inserted
@@ -53,50 +53,36 @@ generated by those of weight >= m:
    row is a word in those residues.
 3. Earlier membership stays valid.  A queued element of weight w is sieved
    through rows of weight >= w and ends at the identity, at a residue of
-   weight >= w, or at weight >= t (item 6), so it lies in the group of
+   weight >= w, or at weight >= t (item 5), so it lies in the group of
    R_{>=w}.  With 2, by downward induction on m, H_m is the group of
    R_{>=m}: the leftovers of level m lie in that of R_{>=m+1}.  So every
    element the closure queued, inputs and obligations included, lies in
    the final H_w of its weight w, however the rows changed afterwards.
-4. Normal mode: merged rows inherit their residues' obligations.  By
-   downward induction on m, suppose H_{m+1} is normal in F.  For r in R_m
-   and a generator x, [r, x] has weight > m, so it lies in H_{m+1} by 3:
-   r commutes with x modulo H_{m+1}, hence with x^-1, and by
+4. Merged rows inherit their residues' obligations.  By downward
+   induction on m, suppose H_{m+1} is normal in F.  For r in R_m and a
+   generator x, [r, x] has weight > m, so it lies in H_{m+1} by 3: r
+   commutes with x modulo H_{m+1}, hence with x^-1, and by
    [r, yz] = [r, z][r, y]^z with every element of F.  So each r in R_m is
    central modulo H_{m+1}, and H_m, generated by R_m and H_{m+1}, is
-   normal; each row, a word in residues, is central as well.  A normal
-   base meets this for its own elements (its own H_m meets gamma_{m+1} in
-   its H_{m+1}, see 5); a plain base closed in normal mode first queues
-   [s, x] for its stored elements s.
-5. Plain mode.  By downward induction on w, suppose [a, b] lies in
-   H_{m_a + m_b} for all residues whose weights sum to more than w.  Then
-   H_w is normal in H: it is generated by R_{>=w}, whose commutators with
-   residues lie in H_{w+1}.  Let a in R_i, b in R_j, i + j = w, with
-   a inserted before b.  At b's insertion [b, s] was queued for each row s
-   of weight i; it lies in H_w by 3.  By 2 and 3, a lies in the group of
-   those rows and of R_{>=i+1}, and b commutes with each residue of weight
-   > i modulo H_{w+1}.  The elements of H commuting with b modulo the
-   normal H_w form a subgroup, so [a, b] lies in H_w.  A consistent base,
-   whose H_m is its intersection with gamma_m, meets the same condition
-   for its own elements.
-   With 4 or 5, each H_m / H_{m+1} is abelian and generated by the level-m
-   rows, whose leading coordinates are independent: H_m meets gamma_{m+1}
-   in H_{m+1}, and by downward induction on m the sieve decides H.
-   Inverses need no check, since H is a group; [r, x] in H gives
-   x^-1 H x <= H, equality by the max condition, so conjugation by x^-1 is
-   covered and a non-normal base re-closed in normal mode becomes normal.
-6. A full suffix contains its lower-central terms.  If levels t .. cap
+   normal; each row, a word in residues, is central as well.  A base, a
+   normal closure itself, meets this for its own elements.
+   So each H_m / H_{m+1} is abelian and generated by the level-m rows,
+   whose leading coordinates are independent: H_m meets gamma_{m+1} in
+   H_{m+1}, and by downward induction on m the sieve decides H.  Inverses
+   need no check, since H is a group; [r, x] in H gives x^-1 H x <= H,
+   equality by the max condition, so conjugation by x^-1 is covered.
+5. A full suffix contains its lower-central terms.  If levels t .. cap
    are all full, sieving an element of weight w >= t divides off stored
    elements of weight >= w at full levels only and ends at the identity,
    consistent sequence or not: H_w = gamma_w for every w >= t.  So
    `sieve(g, stop=t)` ends as a member at weight >= t, and
-   `insert_and_close` skips every obligation whose commutator has weight
-   >= t ([r, x] has weight > m, [r_a, r_b] at least m_a + m_b): such a
-   commutator of weight w lies in H_w, as 3-5 require.  Insertions only
-   enlarge lattices, so t only falls and a skipped obligation stays met.
+   `insert_and_close` skips the obligations of a residue of weight m once
+   m + 1 >= t, since [r, x] has weight > m: such a commutator of weight w
+   lies in H_w, as 3 and 4 require.  Insertions only enlarge lattices, so
+   t only falls and a skipped obligation stays met.
    `contains` stops at t as well; `quotient_invariants` sieves to the end,
    because it reads the recipes.
-7. Seeded towers.  The only commutator subgroup the engine builds is
+6. Seeded towers.  The only commutator subgroup the engine builds is
    [U, F] with the whole ambient group F = <X>.  If U is full from level
    t on, U = <S> gamma_t with S its stored elements of weight < t, and
    [U, F] is the normal closure K of gamma_{t+1} = [gamma_t, F] and the
@@ -228,18 +214,10 @@ class AmbientContext:
         return m, coords
 
     def full_group(self) -> "FilteredSubgroup":
-        """The whole ambient group as a saturated filtered subgroup: full
-        lattices at every degree, realized by standard bracketings."""
+        """The whole ambient group: the free factor on every generator, with
+        full lattices at every degree."""
         if self._full is None:
-            sub = FilteredSubgroup(self, normal=True)
-            for m in range(1, self.cap + 1):
-                level = sub.levels[m - 1]
-                for j, w in enumerate(self.bases[m - 1].words):
-                    row = [0] * level.dim
-                    row[j] = 1
-                    level.rows.append(row)
-                    level.elems.append(self.bracket_element(w))
-            self._full = sub
+            self._full = free_factor(self, range(self.n), 1)
         return self._full
 
 
@@ -294,14 +272,14 @@ class SieveResult:
 
 class FilteredSubgroup:
     """See the module docstring; construct through the functions below.
+    Every subgroup is normal in the ambient except a proper free factor.
 
     Subgroups may share levels: `intersect_with_gamma` hands out the levels
     it keeps, and `copy` shares the rows.  So a built subgroup is never
     changed in place; `insert_and_close` grows a copy of its base."""
 
-    def __init__(self, ambient: AmbientContext, normal: bool):
+    def __init__(self, ambient: AmbientContext):
         self.ambient = ambient
-        self.normal = normal
         self.levels = [_Level(len(basis)) for basis in ambient.bases]
 
     def copy(self) -> "FilteredSubgroup":
@@ -322,7 +300,7 @@ class FilteredSubgroup:
         """Reduce g level by level; MEMBER comes with a recipe that
         multiplies out exactly to g.  With `stop` = t, where the levels
         t .. cap are full, reaching weight >= t ends the walk as MEMBER
-        (module docstring, item 6), and the recipe is then a prefix.  A
+        (module docstring, item 5), and the recipe is then a prefix.  A
         non-member comes with its residue and the residue's leading
         coordinates, which the walk has already computed."""
         self._check_ambient(g)
@@ -369,22 +347,18 @@ class FilteredSubgroup:
     def _check_ambient(self, g: GroupElement):
         if g.cap != self.ambient.cap:
             raise ValueError("element cap does not match the ambient")
+        if g.series.n != self.ambient.n and not g.is_identity:
+            raise ValueError("element rank does not match the ambient")
 
 
 def insert_and_close(
-    base: FilteredSubgroup | None,
-    ambient: AmbientContext,
-    elements,
-    normal: bool,
+    base: FilteredSubgroup | None, ambient: AmbientContext, elements
 ) -> FilteredSubgroup:
-    """Consistent closure of `base` (may be None) together with `elements`,
-    normal when `normal` or the base is.  Each residue queues its
-    consistency obligations once, when it is inserted: [r, x] for the
-    ambient generators x in normal mode, [r, s] for the elements s stored
-    before it in plain mode.  A plain base closed in normal mode first
-    queues [s, x] for its stored elements; any other base already meets
-    its mode's obligations.  The closure is complete when the queue is
-    empty (module docstring, items 2-6).
+    """Normal closure of `base` (may be None) together with `elements`.
+    The base must be a normal closure itself, so it already meets its
+    obligations.  Each residue queues its own once, when it is inserted:
+    [r, x] for the ambient generators x.  The closure is complete when the
+    queue is empty (module docstring, items 2-5).
 
     The queue is a heap keyed by (content of the leading part, weight,
     arrival); identities never enter it.  Taking the least content first
@@ -394,9 +368,8 @@ def insert_and_close(
         if not base.ambient.compatible(ambient):
             raise ValueError("ambient mismatch")
         sub = base.copy()
-        sub.normal = base.normal or normal
     else:
-        sub = FilteredSubgroup(ambient, normal)
+        sub = FilteredSubgroup(ambient)
 
     work: list = []  # heap of (leading content, weight, arrival, element)
     arrivals = itertools.count()
@@ -408,49 +381,35 @@ def insert_and_close(
             content = gcd(*g.leading().values())
             heapq.heappush(work, (content, m, next(arrivals), g))
 
-    gens = [(1, i, x) for i, x in enumerate(ambient.generators)]
-
-    def oblige(r: GroupElement, m: int, partners):
-        # partners are ordered by weight, as stored() returns them; a
-        # commutator of weight >= m + weight >= t lies in gamma_t.
-        for ms, _, s in partners:
-            if m + ms >= t:
-                break
-            push(r.commutator(s))
-
     for g in elements:
         push(g)
-    if sub.normal and base is not None and not base.normal:
-        for m, _, s in base.stored():
-            oblige(s, m, gens)
 
     while work:
         _, m, _, g = heapq.heappop(work)
         if m >= t:
-            continue  # an element of gamma_t (item 6)
+            continue  # an element of gamma_t (item 5)
         res = sub.sieve(g, t)
         r = res.residue
         if r is None:
             continue
         m = r.weight()
-        partners = gens if sub.normal else sub.stored()
         level = sub.levels[m - 1]
         for left in level.add(res.coords, r):
             push(left)
         if m == t - 1 and level.is_full:
             t = sub.full_from()
-        oblige(r, m, partners)
+        if m + 1 < t:  # else each [r, x] lies in gamma_t
+            for x in ambient.generators:
+                push(r.commutator(x))
     return sub
 
 
 def join(u: FilteredSubgroup, v: FilteredSubgroup) -> FilteredSubgroup:
-    """Smallest saturated subgroup containing both (normal closure when
-    either input is normal)."""
+    """Normal closure of both, grown from u, which must be a normal closure
+    (see `insert_and_close`); v may be a free factor."""
     if not u.ambient.compatible(v.ambient):
         raise ValueError("ambient mismatch")
-    return insert_and_close(
-        u, u.ambient, [el for _, _, el in v.stored()], u.normal or v.normal
-    )
+    return insert_and_close(u, u.ambient, [el for _, _, el in v.stored()])
 
 
 def commutator_with(u: FilteredSubgroup) -> FilteredSubgroup:
@@ -462,7 +421,7 @@ def commutator_with(u: FilteredSubgroup) -> FilteredSubgroup:
     K <= [U, F], which is normal, and modulo K every s commutes with every
     x, so U is central and [U, F] <= K.  When u is full from level t on,
     the result starts from gamma_{t+1} and only u's elements of weight < t
-    are paired (module docstring, item 7)."""
+    are paired (module docstring, item 6)."""
     ambient = u.ambient
     cap, t = ambient.cap, u.full_from()
     seed = intersect_with_gamma(ambient.full_group(), t + 1) if t < cap else None
@@ -474,7 +433,7 @@ def commutator_with(u: FilteredSubgroup) -> FilteredSubgroup:
             c = a.commutator(x)
             if not c.is_identity:
                 elems.append(c)
-    return insert_and_close(seed, ambient, elems, normal=True)
+    return insert_and_close(seed, ambient, elems)
 
 
 def intersect_with_gamma(u: FilteredSubgroup, m: int) -> FilteredSubgroup:
@@ -553,19 +512,45 @@ def quotient_invariants(
     return abelian_invariants(width, rows)
 
 
+def free_factor(
+    ambient: AmbientContext, letters, degree: int
+) -> FilteredSubgroup:
+    """The free factor on the generators `letters`, meet gamma_degree.  At
+    each degree m >= `degree` it holds the unit rows of the Lyndon words
+    over `letters`, realized by their standard bracketings.
+
+    No closure is needed: killing the other letters retracts the ambient
+    onto the factor, so the factor's lower-central terms are its meets with
+    the ambient's, and the bracketings of its Lyndon words of weight >= m
+    generate its m-th term.  A proper free factor is the only subgroup that
+    is not normal, so it is never a closure base."""
+    keep = set(letters)
+    sub = FilteredSubgroup(ambient)
+    for m in range(degree, ambient.cap + 1):
+        level = sub.levels[m - 1]
+        for j, w in enumerate(ambient.basis(m).words):
+            if keep.issuperset(w):
+                row = [0] * level.dim
+                row[j] = 1
+                level.rows.append(row)
+                level.elems.append(ambient.bracket_element(w))
+    return sub
+
+
 def embedded_copy(
     u: FilteredSubgroup, target: AmbientContext, offset: int
 ) -> FilteredSubgroup:
     """Image of a subgroup under the free-factor embedding that shifts every
-    generator index by `offset`: the plain closure of the shifted stored
-    elements, the subgroup they generate, which need not be normal in the
-    target even when u is normal in its own ambient."""
+    generator index by `offset`, closed to its normal closure in the
+    target.  The image itself need not be normal there, but it is only
+    joined with normal subgroups N, and E with N has the same normal
+    closure as ncl(E) with N."""
     if target.cap != u.ambient.cap:
         raise ValueError("cap mismatch between ambients")
     elems = [
         reindex_element(el, offset, target.n) for _, _, el in u.stored()
     ]
-    return insert_and_close(None, target, elems, normal=False)
+    return insert_and_close(None, target, elems)
 
 
 def lattices_intersect_trivially(
@@ -575,6 +560,8 @@ def lattices_intersect_trivially(
     subgroups meet only in zero; then the subgroups meet only in the
     identity, since a nontrivial common element would put its leading
     coordinates in both lattices."""
+    if not u.ambient.compatible(v.ambient):
+        raise ValueError("ambient mismatch")
     for lu, lv in zip(u.levels, v.levels):
         if not lu.rows or not lv.rows:
             continue

@@ -646,10 +646,10 @@ class TestClosureReuse:
         original = subgroups.insert_and_close
         calls = []
 
-        def counting(base, ambient, elements, normal):
+        def counting(base, ambient, elements):
             elements = list(elements)
             calls.append((ambient.n, ambient.cap, elements))
-            return original(base, ambient, elements, normal)
+            return original(base, ambient, elements)
 
         for module in (subgroups, baer, semidirect):
             monkeypatch.setattr(module, "insert_and_close", counting)
