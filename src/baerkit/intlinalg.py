@@ -6,10 +6,11 @@ rows, and the Smith diagonal, which is the one source of the canonical
 invariants of a finitely generated abelian group (`abelian_invariants`).
 
 Hermite form has one algorithm, the incremental `hermite_insert`: `hnf`
-inserts a matrix's rows with unit-vector tags, and each degree of a
-filtered subgroup inserts leading coordinates tagged by the group elements
-that realize them.  It is also how `snf` finds the Smith diagonal, from
-row Hermite forms of the matrix and its transposes, untagged.  Echelon
+inserts a matrix's rows with unit-vector tags, and each degree below the
+cap of a filtered subgroup inserts leading coordinates tagged by the group
+elements that realize them; the cap degree inserts them untagged.  It is
+also how `snf` finds the Smith diagonal, from row Hermite forms of the
+matrix and its transposes, untagged.  Echelon
 rows have one solver, `echelon_solve`, used by the subgroup sieve.
 `IntMatrix.det`, `@` and `determinant_divisor` serve the cross-checks of
 the test catalogue.

@@ -345,7 +345,7 @@ def materialize_subgroups(
     twist_numerator, twist_tower = hopf_pair(twist, c)
 
     mixed_tower = left_normed(
-        [r for m, _, r in rel_acting.stored() if m + c <= cap],
+        [r for _, _, r in rel_acting.stored(cap - c + 1)],
         [t for t in product(range(n), repeat=c) if min(t) < n_acted],
     )
     complement_denominator = join(mixed_tower, twist_tower)
@@ -375,7 +375,7 @@ def materialize_subgroups(
         mixed_tower=mixed_tower,
         complement_denominator=complement_denominator,
         mixed_commutators=left_normed(
-            [r for _, _, r in rel_acting.stored()],
+            [r for _, _, r in rel_acting.stored(cap)],
             [(a,) for a in range(n_acted)],
         ),
         acting_gamma_embedded=embedded_copy(acting_gamma, ambient, n_acted),

@@ -89,6 +89,38 @@ generated by those of weight >= m:
    [s, x] for generators x: K lies in [U, F], and modulo K each s commutes
    with each x while gamma_t is central, so U is central and [U, F] <= K.
    `commutator_with` starts from gamma_{t+1} and pairs only S with X.
+
+The top level.  The degree-cap level stores rows only (`_TopLevel`).  An
+element g of weight cap is 1 plus its leading part, since every term above
+the weight lies above the cap; so g is 1 + sum_j a_j e_j, with a its
+leading coordinates and e_j the expansion of the j-th Lyndon bracketing of
+degree cap.  Products of such elements add their leading parts and powers
+scale them: gamma_cap is central and free abelian (Sims, ch. 9), and
+g -> a is an isomorphism onto Z^d.  A tagged Hermite step at the top takes
+row combinations r x + s y to tag products a^x b^y of weight cap, whose
+leading coordinates are the combined row; so every tag is the element its
+row determines, and a vector that cancels leaves a tag of weight above the
+cap, the identity.  Hence inserting untagged performs the same row
+operations, gives the same rows, and loses nothing: the realizing element
+of a top row is built from the row, and only when a caller reads `elems`
+(closure inputs such as `join`'s, `embedded_copy`, the tests).  The sieve
+needs coordinates only at the top; a commutator with a top element is the
+identity, so `commutator_with` and `quotient_invariants` pair elements below
+the cap only; and `contains_all` and `quotient_invariants` solve the other
+subgroup's top rows against this one's, which is what sieving the elements
+built from them would do.
+
+Equality.  When the sieve decides a subgroup H, the rows of level m are the
+Hermite form of gr_m H, the lattice of the leading coordinates of the
+elements of H of weight m: each row is such an element's, and each such
+element sieves through level m.  Reduced Hermite rows are unique per
+lattice, so U = V gives equal rows at every level.  Equal rows alone do not
+give U = V (ncl(x^2) and ncl(x^2 [x, y]) at cap 2 have the same rows), but
+with V <= U they do.  By downward induction on m, U meet gamma_m <= V: an
+element u of U of weight m shares its leading coordinates with some v in V,
+as gr_m U = gr_m V, and v^-1 u lies in U with weight > m, hence in V (above
+the cap it is the identity).  So `equal_as_subgroup` compares rows and then
+checks one inclusion.
 """
 
 from __future__ import annotations
@@ -105,6 +137,7 @@ from .intlinalg import (
     AbelianInvariants,
     IntMatrix,
     _pivots,
+    _untagged,
     abelian_invariants,
     echelon_solve,
     hermite_insert,
@@ -113,6 +146,8 @@ from .intlinalg import (
 from .lyndon import get_basis, standard_factorization
 from .magnus import (
     GroupElement,
+    TruncatedSeries,
+    _add_grade,
     _word_element,
     generator_element,
     reindex_element,
@@ -222,8 +257,8 @@ class AmbientContext:
 
 
 class _Level:
-    """One degree of a filtered subgroup: echelon lattice rows plus the
-    group elements realizing them."""
+    """One degree below the cap of a filtered subgroup: echelon lattice rows
+    plus the group elements realizing them."""
 
     __slots__ = ("dim", "rows", "elems")
 
@@ -249,7 +284,10 @@ class _Level:
 
     @property
     def is_full(self) -> bool:
-        return self.index() == 1
+        """Read off the diagonal: dim Hermite rows have their pivots there,
+        and the lattice is Z^dim exactly when each pivot is 1."""
+        rows = self.rows
+        return len(rows) == self.dim and all(r[i] == 1 for i, r in enumerate(rows))
 
     def add(self, vec, elem: GroupElement) -> list[GroupElement]:
         """Insert a vector with its realizing element, keeping Hermite form.
@@ -260,6 +298,48 @@ class _Level:
         """
         left = hermite_insert(self.rows, self.elems, vec, elem, mul, pow)
         return [] if left is None or left.is_identity else [left]
+
+
+class _TopLevel(_Level):
+    """The degree-cap level: rows only (module docstring, "The top level").
+    `elems` is built from the rows when it is read, and kept until the next
+    insert."""
+
+    __slots__ = ("basis", "_built")
+
+    def __init__(self, basis):
+        self.dim = len(basis)
+        self.rows = []
+        self.basis = basis
+        self._built = None
+
+    def copy(self) -> "_TopLevel":
+        out = _TopLevel(self.basis)
+        out.rows = self.rows[:]
+        out._built = self._built
+        return out
+
+    @property
+    def elems(self) -> list[GroupElement]:
+        if self._built is None:
+            cap, n = self.basis.m, self.basis.n
+            built = []
+            for row in self.rows:
+                top: dict = {}
+                for a, expansion in zip(row, self.basis.expansions):
+                    if a:
+                        _add_grade(top, expansion, a)
+                grades = [{0: 1}] + [{} for _ in range(cap - 1)] + [top]
+                built.append(GroupElement(TruncatedSeries._raw(cap, n, grades)))
+            self._built = built
+        return self._built
+
+    def add(self, vec, elem: GroupElement) -> list[GroupElement]:
+        """Insert a vector untagged; `elem` is the element the row
+        determines, and nothing is left over at the cap."""
+        hermite_insert(self.rows, [None] * len(self.rows), vec, None, _untagged, _untagged)
+        self._built = None
+        return []
 
 
 @dataclass
@@ -280,17 +360,20 @@ class FilteredSubgroup:
 
     def __init__(self, ambient: AmbientContext):
         self.ambient = ambient
-        self.levels = [_Level(len(basis)) for basis in ambient.bases]
+        *below, top = ambient.bases
+        self.levels = [_Level(len(basis)) for basis in below] + [_TopLevel(top)]
 
     def copy(self) -> "FilteredSubgroup":
         out = copy.copy(self)
         out.levels = [lvl.copy() for lvl in self.levels]
         return out
 
-    def stored(self) -> list[tuple[int, int, GroupElement]]:
-        """All realizing elements as (degree, row index, element), ordered."""
+    def stored(self, below: int | None = None) -> list[tuple[int, int, GroupElement]]:
+        """The realizing elements as (degree, row index, element), ordered:
+        all of them, or those of degree < `below`, which builds no top
+        element when `below` <= cap."""
         out = []
-        for m in range(1, self.ambient.cap + 1):
+        for m in range(1, self.ambient.cap + 1 if below is None else below):
             level = self.levels[m - 1]
             for i, el in enumerate(level.elems):
                 out.append((m, i, el))
@@ -319,7 +402,7 @@ class FilteredSubgroup:
             recipe.extend(steps)
             if m == self.ambient.cap:
                 # Dividing off at the top degree leaves weight > cap, which
-                # is the identity here; no group arithmetic needed.
+                # is the identity here; the top level keeps no elements.
                 return SieveResult(True, recipe, None, None)
             for (_, i), e in steps:
                 cur = (level.elems[i] ** (-e)) * cur
@@ -339,10 +422,25 @@ class FilteredSubgroup:
         return m is None or m >= t or self.sieve(g, t).member
 
     def contains_all(self, other: "FilteredSubgroup") -> bool:
-        return all(self.contains(el) for _, _, el in other.stored())
+        """other <= self; other's top rows are solved against this top
+        level's rows (module docstring, "The top level")."""
+        if not self.ambient.compatible(other.ambient):
+            raise ValueError("ambient mismatch")
+        top = self.levels[-1].rows
+        return all(
+            self.contains(el) for _, _, el in other.stored(self.ambient.cap)
+        ) and all(
+            echelon_solve(top, vec)[0] is not None for vec in other.levels[-1].rows
+        )
 
     def equal_as_subgroup(self, other: "FilteredSubgroup") -> bool:
-        return self.contains_all(other) and other.contains_all(self)
+        """Equal rows at every level, then other <= self (module docstring,
+        "Equality")."""
+        if not self.ambient.compatible(other.ambient):
+            raise ValueError("ambient mismatch")
+        return all(
+            a.rows == b.rows for a, b in zip(self.levels, other.levels)
+        ) and self.contains_all(other)
 
     def _check_ambient(self, g: GroupElement):
         if g.cap != self.ambient.cap:
@@ -426,9 +524,9 @@ def commutator_with(u: FilteredSubgroup) -> FilteredSubgroup:
     cap, t = ambient.cap, u.full_from()
     seed = intersect_with_gamma(ambient.full_group(), t + 1) if t < cap else None
     elems = []
-    for m, _, a in u.stored():
-        if m >= min(t, cap):
-            break  # [a, x] lies in gamma_{t+1}, or is the identity here
+    # From weight min(t, cap) on, [a, x] lies in gamma_{t+1} or is the
+    # identity here.
+    for _, _, a in u.stored(min(t, cap)):
         for x in ambient.generators:
             c = a.commutator(x)
             if not c.is_identity:
@@ -478,9 +576,11 @@ def quotient_invariants(
     if not num.ambient.compatible(den.ambient):
         raise ValueError("ambient mismatch")
     cap = num.ambient.cap
-    gens = num.stored()
-    pos = {(m, i): k for k, (m, i, _) in enumerate(gens)}
-    width = len(gens)
+    gens = num.stored(cap)
+    top = num.levels[-1].rows
+    refs = [(m, i) for m, i, _ in gens] + [(cap, i) for i in range(len(top))]
+    pos = {ref: k for k, ref in enumerate(refs)}
+    width = len(refs)
 
     def recipe_row(recipe) -> list[int]:
         row = [0] * width
@@ -488,14 +588,22 @@ def quotient_invariants(
             row[pos[ref]] += e
         return row
 
+    # D's stored elements below the cap are sieved; its top rows are
+    # solved against N's, the sieve's last step (module docstring, "The
+    # top level").  Commutators with a top element are the identity.
     rows = []
-    for _, _, d in den.stored():
+    for _, _, d in den.stored(cap):
         res = num.sieve(d)
         if not res.member:
             raise ValueError("denominator is not contained in the numerator")
         rows.append(recipe_row(res.recipe))
-    for a in range(width):
-        for b in range(a + 1, width):
+    for vec in den.levels[-1].rows:
+        exps, _ = echelon_solve(top, vec)
+        if exps is None:
+            raise ValueError("denominator is not contained in the numerator")
+        rows.append(recipe_row([((cap, i), e) for i, e in enumerate(exps)]))
+    for a in range(len(gens)):
+        for b in range(a + 1, len(gens)):
             ma, _, ga = gens[a]
             mb, _, gb = gens[b]
             if ma + mb > cap:
@@ -533,7 +641,8 @@ def free_factor(
                 row = [0] * level.dim
                 row[j] = 1
                 level.rows.append(row)
-                level.elems.append(ambient.bracket_element(w))
+                if m < ambient.cap:  # the top level builds its own
+                    level.elems.append(ambient.bracket_element(w))
     return sub
 
 

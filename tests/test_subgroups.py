@@ -7,7 +7,13 @@ from pathlib import Path
 import pytest
 
 from baerkit import subgroups
-from baerkit.baer import baer_invariant, certified_class_bound, relator_closure, working_closure
+from baerkit.baer import (
+    baer_invariant,
+    certified_class_bound,
+    hopf_pair,
+    relator_closure,
+    working_closure,
+)
 from baerkit.errors import CapacityError
 from baerkit.intlinalg import IntMatrix, abelian_invariants, hnf
 from baerkit.lyndon import LyndonBasis, lyndon_words
@@ -18,6 +24,7 @@ from baerkit.subgroups import (
     AmbientContext,
     FilteredSubgroup,
     _Level,
+    _TopLevel,
     commutator_with,
     embedded_copy,
     free_factor,
@@ -676,3 +683,148 @@ class TestEmbedding:
         assert lattices_intersect_trivially(left, free_factor(target, [1], 1))
         assert not lattices_intersect_trivially(left, left)
         assert not lattices_intersect_trivially(left, free_factor(target, [1, 2], 1))
+
+
+class TestEquality:
+    """`equal_as_subgroup` compares rows, then checks one inclusion."""
+
+    def test_equal_rows_unequal_subgroups(self, amb22):
+        # Both have rows [2, 0] and [2], yet x^2 [x, y] sieves in ncl(x^2)
+        # to [x, y], whose coordinate 1 is not in 2Z; so the inclusion
+        # may never be skipped when the rows agree.
+        u = closure(amb22, ABXY, ["x^2 [x,y]"])
+        v = closure(amb22, ABXY, ["x^2"])
+        assert all(a.rows == b.rows for a, b in zip(u.levels, v.levels))
+        assert not u.equal_as_subgroup(v)
+        assert not v.equal_as_subgroup(u)
+
+    def test_other_generators_same_subgroup(self, amb22):
+        # [x^2 [x, y], y] = [x, y]^2 at cap 2, so x^2 [x, y]^3 lies in the
+        # first closure and x^2 [x, y] in the second; the stored elements
+        # differ at degree 1.
+        u = closure(amb22, ABXY, ["x^2 [x,y]"])
+        w = closure(amb22, ABXY, ["x^2 [x,y]^3"])
+        assert u.levels[0].elems != w.levels[0].elems
+        assert u.equal_as_subgroup(w) and w.equal_as_subgroup(u)
+
+    def test_ambient_mismatch(self, amb22):
+        with pytest.raises(ValueError, match="ambient mismatch"):
+            amb22.full_group().equal_as_subgroup(AmbientContext(2, 3).full_group())
+
+
+def tagged_free_factor(ambient, letters, degree):
+    """`free_factor` storing the bracket elements at every degree, the top
+    one included."""
+    keep = set(letters)
+    sub = FilteredSubgroup(ambient)
+    for m in range(degree, ambient.cap + 1):
+        level = sub.levels[m - 1]
+        for j, w in enumerate(ambient.basis(m).words):
+            if keep.issuperset(w):
+                row = [0] * level.dim
+                row[j] = 1
+                level.rows.append(row)
+                level.elems.append(ambient.bracket_element(w))
+    return sub
+
+
+def tagged_top_level(monkeypatch):
+    """Oracle: every level a tagged `_Level`, the top one included, so top
+    inserts run `hermite_insert` with the realizing elements as tags,
+    series products and powers included, and free factors store bracket
+    elements at the top."""
+
+    def init(self, ambient):
+        self.ambient = ambient
+        self.levels = [_Level(len(basis)) for basis in ambient.bases]
+
+    monkeypatch.setattr(FilteredSubgroup, "__init__", init)
+    monkeypatch.setattr(subgroups, "free_factor", tagged_free_factor)
+
+
+class TestTopLevel:
+    """The degree-cap level keeps rows only and builds its elements from
+    them (`subgroups` module docstring, "The top level")."""
+
+    @staticmethod
+    def builds(source):
+        """Relator closures at k + 1 .. k + 3, the towers over them, the
+        Hopf numerators and a join of each tower with its numerator."""
+        out = []
+        for pres in relator_presentations(source):
+            cert = certified_class_bound(pres, 6)
+            out.append(cert.closure)
+            for c in (1, 2, 3):
+                numerator, tower = hopf_pair(working_closure(cert, cert.k + c), c)
+                out += [numerator, tower, join(tower, numerator)]
+        return out
+
+    @pytest.mark.parametrize("source", RELATOR_SOURCES)
+    def test_matches_tagged_top_level(self, source, monkeypatch):
+        got = self.builds(source)
+        with monkeypatch.context() as mp:
+            tagged_top_level(mp)
+            want = self.builds(source)
+        assert isinstance(got[0].levels[-1], _TopLevel)
+        assert not isinstance(want[0].levels[-1], _TopLevel)
+        for j, (g, w) in enumerate(zip(got, want)):
+            assert [lv.rows for lv in g.levels] == [lv.rows for lv in w.levels], j
+            top = g.levels[-1]
+            assert top.elems == w.levels[-1].elems, j
+            cap = g.ambient.cap
+            for el, row in zip(top.elems, top.rows):
+                assert g.ambient.leading_coordinates(el) == (cap, row)
+
+    def test_seeded_random_closures_and_joins(self, monkeypatch):
+        rng = random.Random(2531)
+        for _ in range(30):
+            n = rng.randrange(1, 4)
+            cap = rng.randrange(1, 6 if n < 3 else 4)
+            probe = AmbientContext(n, cap)
+            els, more = random_elements(rng, probe), random_elements(rng, probe)
+            runs = []
+            for tagged in (False, True):
+                with monkeypatch.context() as mp:
+                    if tagged:
+                        tagged_top_level(mp)
+                    amb = AmbientContext(n, cap)
+                    u = insert_and_close(None, amb, els)
+                    v = insert_and_close(None, amb, more)
+                    runs.append([u, join(u, v), commutator_with(join(v, u))])
+            for g, w in zip(*runs):
+                assert [lv.rows for lv in g.levels] == [lv.rows for lv in w.levels]
+                assert g.levels[-1].elems == w.levels[-1].elems
+
+    def test_top_inserts_do_no_series_arithmetic(self, monkeypatch):
+        # D64's relators at cap 7: more top inserts than top rows, so some
+        # divided off or merged, which costs tagged rows a series product
+        # and power each.  Untagged, no insert may multiply or raise one.
+        calls = {"inserts": 0, "mul": 0, "pow": 0}
+        inside = [False]
+        add = _TopLevel.add
+        series_mul, element_pow = TruncatedSeries.__mul__, GroupElement.__pow__
+
+        def counting_add(self, vec, elem):
+            calls["inserts"] += 1
+            inside[0] = True
+            try:
+                return add(self, vec, elem)
+            finally:
+                inside[0] = False
+
+        def counting_mul(self, other):
+            calls["mul"] += inside[0]
+            return series_mul(self, other)
+
+        def counting_pow(self, e):
+            calls["pow"] += inside[0]
+            return element_pow(self, e)
+
+        monkeypatch.setattr(_TopLevel, "add", counting_add)
+        monkeypatch.setattr(TruncatedSeries, "__mul__", counting_mul)
+        monkeypatch.setattr(GroupElement, "__pow__", counting_pow)
+        amb = AmbientContext(2, 7)
+        (pres,) = relator_presentations("D64")
+        sub = relator_closure(pres.relators, amb)
+        assert calls["inserts"] > len(sub.levels[-1].rows)
+        assert calls["mul"] == calls["pow"] == 0
