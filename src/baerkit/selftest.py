@@ -801,7 +801,7 @@ def _(budget):
     rng = random.Random(401)
     for _ in range(200):
         amb, ab, u = _random_closure(rng, budget)
-        v = insert_and_close(u, amb, [])
+        v = join(FilteredSubgroup(amb), u)
         _expect(
             all(
                 l1.rows == l2.rows for l1, l2 in zip(u.levels, v.levels)
@@ -812,6 +812,9 @@ def _(budget):
 
 @_check("subgroups/sieve-recipe-exactness")
 def _(budget):
+    # Below the cap a recipe multiplies out over the stored elements.  At
+    # the cap, where an element is its row of Lyndon coordinates, what is
+    # left must have no term below the cap and the row the top steps sum to.
     rng = random.Random(402)
     done = 0
     while done < 200:
@@ -825,10 +828,19 @@ def _(budget):
             g = g * el ** rng.choice((-2, -1, 1, 2))
         res = u.sieve(g)
         _expect(res.member, "product of stored elements escaped the sieve")
-        out = identity_element(amb.cap)
+        p = identity_element(amb.cap)
+        top = [0] * u.levels[-1].dim
         for (m, i), e in res.recipe:
-            out = out * u.levels[m - 1].elems[i] ** e
-        _expect(out == g, "recipe does not multiply out to the element")
+            if m < amb.cap:
+                p = p * u.levels[m - 1].elems[i] ** e
+            else:
+                top = [a + e * b for a, b in zip(top, u.levels[-1].rows[i])]
+        rest = p.inverse() * g
+        _expect(
+            rest.is_identity and not any(top)
+            or amb.leading_coordinates(rest) == (amb.cap, top),
+            "recipe does not multiply out to the element",
+        )
         done += 1
 
 

@@ -22,7 +22,8 @@ nilpotent quotient F of class k + c, whose first letters are the acted ones:
   closure K of [r, a] over the stored elements r of R2 and the acted
   generators a.  Modulo K each r commutes with each a, so with F1 = <a>,
   and the r generate R2, so K is the normal closure of [R2, F1].  F1
-  itself is never built.
+  itself is never built.  At c = 1, K is the mixed tower: the same
+  elements r and one-letter tuples, so it is built once.
 - The acting free factor F2, and both factors' gamma_{c+1}, stored as the
   bracketings of their Lyndon words (`subgroups.free_factor`): the only
   subgroups that are not normal, and never a closure base.  Also the
@@ -349,6 +350,10 @@ def materialize_subgroups(
         [t for t in product(range(n), repeat=c) if min(t) < n_acted],
     )
     complement_denominator = join(mixed_tower, twist_tower)
+    mixed_commutators = mixed_tower if c == 1 else left_normed(
+        [r for _, _, r in rel_acting.stored()],
+        [(a,) for a in range(n_acted)],
+    )
     mixed_gamma_tower = left_normed(
         [
             generators[a].commutator(generators[b])
@@ -374,10 +379,7 @@ def materialize_subgroups(
         twist_tower=twist_tower,
         mixed_tower=mixed_tower,
         complement_denominator=complement_denominator,
-        mixed_commutators=left_normed(
-            [r for _, _, r in rel_acting.stored(cap)],
-            [(a,) for a in range(n_acted)],
-        ),
+        mixed_commutators=mixed_commutators,
         acting_gamma_embedded=embedded_copy(acting_gamma, ambient, n_acted),
         acting_tower_embedded=embedded_copy(acting_tower, ambient, n_acted),
         acting_full=free_factor(ambient, range(n_acted, n), 1),

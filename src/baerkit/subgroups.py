@@ -100,15 +100,18 @@ g -> a is an isomorphism onto Z^d.  A tagged Hermite step at the top takes
 row combinations r x + s y to tag products a^x b^y of weight cap, whose
 leading coordinates are the combined row; so every tag is the element its
 row determines, and a vector that cancels leaves a tag of weight above the
-cap, the identity.  Hence inserting untagged performs the same row
-operations, gives the same rows, and loses nothing: the realizing element
-of a top row is built from the row, and only when a caller reads `elems`
-(closure inputs such as `join`'s, `embedded_copy`, the tests).  The sieve
-needs coordinates only at the top; a commutator with a top element is the
-identity, so `commutator_with` and `quotient_invariants` pair elements below
-the cap only; and `contains_all` and `quotient_invariants` solve the other
-subgroup's top rows against this one's, which is what sieving the elements
-built from them would do.
+cap, the identity.  Hence inserting untagged gives the same rows and loses
+nothing.  The sieve needs coordinates only at the top, and a commutator
+with a top element is the identity, so only elements below the cap are
+sieved or paired, and top rows are solved against top rows.  `join(u, v)`
+inserts v's top rows into a copy of u, then closes v's elements below the
+cap into it: the rows span a central Z <= gamma_cap, so uZ is normal and
+meets its obligations, those of Z being the identity.  `embedded_copy`
+starts the same way from the shifted top rows, mapped through the shifted
+Lyndon words: one shift of every letter keeps the letters' order, so each
+word stays Lyndon with the same standard factorization, and the embedding
+sends a row's product of bracket powers to the same powers of the shifted
+brackets.
 
 Equality.  When the sieve decides a subgroup H, the rows of level m are the
 Hermite form of gr_m H, the lattice of the leading coordinates of the
@@ -135,19 +138,15 @@ from operator import mul
 from .errors import CapacityError
 from .intlinalg import (
     AbelianInvariants,
-    IntMatrix,
     _pivots,
     _untagged,
     abelian_invariants,
     echelon_solve,
     hermite_insert,
-    hnf,
 )
 from .lyndon import get_basis, standard_factorization
 from .magnus import (
     GroupElement,
-    TruncatedSeries,
-    _add_grade,
     _word_element,
     generator_element,
     reindex_element,
@@ -301,44 +300,24 @@ class _Level:
 
 
 class _TopLevel(_Level):
-    """The degree-cap level: rows only (module docstring, "The top level").
-    `elems` is built from the rows when it is read, and kept until the next
-    insert."""
+    """The degree-cap level: rows only (module docstring, "The top
+    level")."""
 
-    __slots__ = ("basis", "_built")
+    __slots__ = ()
 
-    def __init__(self, basis):
-        self.dim = len(basis)
+    def __init__(self, dim: int):
+        self.dim = dim
         self.rows = []
-        self.basis = basis
-        self._built = None
 
     def copy(self) -> "_TopLevel":
-        out = _TopLevel(self.basis)
+        out = _TopLevel(self.dim)
         out.rows = self.rows[:]
-        out._built = self._built
         return out
 
-    @property
-    def elems(self) -> list[GroupElement]:
-        if self._built is None:
-            cap, n = self.basis.m, self.basis.n
-            built = []
-            for row in self.rows:
-                top: dict = {}
-                for a, expansion in zip(row, self.basis.expansions):
-                    if a:
-                        _add_grade(top, expansion, a)
-                grades = [{0: 1}] + [{} for _ in range(cap - 1)] + [top]
-                built.append(GroupElement(TruncatedSeries._raw(cap, n, grades)))
-            self._built = built
-        return self._built
-
-    def add(self, vec, elem: GroupElement) -> list[GroupElement]:
-        """Insert a vector untagged; `elem` is the element the row
-        determines, and nothing is left over at the cap."""
+    def add(self, vec, elem: GroupElement | None = None) -> list[GroupElement]:
+        """Insert a vector untagged; `elem`, when given, is the element the
+        row determines, and nothing is left over at the cap."""
         hermite_insert(self.rows, [None] * len(self.rows), vec, None, _untagged, _untagged)
-        self._built = None
         return []
 
 
@@ -361,7 +340,7 @@ class FilteredSubgroup:
     def __init__(self, ambient: AmbientContext):
         self.ambient = ambient
         *below, top = ambient.bases
-        self.levels = [_Level(len(basis)) for basis in below] + [_TopLevel(top)]
+        self.levels = [_Level(len(basis)) for basis in below] + [_TopLevel(len(top))]
 
     def copy(self) -> "FilteredSubgroup":
         out = copy.copy(self)
@@ -370,10 +349,10 @@ class FilteredSubgroup:
 
     def stored(self, below: int | None = None) -> list[tuple[int, int, GroupElement]]:
         """The realizing elements as (degree, row index, element), ordered:
-        all of them, or those of degree < `below`, which builds no top
-        element when `below` <= cap."""
+        those below the cap, where the top level keeps none, or those of
+        degree < `below` <= cap."""
         out = []
-        for m in range(1, self.ambient.cap + 1 if below is None else below):
+        for m in range(1, self.ambient.cap if below is None else below):
             level = self.levels[m - 1]
             for i, el in enumerate(level.elems):
                 out.append((m, i, el))
@@ -428,7 +407,7 @@ class FilteredSubgroup:
             raise ValueError("ambient mismatch")
         top = self.levels[-1].rows
         return all(
-            self.contains(el) for _, _, el in other.stored(self.ambient.cap)
+            self.contains(el) for _, _, el in other.stored()
         ) and all(
             echelon_solve(top, vec)[0] is not None for vec in other.levels[-1].rows
         )
@@ -504,10 +483,14 @@ def insert_and_close(
 
 def join(u: FilteredSubgroup, v: FilteredSubgroup) -> FilteredSubgroup:
     """Normal closure of both, grown from u, which must be a normal closure
-    (see `insert_and_close`); v may be a free factor."""
+    (see `insert_and_close`); v may be a free factor.  v's top rows go in
+    first (module docstring, "The top level")."""
     if not u.ambient.compatible(v.ambient):
         raise ValueError("ambient mismatch")
-    return insert_and_close(u, u.ambient, [el for _, _, el in v.stored()])
+    base = u.copy()
+    for vec in v.levels[-1].rows:
+        base.levels[-1].add(vec)
+    return insert_and_close(base, u.ambient, [el for _, _, el in v.stored()])
 
 
 def commutator_with(u: FilteredSubgroup) -> FilteredSubgroup:
@@ -576,7 +559,7 @@ def quotient_invariants(
     if not num.ambient.compatible(den.ambient):
         raise ValueError("ambient mismatch")
     cap = num.ambient.cap
-    gens = num.stored(cap)
+    gens = num.stored()
     top = num.levels[-1].rows
     refs = [(m, i) for m, i, _ in gens] + [(cap, i) for i in range(len(top))]
     pos = {ref: k for k, ref in enumerate(refs)}
@@ -592,7 +575,7 @@ def quotient_invariants(
     # solved against N's, the sieve's last step (module docstring, "The
     # top level").  Commutators with a top element are the identity.
     rows = []
-    for _, _, d in den.stored(cap):
+    for _, _, d in den.stored():
         res = num.sieve(d)
         if not res.member:
             raise ValueError("denominator is not contained in the numerator")
@@ -641,7 +624,7 @@ def free_factor(
                 row = [0] * level.dim
                 row[j] = 1
                 level.rows.append(row)
-                if m < ambient.cap:  # the top level builds its own
+                if m < ambient.cap:  # the top level keeps rows only
                     level.elems.append(ambient.bracket_element(w))
     return sub
 
@@ -653,13 +636,28 @@ def embedded_copy(
     generator index by `offset`, closed to its normal closure in the
     target.  The image itself need not be normal there, but it is only
     joined with normal subgroups N, and E with N has the same normal
-    closure as ncl(E) with N."""
-    if target.cap != u.ambient.cap:
+    closure as ncl(E) with N.  Top rows map through the shifted Lyndon
+    words (module docstring, "The top level")."""
+    cap = target.cap
+    if cap != u.ambient.cap:
         raise ValueError("cap mismatch between ambients")
+    if offset < 0 or u.ambient.n + offset > target.n:
+        raise ValueError("reindexed letter exceeds the target alphabet")
+    base = FilteredSubgroup(target)
+    top = base.levels[-1]
+    index = {w: j for j, w in enumerate(target.basis(cap).words)}
+    shifted = [
+        index[tuple(x + offset for x in w)] for w in u.ambient.basis(cap).words
+    ]
+    for row in u.levels[-1].rows:
+        vec = [0] * top.dim
+        for j, a in zip(shifted, row):
+            vec[j] = a
+        top.add(vec)
     elems = [
         reindex_element(el, offset, target.n) for _, _, el in u.stored()
     ]
-    return insert_and_close(None, target, elems)
+    return insert_and_close(base, target, elems)
 
 
 def lattices_intersect_trivially(
@@ -672,11 +670,11 @@ def lattices_intersect_trivially(
     if not u.ambient.compatible(v.ambient):
         raise ValueError("ambient mismatch")
     for lu, lv in zip(u.levels, v.levels):
-        if not lu.rows or not lv.rows:
-            continue
+        rows, tags = lu.rows[:], [None] * len(lu.rows)
+        for vec in lv.rows:
+            hermite_insert(rows, tags, vec, None, _untagged, _untagged)
         # Level rows are nonzero Hermite rows with distinct pivots, so each
-        # level's rank is its row count.
-        stacked = IntMatrix(lu.rows + lv.rows, cols=lu.dim)
-        if len(hnf(stacked)[0].nonzero_rows()) < len(lu.rows) + len(lv.rows):
+        # lattice's rank is its row count.
+        if len(rows) < len(lu.rows) + len(lv.rows):
             return False
     return True

@@ -1,6 +1,7 @@
 """Every module of the package, and every test file, uses each name it
 imports; every name the benchmark's tracer patches exists; every public
-member of an engine module is read by the package or the tracer."""
+member of an engine module is read by the package or the tracer; only
+`magnus` reads how a series is stored."""
 
 import ast
 import os
@@ -96,6 +97,18 @@ def test_tracer_finds_every_patched_name():
         text=True,
     )
     assert run.returncode == 0, run.stderr
+
+
+def test_only_magnus_reads_the_series_layout():
+    """How a series is stored is `magnus`'s own: no other module of the
+    package reads its grades or the helpers that build them."""
+    layout = {"grades", "_raw", "_add_grade", "_add_grades"}
+    readers = [
+        f"{path.name}: {sorted(layout & names_read(path.read_text()))}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "magnus.py" and layout & names_read(path.read_text())
+    ]
+    assert readers == []
 
 
 def test_every_engine_member_is_read():

@@ -32,13 +32,12 @@ from baerkit.subgroups import (
     AmbientContext,
     FilteredSubgroup,
     commutator_with,
-    embedded_copy,
     insert_and_close,
     intersect_with_gamma,
     join,
     quotient_order,
 )
-from test_subgroups import all_pairs_closure
+from test_subgroups import all_pairs_closure, every_element
 
 T = AbelianInvariants
 DATA = Path(__file__).resolve().parent.parent / "data"
@@ -238,7 +237,7 @@ def substitution_validate(spec, k_acted):
                 ambient.element_of_word(spec.image(a, b)) for a in acted_names
             ]
             generated = all_pairs_closure(
-                None, ambient, [el for _, _, el in closure.stored()] + images, False
+                None, ambient, [el for _, _, el in every_element(closure)] + images, False
             )
             if quotient_order(generated) != 1:
                 problems.append(
@@ -578,8 +577,14 @@ def former_subgroups(sp, c, certificate, acting_certificate):
         it: the subgroup generated by the term of its own full group,
         shifted; here by all-pairs saturation."""
         term = intersect_with_gamma(own.full_group(), degree)
-        elems = [reindex_element(el, offset, n) for _, _, el in term.stored()]
+        elems = [reindex_element(el, offset, n) for _, _, el in every_element(term)]
         return all_pairs_closure(None, ambient, elems, False)
+
+    def embedded_closure(sub):
+        """The normal closure of every element of an acting-factor subgroup,
+        shifted past the acted letters."""
+        elems = [reindex_element(el, n_acted, n) for _, _, el in every_element(sub)]
+        return insert_and_close(None, ambient, elems)
 
     rel_acting = closure_of(sp.rel_acting)
     rel_acted = closure_of(sp.rel_acted)
@@ -611,13 +616,11 @@ def former_subgroups(sp, c, certificate, acting_certificate):
 
     acting_sub = working_closure(acting_certificate, cap)
     amb_acting = acting_sub.ambient
-    acting_gamma_embedded = embedded_copy(
-        intersect_with_gamma(acting_sub, c + 1), ambient, n_acted
-    )
+    acting_gamma_embedded = embedded_closure(intersect_with_gamma(acting_sub, c + 1))
     acting_tower_sub = acting_sub
     for _ in range(c):
         acting_tower_sub = commutator_with(acting_tower_sub)
-    acting_tower_embedded = embedded_copy(acting_tower_sub, ambient, n_acted)
+    acting_tower_embedded = embedded_closure(acting_tower_sub)
 
     amb_acted = AmbientContext(n_acted, cap)
     acted_full = embedded_factor(amb_acted, 0, 1)

@@ -17,7 +17,7 @@ from baerkit.baer import (
 from baerkit.errors import CapacityError
 from baerkit.intlinalg import IntMatrix, abelian_invariants, hnf
 from baerkit.lyndon import LyndonBasis, lyndon_words
-from baerkit.magnus import GroupElement, TruncatedSeries, identity_element
+from baerkit.magnus import GroupElement, TruncatedSeries, identity_element, reindex_element
 from baerkit.presentations import Alphabet, parse_input_file, parse_word
 from baerkit.semidirect import build_semidirect
 from baerkit.subgroups import (
@@ -44,6 +44,26 @@ DATA = Path(__file__).resolve().parent.parent / "data"
 def closure(amb, alphabet, words):
     els = [amb.element_of_word(parse_word(t, alphabet)) for t in words]
     return insert_and_close(None, amb, els)
+
+
+def row_element(amb, row):
+    """Oracle: the weight-cap element whose leading Lyndon coordinates are
+    `row`, the product of the powers of the bracket elements (`subgroups`
+    module docstring, "The top level")."""
+    g = identity_element(amb.cap)
+    for w, a in zip(amb.basis(amb.cap).words, row):
+        g = g * amb.bracket_element(w) ** a
+    return g
+
+
+def every_element(sub):
+    """Oracle: `sub.stored()` followed by (cap, row index, element) for each
+    top row, so that the elements generate the subgroup."""
+    amb = sub.ambient
+    return sub.stored() + [
+        (amb.cap, i, row_element(amb, row))
+        for i, row in enumerate(sub.levels[-1].rows)
+    ]
 
 
 def all_pairs_closure(base, ambient, elements, normal):
@@ -73,7 +93,7 @@ def all_pairs_closure(base, ambient, elements, normal):
     while True:
         while queue:
             process(queue.popleft())
-        stored = sub.stored()
+        stored = every_element(sub)
         for m, _, r in stored:
             if m < cap:
                 queue.append(r.inverse())
@@ -218,9 +238,10 @@ class TestSieve:
         g = amb22.element_of_word(parse_word("x^2 y^2 [x,y]", ABXY))
         res = u.sieve(g)
         assert res.member
+        elements = {(m, i): el for m, i, el in every_element(u)}
         out = identity_element(amb22.cap)
-        for (m, i), e in res.recipe:
-            out = out * u.levels[m - 1].elems[i] ** e
+        for step, e in res.recipe:
+            out = out * elements[step] ** e
         assert out == g
 
     def test_ambient_mismatch(self, amb22):
@@ -244,6 +265,20 @@ class TestJoin:
         v = closure(amb22, ABXY, ["y^2"])
         j = join(u, v)
         assert j.contains_all(u) and j.contains_all(v)
+
+    def test_matches_closure_of_every_element(self):
+        # v's top rows go into a copy of u before v's elements below the
+        # cap are closed in; the reference closes every element of v.
+        rng = random.Random(2617)
+        for _ in range(40):
+            n = rng.randrange(1, 4)
+            amb = AmbientContext(n, rng.randrange(1, 6 if n < 3 else 4))
+            u = insert_and_close(None, amb, random_elements(rng, amb))
+            v = insert_and_close(None, amb, random_elements(rng, amb))
+            for w in (v, commutator_with(v), free_factor(amb, [n - 1], 1)):
+                got = join(u, w)
+                want = insert_and_close(u, amb, [el for _, _, el in every_element(w)])
+                assert [lv.rows for lv in got.levels] == [lv.rows for lv in want.levels]
 
 
 class TestCommutator:
@@ -278,7 +313,7 @@ class TestGammaSlice:
         assert s.levels[0].rows == []
         assert s.levels[1].is_full
         # Every stored element of weight >= 2 stays a member.
-        for m, _, el in r.stored():
+        for m, _, el in every_element(r):
             if m >= 2:
                 assert s.contains(el)
 
@@ -322,14 +357,9 @@ class TestOrder:
 
 
 class TestSaturation:
-    def test_stability(self, amb22):
-        u = closure(amb22, ABXY, ["x^2", "y^2", "[x,y]"])
-        v = insert_and_close(u, amb22, [])
-        assert all(a.rows == b.rows for a, b in zip(u.levels, v.levels))
-
     def test_products_and_inverses_members(self, amb22):
         u = closure(amb22, ABXY, ["x^2", "y^3 x^2"])
-        stored = [el for _, _, el in u.stored()]
+        stored = [el for _, _, el in every_element(u)]
         for a in stored:
             assert u.contains(a.inverse())
             for b in stored:
@@ -337,7 +367,7 @@ class TestSaturation:
 
     def test_generator_conjugates_members(self, amb22):
         u = closure(amb22, ABXY, ["x^2 y^2"])
-        for _, _, el in u.stored():
+        for _, _, el in every_element(u):
             for x in amb22.generators:
                 for t in (x, x.inverse()):
                     assert u.contains(el.conjugate(t))
@@ -353,7 +383,7 @@ class TestSaturation:
             want = all_pairs_closure(None, amb, els, True)
             for m in range(1, cap + 1):
                 assert got.levels[m - 1].rows == want.levels[m - 1].rows
-            stored = [el for _, _, el in got.stored()]
+            stored = [el for _, _, el in every_element(got)]
             for a in stored:
                 assert got.contains(a.inverse())
                 for b in stored:
@@ -395,18 +425,18 @@ class TestSaturation:
     def test_levels_are_hermite_normal_forms(self):
         # Each level holds the unique Hermite form of its lattice: the batch
         # hnf of the rows, shuffled and padded with integer combinations of
-        # them, gives them back.  Each row is its element's leading
-        # coordinates.
+        # them, gives them back.  Below the cap each row is its element's
+        # leading coordinates.
         rng = random.Random(4201)
         for _ in range(40):
             n = rng.randrange(1, 4)
             cap = rng.randrange(2, 6 if n < 3 else 4)
             amb = AmbientContext(n, cap)
             sub = insert_and_close(None, amb, random_elements(rng, amb))
+            for m, i, el in sub.stored():
+                assert amb.leading_coordinates(el) == (m, sub.levels[m - 1].rows[i])
             for m in range(1, cap + 1):
                 rows = sub.levels[m - 1].rows
-                for el, row in zip(sub.levels[m - 1].elems, rows):
-                    assert amb.leading_coordinates(el) == (m, row)
                 if not rows:
                     continue
                 mixed = rows[:]
@@ -534,7 +564,7 @@ class TestRelatorOrder:
             rows.append([sub.levels[m - 1].rows for m in range(1, amb.cap + 1)])
             bits.append(max(
                 abs(v).bit_length()
-                for _, _, el in sub.stored()
+                for _, _, el in every_element(sub)
                 for grade in el.series.grades
                 for v in grade.values()
             ))
@@ -558,7 +588,7 @@ class TestSeededClosure:
         # Stored elements, products of two, random words, and one bracket
         # element per Lyndon word, whose weights reach the full suffix.
         amb = sub.ambient
-        stored = [el for _, _, el in sub.stored()]
+        stored = [el for _, _, el in every_element(sub)]
         probes = stored + random_elements(rng, amb)
         if stored:
             probes += [rng.choice(stored) * rng.choice(stored) for _ in range(8)]
@@ -591,8 +621,8 @@ class TestSeededClosure:
 
 
 def level_snapshot(sub):
-    """Copies of every level's rows and of its element list."""
-    return [([row[:] for row in level.rows], level.elems[:]) for level in sub.levels]
+    """Copies of every level's rows, and every element."""
+    return [[row[:] for row in level.rows] for level in sub.levels], every_element(sub)
 
 
 class TestSharedLevels:
@@ -657,8 +687,8 @@ class TestFreeFactor:
             for m in range(1, cap + 1):
                 rows = got.levels[m - 1].rows
                 assert rows == want.levels[m - 1].rows, (n, cap, letters, degree, m)
-                for el, row in zip(got.levels[m - 1].elems, rows):
-                    assert amb.leading_coordinates(el) == (m, row)
+            for m, i, el in got.stored():
+                assert amb.leading_coordinates(el) == (m, got.levels[m - 1].rows[i])
 
     def test_lattice_meet_refuses_another_ambient(self):
         full = AmbientContext(2, 3).full_group()
@@ -676,6 +706,29 @@ class TestEmbedding:
         abz = Alphabet(["a", "b", "z"])
         assert e.contains(target.element_of_word(parse_word("z^2", abz)))
         assert not e.contains(target.element_of_word(parse_word("a", abz)))
+
+    def test_matches_closure_of_every_element(self):
+        # Top rows map through the shifted Lyndon words; the reference
+        # closes the shifted elements of every row, top ones too.
+        rng = random.Random(2621)
+        for _ in range(40):
+            n = rng.randrange(1, 3)
+            cap = rng.randrange(1, 5)
+            offset = rng.randrange(0, 3)
+            amb = AmbientContext(n, cap)
+            target = AmbientContext(n + offset + rng.randrange(0, 2), cap)
+            u = insert_and_close(None, amb, random_elements(rng, amb))
+            for w in (u, commutator_with(u)):
+                got = embedded_copy(w, target, offset)
+                want = insert_and_close(None, target, [
+                    reindex_element(el, offset, target.n) for _, _, el in every_element(w)
+                ])
+                assert [lv.rows for lv in got.levels] == [lv.rows for lv in want.levels]
+
+    def test_refuses_letters_past_the_target(self):
+        u = AmbientContext(2, 2).full_group()
+        with pytest.raises(ValueError, match="exceeds the target alphabet"):
+            embedded_copy(u, AmbientContext(3, 2), 2)
 
     def test_free_factors_meet_trivially(self):
         target = AmbientContext(3, 3)
@@ -712,6 +765,25 @@ class TestEquality:
             amb22.full_group().equal_as_subgroup(AmbientContext(2, 3).full_group())
 
 
+class TaggedTop(_Level):
+    """Oracle top level, tagged like the levels below it: its inserts run
+    `hermite_insert` with the realizing elements as tags, series products
+    and powers included.  A row inserted without its element (`join`,
+    `embedded_copy`) is tagged by the element of the row."""
+
+    def __init__(self, ambient):
+        super().__init__(len(ambient.basis(ambient.cap)))
+        self.ambient = ambient
+
+    def copy(self):
+        out = TaggedTop(self.ambient)
+        out.rows, out.elems = self.rows[:], self.elems[:]
+        return out
+
+    def add(self, vec, elem=None):
+        return super().add(vec, row_element(self.ambient, vec) if elem is None else elem)
+
+
 def tagged_free_factor(ambient, letters, degree):
     """`free_factor` storing the bracket elements at every degree, the top
     one included."""
@@ -729,22 +801,29 @@ def tagged_free_factor(ambient, letters, degree):
 
 
 def tagged_top_level(monkeypatch):
-    """Oracle: every level a tagged `_Level`, the top one included, so top
-    inserts run `hermite_insert` with the realizing elements as tags,
-    series products and powers included, and free factors store bracket
-    elements at the top."""
+    """Oracle: the top level a `TaggedTop`, so top inserts run
+    `hermite_insert` with the realizing elements as tags, and free factors
+    store bracket elements at the top."""
 
     def init(self, ambient):
         self.ambient = ambient
-        self.levels = [_Level(len(basis)) for basis in ambient.bases]
+        self.levels = [_Level(len(basis)) for basis in ambient.bases[:-1]]
+        self.levels.append(TaggedTop(ambient))
 
     monkeypatch.setattr(FilteredSubgroup, "__init__", init)
     monkeypatch.setattr(subgroups, "free_factor", tagged_free_factor)
 
 
+def assert_tags_are_row_elements(sub):
+    """Every tag of a tagged top level is the element its row determines
+    (`subgroups` module docstring, "The top level")."""
+    top = sub.levels[-1]
+    assert top.elems == [row_element(sub.ambient, row) for row in top.rows]
+
+
 class TestTopLevel:
-    """The degree-cap level keeps rows only and builds its elements from
-    them (`subgroups` module docstring, "The top level")."""
+    """The degree-cap level keeps rows only and gives the rows of the
+    tagged level (`subgroups` module docstring, "The top level")."""
 
     @staticmethod
     def builds(source):
@@ -766,14 +845,10 @@ class TestTopLevel:
             tagged_top_level(mp)
             want = self.builds(source)
         assert isinstance(got[0].levels[-1], _TopLevel)
-        assert not isinstance(want[0].levels[-1], _TopLevel)
+        assert isinstance(want[0].levels[-1], TaggedTop)
         for j, (g, w) in enumerate(zip(got, want)):
             assert [lv.rows for lv in g.levels] == [lv.rows for lv in w.levels], j
-            top = g.levels[-1]
-            assert top.elems == w.levels[-1].elems, j
-            cap = g.ambient.cap
-            for el, row in zip(top.elems, top.rows):
-                assert g.ambient.leading_coordinates(el) == (cap, row)
+            assert_tags_are_row_elements(w)
 
     def test_seeded_random_closures_and_joins(self, monkeypatch):
         rng = random.Random(2531)
@@ -793,7 +868,7 @@ class TestTopLevel:
                     runs.append([u, join(u, v), commutator_with(join(v, u))])
             for g, w in zip(*runs):
                 assert [lv.rows for lv in g.levels] == [lv.rows for lv in w.levels]
-                assert g.levels[-1].elems == w.levels[-1].elems
+                assert_tags_are_row_elements(w)
 
     def test_top_inserts_do_no_series_arithmetic(self, monkeypatch):
         # D64's relators at cap 7: more top inserts than top rows, so some
