@@ -16,7 +16,7 @@ from .errors import (
     ParseError,
 )
 from .intlinalg import AbelianInvariants, IntMatrix, abelian_invariants, hnf, snf
-from .lyndon import bracketing, lie_coordinates, lyndon_words, witt_dimension
+from .lyndon import lyndon_words, witt_dimension
 from .magnus import GroupElement, TruncatedSeries, series_of_word
 from .presentations import (
     ActionSpec,

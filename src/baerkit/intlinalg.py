@@ -303,13 +303,7 @@ class AbelianInvariants:
 def abelian_invariants(gen_count: int, relations) -> AbelianInvariants:
     """Invariants of the abelian group on `gen_count` generators subject to
     the relation rows (each row: exponents of one relation)."""
-    if isinstance(relations, IntMatrix):
-        rel = relations
-    else:
-        rel = IntMatrix(relations, cols=gen_count)
-    if rel.rows and rel.cols != gen_count:
-        raise ValueError("relation width does not match generator count")
-    d = snf(rel)
+    d = snf(IntMatrix(relations, cols=gen_count))
     diag = [d.data[i][i] for i in range(min(d.rows, d.cols))]
     nonzero = [x for x in diag if x]
     torsion = [x for x in nonzero if x > 1]

@@ -2,21 +2,20 @@
 
 Degree-m Lyndon words over an n-letter alphabet index a basis of the m-th
 lower-central section of a free group of rank n.  This module enumerates
-them, computes the Witt dimension independently, builds the standard
-bracketing of each word both as a group commutator word and as its monomial
-expansion, and extracts exact integer coordinates of homogeneous Lie
-elements with respect to that basis by back-substitution: the expansions
-are unitriangular, with each word its own pivot.
+them, computes the Witt dimension independently, expands the standard
+bracketing of each word once into the free associative ring, and extracts
+exact integer coordinates of homogeneous Lie elements with respect to that
+basis by back-substitution: the expansions are unitriangular, with each
+word its own pivot.
 
-Letters are integers 0..n-1; words and monomials are tuples of letters.
-The series arithmetic (`magnus`) keys a degree-d monomial by its big-endian
-base-n index instead (`monomial_index`), and a basis reads tensors keyed
-that way; `lie_coordinates` is the tuple-keyed entry point.
+Letters are integers 0..n-1 and words are tuples of letters.  A degree-d
+monomial is keyed by its big-endian base-n index (`monomial_index`), as in
+the series arithmetic (`magnus`); the expansions are built on these
+indices and a basis reads tensors keyed the same way.  There is no
+tuple-keyed entry point.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 Monomial = tuple[int, ...]
 
@@ -99,57 +98,35 @@ def standard_factorization(word: Monomial) -> tuple[Monomial, Monomial]:
     raise ValueError(f"{word!r} is not a Lyndon word")
 
 
-def _poly_bracket(p: dict, q: dict) -> dict:
-    """Lie bracket of two homogeneous noncommutative polynomials: pq - qp."""
-    out: dict[Monomial, int] = {}
-    for (ma, ca, mb, cb, sign) in (
-        [(ma, ca, mb, cb, 1) for ma, ca in p.items() for mb, cb in q.items()]
-        + [(ma, ca, mb, cb, -1) for ma, ca in q.items() for mb, cb in p.items()]
-    ):
-        key = ma + mb
-        val = out.get(key, 0) + sign * ca * cb
-        if val:
-            out[key] = val
+_EXPANSIONS: dict[tuple[int, Monomial], dict[int, int]] = {}
+
+
+def _expansion(word: Monomial, n: int) -> dict[int, int]:
+    """Monomial expansion of the standard bracketing of a Lyndon word over n
+    letters, keyed by monomial index: [u, v] = uv - vu, and concatenating
+    monomials of indices a and b, b of degree d, gives index a * n^d + b.
+    Cached by (n, word) and shared, so the result must not be modified."""
+    key = (n, word)
+    out = _EXPANSIONS.get(key)
+    if out is None:
+        if len(word) == 1:
+            out = {word[0]: 1}
         else:
-            out.pop(key, None)
-    return out
-
-
-@dataclass(frozen=True)
-class Bracketing:
-    """Standard bracketing of a Lyndon word.
-
-    `letters` spells the iterated group commutator over the alphabet as
-    (letter, sign) pairs; `expansion` is its image in the free associative
-    ring, i.e. the Lie polynomial obtained by replacing group commutators
-    with ring brackets.
-    """
-
-    word: Monomial
-    letters: tuple[tuple[int, int], ...]
-    expansion: dict
-
-
-_BRACKETING_CACHE: dict[Monomial, Bracketing] = {}
-
-
-def bracketing(word: Monomial) -> Bracketing:
-    word = tuple(word)
-    cached = _BRACKETING_CACHE.get(word)
-    if cached is not None:
-        return cached
-    if not is_lyndon(word):
-        raise ValueError(f"{word!r} is not a Lyndon word")
-    if len(word) == 1:
-        out = Bracketing(word, ((word[0], 1),), {word: 1})
-    else:
-        u, v = standard_factorization(word)
-        bu, bv = bracketing(u), bracketing(v)
-        inv_u = tuple((g, -s) for g, s in reversed(bu.letters))
-        inv_v = tuple((g, -s) for g, s in reversed(bv.letters))
-        letters = inv_u + inv_v + bu.letters + bv.letters
-        out = Bracketing(word, letters, _poly_bracket(bu.expansion, bv.expansion))
-    _BRACKETING_CACHE[word] = out
+            u, v = standard_factorization(word)
+            eu, ev = _expansion(u, n), _expansion(v, n)
+            out = {}
+            for p, q, shift, sign in (
+                (eu, ev, n ** len(v), 1), (ev, eu, n ** len(u), -1)
+            ):
+                for a, ca in p.items():
+                    for b, cb in q.items():
+                        k = a * shift + b
+                        s = out.get(k, 0) + sign * ca * cb
+                        if s:
+                            out[k] = s
+                        else:
+                            out.pop(k, None)
+        _EXPANSIONS[key] = out
     return out
 
 
@@ -164,7 +141,8 @@ def bracket_shape(word: Monomial) -> tuple:
 class LyndonBasis:
     """Basis data for one degree: the sorted Lyndon words, their monomial
     indices (`keys`) and the monomial expansions of their standard
-    bracketings keyed by monomial index (`expansions`).
+    bracketings keyed by monomial index (`expansions`).  The expansion
+    rows are shared with the module cache and must not be modified.
 
     Triangularity makes the expansion matrix row-echelon with unit pivots
     (the expansion of a word w is supported on monomials >= w, with
@@ -179,10 +157,7 @@ class LyndonBasis:
         self.m = m
         self.words = lyndon_words(n, m)
         self.keys = [monomial_index(w, n) for w in self.words]
-        self.expansions = [
-            {monomial_index(mono, n): c for mono, c in bracketing(w).expansion.items()}
-            for w in self.words
-        ]
+        self.expansions = [_expansion(w, n) for w in self.words]
 
     def __len__(self):
         return len(self.words)
@@ -192,8 +167,7 @@ class LyndonBasis:
         monomial index over the n letters, in this basis; None when it is
         not an integer combination (for instance any tensor that is not a
         Lie element).  The tensor is trusted to be homogeneous of degree m
-        over the n letters (`lie_coordinates` checks it) and is not
-        modified."""
+        over the n letters and is not modified."""
         v = dict(tensor)
         coords = []
         for key, row in zip(self.keys, self.expansions):
@@ -219,20 +193,3 @@ def get_basis(n: int, m: int) -> LyndonBasis:
         basis = _BASIS_CACHE[key] = LyndonBasis(n, m)
     return basis
 
-
-def lie_coordinates(tensor: dict, n: int, m: int | None = None) -> list[int] | None:
-    """Coordinates of a homogeneous tensor in the degree-m Lyndon basis over
-    n letters; m is inferred from the tensor when omitted."""
-    if m is None:
-        degrees = {len(mono) for mono in tensor}
-        if len(degrees) != 1:
-            raise ValueError("tensor is empty or not homogeneous")
-        m = degrees.pop()
-    for mono, coeff in tensor.items():
-        if len(mono) != m:
-            raise ValueError("tensor is not homogeneous of the basis degree")
-        if coeff and any(x < 0 or x >= n for x in mono):
-            raise ValueError("tensor uses letters outside the alphabet")
-    return get_basis(n, m).coordinates(
-        {monomial_index(mono, n): coeff for mono, coeff in tensor.items() if coeff}
-    )

@@ -28,8 +28,8 @@ of two series that both have letters and different ranks is refused, as a
 cap mismatch is.  A series with no letters (the identity among them) reads
 the same at every rank: `identity_element(cap)` has rank 0, and a product
 takes the rank of its factor that has letters.  Tuple monomials appear only
-at the boundaries: the validating `TruncatedSeries(cap, terms)` constructor,
-the `terms` view and `lyndon.lie_coordinates`.
+at the boundaries: the validating `TruncatedSeries(cap, terms)` constructor
+and the `terms` view.
 
 Letters.  A letter is an element whose series is exactly x = 1 + X_i.
 Multiplying by X_i only moves indices: a degree-d key k becomes k * n + i

@@ -1,14 +1,14 @@
 import random
+from functools import cache
 from itertools import product
 
 import pytest
 
 from baerkit.lyndon import (
     bracket_shape,
-    bracketing,
     get_basis,
+    index_monomial,
     is_lyndon,
-    lie_coordinates,
     lyndon_words,
     monomial_index,
     standard_factorization,
@@ -36,16 +36,43 @@ class TestLyndonWords:
         assert words == sorted(words)
 
 
+@cache
+def oracle_expansion(word):
+    """Oracle: the tuple-keyed expansion of a Lyndon word's standard
+    bracketing, by the recursion [u, v] = uv - vu on monomial tuples.
+    Cached, so callers must not modify the result."""
+    if len(word) == 1:
+        return {word: 1}
+    u, v = standard_factorization(word)
+    p, q = oracle_expansion(u), oracle_expansion(v)
+    out = {}
+    for left, right, sign in ((p, q, 1), (q, p, -1)):
+        for ma, ca in left.items():
+            for mb, cb in right.items():
+                out[ma + mb] = out.get(ma + mb, 0) + sign * ca * cb
+    return {mono: c for mono, c in out.items() if c}
+
+
+def expansion(word, n):
+    """A basis row decoded to tuple monomials."""
+    basis = get_basis(n, len(word))
+    row = basis.expansions[basis.words.index(word)]
+    return {index_monomial(k, n, len(word)): c for k, c in row.items()}
+
+
+def encode(tensor, n):
+    return {monomial_index(mono, n): c for mono, c in tensor.items()}
+
+
 class TestBracketing:
     def test_single_letter(self):
-        b = bracketing((0,))
-        assert b.letters == ((0, 1),)
-        assert b.expansion == {(0,): 1}
+        assert expansion((0,), 2) == {(0,): 1}
+        assert get_basis(2, 1).expansions == [{0: 1}, {1: 1}]
 
     def test_aab_factorization(self):
         assert standard_factorization((0, 0, 1)) == ((0,), (0, 1))
         assert bracket_shape((0, 0, 1)) == (0, (0, 1))
-        assert bracketing((0, 0, 1)).expansion == {
+        assert expansion((0, 0, 1), 2) == {
             (0, 0, 1): 1, (0, 1, 0): -2, (1, 0, 0): 1,
         }
 
@@ -54,33 +81,35 @@ class TestBracketing:
         assert standard_factorization((0, 0, 1, 0, 1)) == ((0, 0, 1), (0, 1))
 
     def test_rejects_non_lyndon(self):
-        with pytest.raises(ValueError):
-            bracketing((1, 0))
         assert not is_lyndon((0, 1, 0, 1))
+
+    def test_matches_tuple_oracle(self):
+        # Every Lyndon word over up to 7 letters with n^m <= 20,000, decoded
+        # through the lexicographic list of all degree-m monomials.
+        cases = 0
+        for n in range(1, 8):
+            for m in range(1, 15):
+                if n ** m > 20_000:
+                    break
+                monomials = list(product(range(n), repeat=m))
+                basis = get_basis(n, m)
+                for word, row in zip(basis.words, basis.expansions):
+                    decoded = {monomials[k]: c for k, c in row.items()}
+                    assert decoded == oracle_expansion(word)
+                    cases += 1
+        assert cases == 18_802
+
+    def test_same_word_at_two_ranks(self):
+        # The cache is keyed by rank as well as word: one word's indices
+        # differ between alphabets.
+        want = oracle_expansion((0, 0, 1))
+        assert expansion((0, 0, 1), 2) == want
+        assert expansion((0, 0, 1), 3) == want
 
 
 class TestLieCoordinates:
-    def test_inhomogeneous_rejected(self):
-        with pytest.raises(ValueError):
-            lie_coordinates({(0,): 1, (0, 1): 1}, 2)
-
-    def test_letter_outside_alphabet_rejected(self):
-        with pytest.raises(ValueError):
-            lie_coordinates({(0, 2): 1, (2, 0): -1}, 2)
-        with pytest.raises(ValueError):
-            lie_coordinates({(0, 2): 1, (2, 0): -1}, 2, 2)
-        # A zero coefficient does not count as using the letter.
-        assert lie_coordinates({(0, 1): 1, (1, 0): -1, (0, 2): 0}, 2) == [1]
-
-    def test_wrong_degree_rejected(self):
-        with pytest.raises(ValueError):
-            lie_coordinates({(0, 1): 1, (1, 0): -1}, 2, 3)
-
     def test_coordinates_leave_the_tensor_alone(self):
-        tensor = {
-            monomial_index(mono, 2): c
-            for mono, c in bracketing((0, 0, 1)).expansion.items()
-        }
+        tensor = dict(get_basis(2, 3).expansions[0])
         tensor[monomial_index((1, 1, 0), 2)] = 0
         before = dict(tensor)
         assert get_basis(2, 3).coordinates(tensor) == [1, 0]
@@ -88,22 +117,23 @@ class TestLieCoordinates:
 
     def test_degree_three(self):
         # [x,[x,y]] expansion is a basis row.
-        exp = bracketing((0, 0, 1)).expansion
-        assert lie_coordinates(exp, 2) == [1, 0]
+        basis = get_basis(2, 3)
+        exp = encode(oracle_expansion((0, 0, 1)), 2)
+        assert basis.coordinates(exp) == [1, 0]
         # Sum of both basis rows.
         both = dict(exp)
-        for mono, c in bracketing((0, 1, 1)).expansion.items():
-            both[mono] = both.get(mono, 0) + c
-        assert lie_coordinates(both, 2) == [1, 1]
+        for k, c in encode(oracle_expansion((0, 1, 1)), 2).items():
+            both[k] = both.get(k, 0) + c
+        assert basis.coordinates(both) == [1, 1]
 
 
 def test_expansion_support_is_upward_closed():
     # Triangularity in the raw expansion: support only on monomials >= word.
     for n, m in [(2, 3), (2, 4), (3, 3)]:
-        for word in lyndon_words(n, m):
-            exp = bracketing(word).expansion
-            assert exp[word] == 1
-            assert all(mono >= word for mono in exp)
+        basis = get_basis(n, m)
+        for key, row in zip(basis.keys, basis.expansions):
+            assert row[key] == 1
+            assert all(k >= key for k in row)
 
 
 def solve_echelon(vector, rows):
