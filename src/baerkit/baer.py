@@ -34,6 +34,16 @@ from the relators alone.  The seeded levels are full by construction, so
 the degree-(k+1) check is the certificate's `ok`, read off its own unseeded
 closure.  Cuts 2 and 3, which let a full suffix and the towers over it skip
 work, are in the `subgroups` module docstring.
+
+Cut 4, graded towers.  The Hopf denominator [R, cF] at class W = k + c is
+the last term of the tower T_j = [R, jF], and [gamma_m, F] = gamma_{m+1}
+gives [T_{j-1} gamma_{W-c+j}, F] = T_j gamma_{W-c+j+1}.  So T_c at class W
+depends on T_{c-1} modulo gamma_W only, and by induction T_j on T_{j-1}
+modulo gamma_{W-c+j}, and T_1 on R modulo gamma_{W-c+1}.  `hopf_pair`
+therefore closes T_j at class W - c + j, and only T_c at class W (item 7
+of the `subgroups` module docstring).  Its first step pairs the images of
+the relators, which generate R as a normal subgroup, when they are fewer
+than R's stored elements.
 """
 
 from __future__ import annotations
@@ -164,14 +174,20 @@ def certified_class_bound(
 
 
 def hopf_pair(
-    closure: FilteredSubgroup, c: int
+    closure: FilteredSubgroup, c: int, relators=None
 ) -> tuple[FilteredSubgroup, FilteredSubgroup]:
-    """The Hopf numerator and denominator of a normal closure R: R meet
-    gamma_{c+1}, and the c-fold iterated commutator [R, F, ..., F] of R
-    with the full ambient group F."""
+    """The Hopf numerator and denominator of a normal closure R of class
+    W: R meet gamma_{c+1}, and the c-fold iterated commutator
+    [R, F, ..., F] of R with the full ambient group F.  The j-th term of
+    the tower is closed at class W - c + j (cut 4 of the module
+    docstring); `relators`, words whose normal closure is R, may stand in
+    for R's elements in the first step."""
+    ambient = closure.ambient
+    n, cap, budget = ambient.n, ambient.cap, ambient.monomial_budget
     tower = closure
-    for _ in range(c):
-        tower = commutator_with(tower)
+    for j in range(1, c + 1):
+        step = ambient if j == c else AmbientContext(n, cap - c + j, budget)
+        tower = commutator_with(tower, step, relators if j == 1 else None)
     return intersect_with_gamma(closure, c + 1), tower
 
 
@@ -181,4 +197,5 @@ def baer_invariant(certificate: ClassBoundResult, c: int) -> AbelianInvariants:
     if c < 1:
         raise ValueError("need c >= 1")
     closure = working_closure(certificate, certificate.k + c)
-    return quotient_invariants(*hopf_pair(closure, c))
+    relators = certificate.presentation.relators
+    return quotient_invariants(*hopf_pair(closure, c, relators))

@@ -42,6 +42,17 @@ on those of g up to that degree: g is inverted as a series of that cap,
 and not at all when cap - w - 1 < w, where those terms are the constant 1.
 A power of a letter is 1 + sum over j >= 1 of C(e, j) X_i^j, and X_i^j has
 index i (n^(j-1) + ... + n + 1).
+
+Lifts.  `GroupElement.at_cap` moves an element to another cap.  Down, it
+drops the grades above the new cap, which is the exact image in the
+smaller quotient.  Up, it pads with empty grades.  The padded series need
+not be any group element's, but it is exact where the engine uses it: in
+commutators one class up.  In [g, h] = 1 + (hg)^-1 (uv - vu), with h of
+weight >= 1, changing g in degrees >= D changes uv - vu only in degrees
+>= D + 1 and (hg)^-1 only in degrees >= D, so it changes [g, h] only in
+degrees >= D + 1.  An element of class D padded to class D + 1 differs
+from each of its true lifts in degree D + 1 only, so its commutators at
+class D + 1 are those of every true lift.
 """
 
 from __future__ import annotations
@@ -228,13 +239,14 @@ class GroupElement:
     """An element of the free nilpotent group of class `cap`: a truncated
     series with constant term 1."""
 
-    __slots__ = ("series", "_weight")
+    __slots__ = ("series", "_weight", "_inverse")
 
     def __init__(self, series: TruncatedSeries):
         if series.constant() != 1:
             raise ValueError("group elements have constant term exactly 1")
         self.series = series
         self._weight = False  # not yet computed
+        self._inverse = None  # kept once computed; elements are immutable
 
     @property
     def cap(self) -> int:
@@ -263,6 +275,16 @@ class GroupElement:
     def inverse(self) -> "GroupElement":
         return self ** -1
 
+    def at_cap(self, cap: int) -> "GroupElement":
+        """This element at another cap: truncated, its exact image, when
+        `cap` is lower; padded with empty grades when it is higher, exact
+        for commutators one class up (module docstring, "Lifts")."""
+        s = self.series
+        if cap == s.cap:
+            return self
+        grades = s.grades[: cap + 1] + [{} for _ in range(cap - s.cap)]
+        return GroupElement(TruncatedSeries._raw(cap, s.n, grades))
+
     def __pow__(self, e: int) -> "GroupElement":
         """g^e = sum over 0 <= j <= cap of C(e, j) * (g - 1)^j.
 
@@ -272,7 +294,9 @@ class GroupElement:
         (1 + u)^e is a finite sum; C(e, j) = e(e-1)...(e-j+1)/j! is an
         integer for every integer e, and zero for every j > e >= 0.  A
         letter's powers u^j = X_i^j are single monomials, written down by
-        index without a product (module docstring, "Letters").
+        index without a product (module docstring, "Letters").  The inverse
+        is kept, so inverting a stored element again costs nothing; it does
+        not point back, which would make a reference cycle.
         """
         cap = self.cap
         w = self.weight()
@@ -280,6 +304,8 @@ class GroupElement:
             return self
         if e == 0:
             return identity_element(cap)
+        if e == -1 and self._inverse is not None:
+            return self._inverse
         i = self._letter()
         if i is not None:
             n = self.series.n
@@ -289,21 +315,25 @@ class GroupElement:
                 key = key * n + i
                 binom = binom * (e - j + 1) // j
                 out.append({key: binom} if binom else {})
-            return GroupElement(TruncatedSeries._raw(cap, n, out))
-        u = self._minus_one()
-        # The terms j = 0 and 1, 1 + e*u, are a scaled copy of g.
-        out = [{0: 1}] + [
-            {key: e * c for key, c in grade.items()} for grade in u.grades[1:]
-        ]
-        binom = e
-        power = u
-        for j in range(2, cap // w + 1):
-            binom = binom * (e - j + 1) // j
-            if not binom:
-                break
-            power = power * u
-            _add_grades(out, power.grades, binom)
-        return GroupElement(TruncatedSeries._raw(cap, u.n, out))
+        else:
+            u = self._minus_one()
+            n = u.n
+            # The terms j = 0 and 1, 1 + e*u, are a scaled copy of g.
+            out = [{0: 1}] + [
+                {key: e * c for key, c in grade.items()} for grade in u.grades[1:]
+            ]
+            binom = e
+            power = u
+            for j in range(2, cap // w + 1):
+                binom = binom * (e - j + 1) // j
+                if not binom:
+                    break
+                power = power * u
+                _add_grades(out, power.grades, binom)
+        out = GroupElement(TruncatedSeries._raw(cap, n, out))
+        if e == -1:
+            self._inverse = out
+        return out
 
     def _minus_one(self) -> TruncatedSeries:
         """The series g - 1; it shares the grades of g above degree 0."""

@@ -342,8 +342,10 @@ def materialize_subgroups(
     rel_acting = relator_closure(sp.rel_acting, ambient)
     rel_acted = relator_closure(sp.rel_acted, ambient)
     twist = relator_closure(sp.rel_twist, ambient, rel_acted)
-    numerator, denominator = hopf_pair(rel_full, c)
-    twist_numerator, twist_tower = hopf_pair(twist, c)
+    numerator, denominator = hopf_pair(rel_full, c, sp.combined.relators)
+    twist_numerator, twist_tower = hopf_pair(
+        twist, c, sp.rel_acted + sp.rel_twist
+    )
 
     mixed_tower = left_normed(
         [r for _, _, r in rel_acting.stored(cap - c + 1)],
@@ -366,7 +368,9 @@ def materialize_subgroups(
     # The acting factor's Hopf pair is taken in its own free group, whose
     # c-fold tower commutes with the acting letters only, then embedded.
     acting_sub = working_closure(_own(acting_certificate, sp.action.acting), cap)
-    acting_gamma, acting_tower = hopf_pair(acting_sub, c)
+    acting_gamma, acting_tower = hopf_pair(
+        acting_sub, c, sp.action.acting.relators
+    )
 
     return SemidirectSubgroups(
         rel_full=rel_full,

@@ -89,6 +89,23 @@ generated by those of weight >= m:
    [s, x] for generators x: K lies in [U, F], and modulo K each s commutes
    with each x while gamma_t is central, so U is central and [U, F] <= K.
    `commutator_with` starts from gamma_{t+1} and pairs only S with X.
+7. Graded towers.  In the free nilpotent group of class W, the tower
+   T_j = [R, F, ..., F] with j copies of F reaches T_c only through T_j
+   modulo gamma_{W-c+j+1}: [gamma_m, F] = gamma_{m+1}, so
+   [T_{j-1} gamma_{W-c+j}, F] = T_j gamma_{W-c+j+1}, and T_c is T_c
+   gamma_{W+1}.  So `baer.hopf_pair` closes T_j at class W - c + j, one
+   class up per step, and only T_c at class W.  A step from u at class D
+   to class D + 1 pairs the generators with elements that generate
+   U gamma_{D+1}, since [gamma_{D+1}, F] is trivial there: u's stored
+   elements and, when u's top level is not full, its top rows as products
+   of bracket powers, or from a full level t on u's elements below t with
+   gamma_{t+1} seeded, as in 6.  Each stored element is known modulo
+   gamma_{D+1} only, and any lift will do: changing g in degrees >= D + 1
+   changes [g, x] only in degrees >= D + 2 (`magnus` module docstring,
+   "Lifts").  The first step goes down to class W - c + 1 instead, where
+   truncation is the quotient map; there R's image is generated by the
+   images of its stored elements, and as a normal subgroup by the relator
+   images, and the smaller set is paired.
 
 The top level.  The degree-cap level stores rows only (`_TopLevel`).  An
 element g of weight cap is 1 plus its leading part, since every term above
@@ -149,6 +166,7 @@ from .magnus import (
     GroupElement,
     _word_element,
     generator_element,
+    identity_element,
     reindex_element,
 )
 
@@ -493,23 +511,48 @@ def join(u: FilteredSubgroup, v: FilteredSubgroup) -> FilteredSubgroup:
     return insert_and_close(base, u.ambient, [el for _, _, el in v.stored()])
 
 
-def commutator_with(u: FilteredSubgroup) -> FilteredSubgroup:
-    """[U, F], the commutator subgroup of u with the whole ambient group F;
-    iterating it builds the towers [U, F, ..., F].
+def commutator_with(
+    u: FilteredSubgroup,
+    ambient: AmbientContext | None = None,
+    words=None,
+) -> FilteredSubgroup:
+    """[U, F], the commutator subgroup of u with the whole ambient group F,
+    closed in `ambient`: u's own by default, else one of the same rank and
+    of class at most one above u's.  Iterating it builds the towers
+    [U, F, ..., F], one class up per step (module docstring, item 7).
 
-    u's elements are paired with the ambient generators only: for U = <S>
-    and F = <X>, [U, F] is the normal closure K of the [s, x], since
-    K <= [U, F], which is normal, and modulo K every s commutes with every
-    x, so U is central and [U, F] <= K.  When u is full from level t on,
-    the result starts from gamma_{t+1} and only u's elements of weight < t
-    are paired (module docstring, item 6)."""
-    ambient = u.ambient
+    Generators of U are paired with the ambient generators only: for
+    U = <S> and F = <X>, [U, F] is the normal closure K of the [s, x],
+    since K <= [U, F], which is normal, and modulo K every s commutes with
+    every x, so U is central and [U, F] <= K.  When u is full from level t
+    on, the result starts from gamma_{t+1} and only u's elements of weight
+    < t are paired (module docstring, item 6); when its top level is not
+    full, its top rows are paired too, as products of bracket powers.
+    `words`, when given, generate U as a normal subgroup; their images are
+    paired instead when they are fewer."""
+    own = u.ambient
+    ambient = own if ambient is None else ambient
     cap, t = ambient.cap, u.full_from()
+    if ambient.n != own.n or cap > own.cap + 1:
+        raise ValueError("ambient needs u's rank and a class at most one above u's")
+    # From weight min(t, cap) on, [a, x] lies in gamma_{t+1} or is the
+    # identity at this cap; u's top rows matter only one class up.
+    stored = u.stored(min(t, cap, own.cap))
+    rows = u.levels[-1].rows if t > own.cap and cap > own.cap else []
+    if words is not None and len(words) < len(stored) + len(rows):
+        gens = [ambient.element_of_word(w) for w in words]
+    else:
+        lyndon = own.basis(own.cap).words
+        gens = [a.at_cap(cap) for _, _, a in stored] + [
+            prod(
+                (ambient.bracket_element(w) ** e for w, e in zip(lyndon, row) if e),
+                start=identity_element(cap),
+            )
+            for row in rows
+        ]
     seed = intersect_with_gamma(ambient.full_group(), t + 1) if t < cap else None
     elems = []
-    # From weight min(t, cap) on, [a, x] lies in gamma_{t+1} or is the
-    # identity here.
-    for _, _, a in u.stored(min(t, cap)):
+    for a in gens:
         for x in ambient.generators:
             c = a.commutator(x)
             if not c.is_identity:

@@ -149,6 +149,13 @@ class TestBurnsEllis:
         got = baer_invariant(verify_class_bound(self.abelian(chain), 1), c)
         assert got == self.expected(chain, c)
 
+    @pytest.mark.parametrize("chain, c", [((2, 2), 8), ((2, 2), 10), ((2, 2, 2), 6)])
+    def test_deep_towers(self, chain, c):
+        # Five to nine graded tower steps (`subgroups` module docstring,
+        # item 7) against the closed formula.
+        got = baer_invariant(verify_class_bound(self.abelian(chain), 1), c)
+        assert got == self.expected(chain, c)
+
 
 class TestIndependence:
     @staticmethod

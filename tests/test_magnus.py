@@ -560,3 +560,58 @@ def test_letter_of_another_rank_is_refused():
             h.commutator(g)
     # The identity has no letters and commutes at every rank.
     assert identity_element(4).commutator(generator_element(2, 3, 4)).is_identity
+
+
+def left_normed_word(rng, n, depth):
+    """Syllable lists of `depth` random words; their left-normed
+    commutator has weight >= depth."""
+    return [
+        [(rng.randrange(n), rng.choice((-2, -1, 1, 3))) for _ in range(rng.randint(1, 3))]
+        for _ in range(depth)
+    ]
+
+
+def left_normed_element(words, n, cap):
+    """The left-normed commutator of the words' images at class `cap`."""
+    out = None
+    for syllables in words:
+        g = identity_element(cap)
+        for i, e in syllables:
+            g = g * generator_element(i, n, cap) ** e
+        out = g if out is None else out.commutator(g)
+    return out
+
+
+@pytest.mark.parametrize("n,max_cap", [(1, 7), (2, 7), (3, 5)])
+def test_lift_has_the_commutators_of_the_word_one_class_up(n, max_cap):
+    """An element of class D padded to class D + 1 commutes with every
+    element as the same word evaluated at class D + 1 does (module
+    docstring, "Lifts"), with letters and with other partners; going down
+    gives the word's image."""
+    rng = random.Random(3100 + n)
+    kinds = set()
+    for cap in range(1, max_cap):
+        for _ in range(10):
+            words = left_normed_word(rng, n, rng.randint(1, cap))
+            low, high = (left_normed_element(words, n, d) for d in (cap, cap + 1))
+            lifted = low.at_cap(cap + 1)
+            assert high.at_cap(cap) == low and low.at_cap(cap) is low
+            i = rng.randrange(n)
+            x = generator_element(i, n, cap + 1)
+            partners = [x, x ** 2, x.inverse()]
+            partners += [left_normed_element(left_normed_word(rng, n, 1), n, cap + 1)]
+            for h in partners:
+                assert lifted.commutator(h) == high.commutator(h)
+                assert h.commutator(lifted) == h.commutator(high)
+                kinds.add("letter" if h._letter() is not None else "other")
+            if lifted != high:
+                kinds.add("not a true lift")
+    assert kinds == {"letter", "other", "not a true lift"}
+
+
+def test_inverse_is_kept():
+    g = elem("x y^2 [x,y]")
+    inv = g ** -1
+    assert g.inverse() is inv and g ** -1 is inv
+    assert inv == elem("[x,y]^-1 y^-2 x^-1")
+    assert g ** -2 == inv * inv

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from baerkit import subgroups
+from baerkit import baer, subgroups
 from baerkit.baer import (
     baer_invariant,
     certified_class_bound,
@@ -19,6 +19,7 @@ from baerkit.intlinalg import IntMatrix, abelian_invariants, hnf
 from baerkit.lyndon import LyndonBasis, lyndon_words
 from baerkit.magnus import GroupElement, TruncatedSeries, identity_element, reindex_element
 from baerkit.presentations import Alphabet, parse_input_file, parse_word
+from baerkit.selftest import make_presentation
 from baerkit.semidirect import build_semidirect
 from baerkit.subgroups import (
     AmbientContext,
@@ -618,6 +619,97 @@ class TestSeededClosure:
                     term = commutator_with(term)
                     self.assert_same_rows(term, want, (*label, j))
                     self.assert_contains_agrees_with_sieve(rng, term)
+
+
+def iterated_tower(closure, c):
+    """Oracle: [R, F, ..., F] with c copies of F, every term closed at R's
+    own class, as `hopf_pair` built it before its terms were graded."""
+    tower = closure
+    for _ in range(c):
+        tower = commutator_with(tower)
+    return tower
+
+
+# Groups beyond the relator sources whose towers are compared with the
+# oracle: Q8, two abelian groups with unequal factors, D8 x Z2 on three
+# generators, and the infinite free nilpotent group of class 2 and rank 2.
+TOWER_GROUPS = {
+    "Q8": (["a", "b"], ["a^4", "a^2 b^-2", "b^-1 a b a"]),
+    "Z4xZ4": (["x", "y"], ["x^4", "y^4", "[x,y]"]),
+    "Z6xZ4": (["x", "y"], ["x^6", "y^4", "[x,y]"]),
+    "D8xZ2": (["a", "b", "z"], ["a^4", "b^2", "b^-1 a b a", "z^2", "[a,z]", "[b,z]"]),
+    "N22": (["x", "y"], ["[[x,y],x]", "[[x,y],y]"]),
+}
+
+
+def tower_presentations(source):
+    if source in TOWER_GROUPS:
+        gens, rels = TOWER_GROUPS[source]
+        return [make_presentation(source, gens, rels)]
+    return relator_presentations(source)
+
+
+class TestGradedTowers:
+    """`hopf_pair` closes the j-th tower term at class W - c + j (`subgroups`
+    module docstring, item 7); its denominator must be the oracle's."""
+
+    @pytest.mark.parametrize("source", RELATOR_SOURCES + sorted(TOWER_GROUPS))
+    def test_matches_iterated_tower(self, source):
+        for pres in tower_presentations(source):
+            cert = certified_class_bound(pres, 6)
+            for c in range(1, 5):
+                closure = working_closure(cert, cert.k + c)
+                want = iterated_tower(closure, c)
+                # With the relator words the first step may pair their
+                # images; without them it pairs R's stored elements.
+                for relators in (pres.relators, None):
+                    _, got = hopf_pair(closure, c, relators)
+                    label = (pres.name, c, relators is None)
+                    assert got.ambient is closure.ambient, label
+                    assert [lv.rows for lv in got.levels] == [
+                        lv.rows for lv in want.levels
+                    ], label
+                    assert got.contains_all(want) and want.contains_all(got), label
+
+    def test_steps_climb_one_class_each(self, monkeypatch):
+        caps = []
+        step = baer.commutator_with
+
+        def recording(u, ambient=None, words=None):
+            caps.append((u.ambient.cap, ambient.cap, words is not None))
+            return step(u, ambient, words)
+
+        monkeypatch.setattr(baer, "commutator_with", recording)
+        (pres,) = relator_presentations("D16")
+        cert = certified_class_bound(pres, 6)
+        assert cert.k == 3
+        baer_invariant(cert, 3)
+        assert caps == [(6, 4, True), (4, 5, False), (5, 6, False)]
+
+    def test_first_step_pairs_the_smaller_generating_set(self, monkeypatch):
+        # D16 at class 5: three relators against R's stored elements.
+        (pres,) = relator_presentations("D16")
+        closure = working_closure(certified_class_bound(pres, 6), 5)
+        amb = AmbientContext(2, 4)
+        words = []
+        element_of_word = AmbientContext.element_of_word
+
+        def recording(self, word):
+            words.append(word)
+            return element_of_word(self, word)
+
+        monkeypatch.setattr(AmbientContext, "element_of_word", recording)
+        fewer = commutator_with(closure, amb, pres.relators)
+        assert words == list(pres.relators)
+        more = commutator_with(closure, amb, pres.relators * len(closure.stored()))
+        assert len(words) == len(pres.relators)
+        assert [lv.rows for lv in fewer.levels] == [lv.rows for lv in more.levels]
+
+    def test_refuses_an_ambient_two_classes_up_or_of_another_rank(self):
+        u = working_closure(certified_class_bound(relator_presentations("D16")[0], 6), 4)
+        for amb in (AmbientContext(2, 6), AmbientContext(3, 5)):
+            with pytest.raises(ValueError, match="class at most one above"):
+                commutator_with(u, amb)
 
 
 def level_snapshot(sub):
