@@ -26,14 +26,14 @@ the free nilpotent quotient of class cap.
 
 Cut 1, the seeded working closure.  At cap k + 1 the working closure is
 the certificate's own.  Above it, `working_closure` starts from gamma_{k+1}
-(the full group's levels k + 1 .. cap, realized by bracket elements) and
-closes the relator images into it.  By the lemma the result is the
-relator closure itself, and since each level is the unique Hermite form of
-the closure's degree-m lattice, it has the same rows as a closure built
-from the relators alone.  The seeded levels are full by construction, so
-the degree-(k+1) check is the certificate's `ok`, read off its own unseeded
-closure.  Cuts 2 and 3, which let a full suffix and the towers over it skip
-work, are in the `subgroups` module docstring.
+(the free factor on every letter from degree k + 1, realized by bracket
+elements) and closes the relator images into it.  By the lemma the result
+is the relator closure itself, and since each level is the unique Hermite
+form of the closure's degree-m lattice, it has the same rows as a closure
+built from the relators alone.  The seeded levels are full by
+construction, so the degree-(k+1) check is the certificate's `ok`, read
+off its own unseeded closure.  Cuts 2 and 3, which let a full suffix and
+the towers over it skip work, are in the `subgroups` module docstring.
 
 Cut 4, graded towers.  The Hopf denominator [R, cF] at class W = k + c is
 the last term of the tower T_j = [R, jF], and [gamma_m, F] = gamma_{m+1}
@@ -58,6 +58,7 @@ from .subgroups import (
     DEFAULT_MONOMIAL_BUDGET,
     FilteredSubgroup,
     commutator_with,
+    free_factor,
     insert_and_close,
     intersect_with_gamma,
     quotient_invariants,
@@ -79,17 +80,19 @@ def working_closure(certificate: ClassBoundResult, cap: int) -> FilteredSubgroup
     """The relator closure of the certificate's presentation in the ambient
     of class `cap` >= k + 1: the certificate's own at k + 1, seeded with
     gamma_{k+1} above it (cut 1 of the module docstring).  Refuses a
-    certificate that is not `ok`."""
+    certificate that is not `ok`, and a cap below k + 1."""
     k, own = certificate.k, certificate.closure
     if not certificate.ok:
         raise CertificateError(
             f"class bound k={k} fails for {certificate.presentation.name!r}: "
             f"degree-{k + 1} lattice is not full"
         )
+    if cap < k + 1:
+        raise ValueError(f"cap {cap} is below the certificate's k + 1 = {k + 1}")
     if cap == k + 1:
         return own
     ambient = AmbientContext(own.ambient.n, cap, own.ambient.monomial_budget)
-    seed = intersect_with_gamma(ambient.full_group(), k + 1)
+    seed = free_factor(ambient, range(ambient.n), k + 1)
     return relator_closure(certificate.presentation.relators, ambient, seed)
 
 

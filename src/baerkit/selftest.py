@@ -58,6 +58,7 @@ from .subgroups import (
     AmbientContext,
     FilteredSubgroup,
     commutator_with,
+    free_factor,
     insert_and_close,
     intersect_with_gamma,
     join,
@@ -743,7 +744,7 @@ def _(budget):
     _expect(not any(l.rows for l in t.levels), "[1, F] = 1")
 
     amb1 = AmbientContext(1, 2, budget)
-    t = commutator_with(amb1.full_group())
+    t = commutator_with(free_factor(amb1, range(amb1.n), 1))
     _expect(not any(l.rows for l in t.levels), "rank-1 free group is abelian")
 
     r = _closure_of(amb, ab, ["x^2", "y^2", "[x,y]"])
@@ -755,7 +756,7 @@ def _(budget):
 def _(budget):
     amb = AmbientContext(2, 2, budget)
     ab = Alphabet(["x", "y"])
-    full = amb.full_group()
+    full = free_factor(amb, range(amb.n), 1)
     _expect(
         intersect_with_gamma(full, 1).equal_as_subgroup(full), "slice at 1"
     )

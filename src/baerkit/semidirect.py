@@ -71,7 +71,6 @@ from .subgroups import (
     embedded_copy,
     free_factor,
     insert_and_close,
-    intersect_with_gamma,
     join,
     lattices_intersect_trivially,
     quotient_invariants,
@@ -164,7 +163,7 @@ def validate_action(spec: ActionSpec, certificate: ClassBoundResult) -> list[str
                         f"action of {b!r} does not undo its inverse on {a!r}"
                     )
     else:
-        if quotient_order(closure) is None:
+        if certificate.order is None:
             problems.append(
                 "inverse images required: the acted group is infinite"
             )
@@ -388,7 +387,7 @@ def materialize_subgroups(
         acting_tower_embedded=embedded_copy(acting_tower, ambient, n_acted),
         acting_full=free_factor(ambient, range(n_acted, n), 1),
         acted_normal_closure=insert_and_close(None, ambient, generators[:n_acted]),
-        gamma_full=intersect_with_gamma(ambient.full_group(), c + 1),
+        gamma_full=free_factor(ambient, range(n), c + 1),
         gamma_acted_embedded=free_factor(ambient, range(n_acted), c + 1),
         gamma_acting_embedded=free_factor(ambient, range(n_acted, n), c + 1),
         mixed_gamma_tower=mixed_gamma_tower,

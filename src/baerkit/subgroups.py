@@ -88,7 +88,8 @@ generated by those of weight >= m:
    [U, F] is the normal closure K of gamma_{t+1} = [gamma_t, F] and the
    [s, x] for generators x: K lies in [U, F], and modulo K each s commutes
    with each x while gamma_t is central, so U is central and [U, F] <= K.
-   `commutator_with` starts from gamma_{t+1} and pairs only S with X.
+   `commutator_with` starts from gamma_{t+1}, the free factor on every
+   letter from degree t + 1 (`free_factor`), and pairs only S with X.
 7. Graded towers.  In the free nilpotent group of class W, the tower
    T_j = [R, F, ..., F] with j copies of F reaches T_c only through T_j
    modulo gamma_{W-c+j+1}: [gamma_m, F] = gamma_{m+1}, so
@@ -226,7 +227,6 @@ class AmbientContext:
         self.bases = [get_basis(n, m) for m in range(1, cap + 1)]
         self.generators = [generator_element(i, n, cap) for i in range(n)]
         self._brackets: dict[tuple[int, ...], GroupElement] = {}
-        self._full = None
 
     def compatible(self, other: "AmbientContext") -> bool:
         return self.n == other.n and self.cap == other.cap
@@ -264,13 +264,6 @@ class AmbientContext:
         if coords is None:
             raise AssertionError("leading part escaped the Lyndon lattice")
         return m, coords
-
-    def full_group(self) -> "FilteredSubgroup":
-        """The whole ambient group: the free factor on every generator, with
-        full lattices at every degree."""
-        if self._full is None:
-            self._full = free_factor(self, range(self.n), 1)
-        return self._full
 
 
 class _Level:
@@ -351,9 +344,10 @@ class FilteredSubgroup:
     """See the module docstring; construct through the functions below.
     Every subgroup is normal in the ambient except a proper free factor.
 
-    Subgroups may share levels: `intersect_with_gamma` hands out the levels
-    it keeps, and `copy` shares the rows.  So a built subgroup is never
-    changed in place; `insert_and_close` grows a copy of its base."""
+    Subgroups may share levels: `intersect_with_gamma` hands a Hopf
+    closure's levels to its numerator, and `copy` shares the rows.  So a
+    built subgroup is never changed in place; `insert_and_close` grows a
+    copy of its base."""
 
     def __init__(self, ambient: AmbientContext):
         self.ambient = ambient
@@ -517,9 +511,10 @@ def commutator_with(
     words=None,
 ) -> FilteredSubgroup:
     """[U, F], the commutator subgroup of u with the whole ambient group F,
-    closed in `ambient`: u's own by default, else one of the same rank and
-    of class at most one above u's.  Iterating it builds the towers
-    [U, F, ..., F], one class up per step (module docstring, item 7).
+    closed in `ambient` of u's rank: u's own by default, one class above
+    (later tower steps; u's elements are lifted) or any class below (the
+    first step of `baer.hopf_pair`; they are truncated).  Iterating it
+    builds the towers [U, F, ..., F], one class up per step (item 7).
 
     Generators of U are paired with the ambient generators only: for
     U = <S> and F = <X>, [U, F] is the normal closure K of the [s, x],
@@ -550,7 +545,7 @@ def commutator_with(
             )
             for row in rows
         ]
-    seed = intersect_with_gamma(ambient.full_group(), t + 1) if t < cap else None
+    seed = free_factor(ambient, range(ambient.n), t + 1)  # empty from t = cap on
     elems = []
     for a in gens:
         for x in ambient.generators:
@@ -565,7 +560,7 @@ def intersect_with_gamma(u: FilteredSubgroup, m: int) -> FilteredSubgroup:
     degree >= m, shared with u.  A saturated filtered sequence is induced
     along the central filtration, so the stored elements of weight >= m
     generate exactly the intersection, and their sieve paths never visit
-    lower degrees."""
+    lower degrees.  It slices Hopf closures to their numerators."""
     if m > u.ambient.cap:
         raise ValueError("gamma degree exceeds the cap")
     out = copy.copy(u)
@@ -657,7 +652,8 @@ def free_factor(
     onto the factor, so the factor's lower-central terms are its meets with
     the ambient's, and the bracketings of its Lyndon words of weight >= m
     generate its m-th term.  A proper free factor is the only subgroup that
-    is not normal, so it is never a closure base."""
+    is not normal, so it is never a closure base.  On every letter it is
+    gamma_degree, the engine's one construction of it (trivial past cap)."""
     keep = set(letters)
     sub = FilteredSubgroup(ambient)
     for m in range(degree, ambient.cap + 1):

@@ -32,6 +32,7 @@ from baerkit.subgroups import (
     AmbientContext,
     FilteredSubgroup,
     commutator_with,
+    free_factor,
     insert_and_close,
     intersect_with_gamma,
     join,
@@ -565,7 +566,7 @@ def former_subgroups(sp, c, certificate, acting_certificate):
     n = n_acted + n_acting
     rel_full = working_closure(certificate, cap)
     ambient = rel_full.ambient
-    full = ambient.full_group()
+    full = free_factor(ambient, range(n), 1)
 
     def closure_of(words):
         return insert_and_close(
@@ -576,7 +577,7 @@ def former_subgroups(sp, c, certificate, acting_certificate):
         """A free factor meet gamma_degree as the former construction built
         it: the subgroup generated by the term of its own full group,
         shifted; here by all-pairs saturation."""
-        term = intersect_with_gamma(own.full_group(), degree)
+        term = intersect_with_gamma(free_factor(own, range(own.n), 1), degree)
         elems = [reindex_element(el, offset, n) for _, _, el in every_element(term)]
         return all_pairs_closure(None, ambient, elems, False)
 

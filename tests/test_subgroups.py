@@ -187,7 +187,7 @@ class TestAmbient:
             AmbientContext(2, 3, monomial_budget=5)
 
     def test_full_group_is_saturated_and_full(self, amb22):
-        full = amb22.full_group()
+        full = free_factor(amb22, range(amb22.n), 1)
         assert all(level.is_full for level in full.levels)
         assert quotient_order(full) == 1
 
@@ -254,7 +254,8 @@ class TestSieve:
     def test_rank_mismatch(self):
         # The full group contains gamma_1, so `contains` stops before it
         # sieves; the rank is checked first all the same.
-        full = AmbientContext(2, 3).full_group()
+        amb = AmbientContext(2, 3)
+        full = free_factor(amb, range(amb.n), 1)
         with pytest.raises(ValueError, match="element rank does not match the ambient"):
             full.contains(AmbientContext(3, 3).generators[2])
         assert full.contains(identity_element(3))
@@ -291,7 +292,7 @@ class TestCommutator:
             n = rng.randrange(1, 4)
             cap = rng.randrange(2, 7 if n < 3 else 5)
             amb = AmbientContext(n, cap)
-            full = amb.full_group()
+            full = free_factor(amb, range(n), 1)
             els = []
             for _ in range(rng.randrange(1, 4)):
                 g = identity_element(amb.cap)
@@ -320,7 +321,7 @@ class TestGammaSlice:
 
     def test_degree_beyond_cap(self, amb22):
         with pytest.raises(ValueError):
-            intersect_with_gamma(amb22.full_group(), 3)
+            intersect_with_gamma(free_factor(amb22, range(amb22.n), 1), 3)
 
 
 class TestQuotients:
@@ -718,26 +719,25 @@ def level_snapshot(sub):
 
 
 class TestSharedLevels:
-    """`intersect_with_gamma` hands out the levels it keeps, and a level's
-    copy shares its rows, so nothing built from a subgroup may change it:
-    not the certificate's closure, not the working closure, and not the
-    full groups whose lower-central terms seed closures and towers.  The
-    pipeline only seeds with full levels, which no closure writes to; the
-    slice closure at the end writes to copies of levels that are not."""
+    """`intersect_with_gamma` hands a Hopf closure's levels to its
+    numerator, and a level's copy shares its rows, so nothing built from a
+    subgroup may change it: not the certificate's closure and not the
+    working closure.  Lower-central seeds are built afresh by `free_factor`
+    and held by no ambient.  The slice closure at the end writes to copies
+    of levels that are not full."""
 
     def test_builds_leave_their_sources(self, monkeypatch):
         (pres,) = relator_presentations("D16")
         cert = certified_class_bound(pres, 6)
         closure_before = level_snapshot(cert.closure)
-        seen = {}  # id -> (full group, its levels when first handed out)
-        full_group = AmbientContext.full_group
+        made = [cert.closure.ambient]  # every ambient the builds make
+        init = AmbientContext.__init__
 
-        def recording(self):
-            full = full_group(self)
-            seen.setdefault(id(full), (full, level_snapshot(full)))
-            return full
+        def recording(self, *args):
+            init(self, *args)
+            made.append(self)
 
-        monkeypatch.setattr(AmbientContext, "full_group", recording)
+        monkeypatch.setattr(AmbientContext, "__init__", recording)
         baer_invariant(cert, 3)
         working = working_closure(cert, cert.k + 3)
         working_before = level_snapshot(working)
@@ -748,11 +748,11 @@ class TestSharedLevels:
         ab = amb.generators[0].commutator(amb.generators[1])
         grown = insert_and_close(intersect_with_gamma(cert.closure, 2), amb, [ab])
         assert grown.contains(ab) and not cert.closure.contains(ab)
-        assert len(seen) == 2  # the invariant's ambient and the working one
         assert level_snapshot(cert.closure) == closure_before
         assert level_snapshot(working) == working_before
-        for full, before in seen.values():
-            assert level_snapshot(full) == before
+        assert len(made) > 2  # the tower steps' ambients and the working one
+        for a in made:
+            assert not any(isinstance(v, FilteredSubgroup) for v in vars(a).values())
 
 
 class TestFreeFactor:
@@ -768,7 +768,7 @@ class TestFreeFactor:
             cap = rng.randrange(1, 6 if n < 3 else 4)
             amb = AmbientContext(n, cap)
             letters = sorted(rng.sample(range(n), rng.randrange(1, n + 1)))
-            degree = rng.randrange(1, cap + 1)
+            degree = rng.randrange(1, cap + 2)  # cap + 1: the empty seed
             elems = [
                 amb.bracket_element(tuple(letters[i] for i in w))
                 for m in range(degree, cap + 1)
@@ -783,10 +783,11 @@ class TestFreeFactor:
                 assert amb.leading_coordinates(el) == (m, got.levels[m - 1].rows[i])
 
     def test_lattice_meet_refuses_another_ambient(self):
-        full = AmbientContext(2, 3).full_group()
+        amb = AmbientContext(2, 3)
+        full = free_factor(amb, range(amb.n), 1)
         for other in (AmbientContext(2, 2), AmbientContext(3, 3)):
             with pytest.raises(ValueError, match="ambient mismatch"):
-                lattices_intersect_trivially(full, other.full_group())
+                lattices_intersect_trivially(full, free_factor(other, range(other.n), 1))
 
 
 class TestEmbedding:
@@ -818,7 +819,8 @@ class TestEmbedding:
                 assert [lv.rows for lv in got.levels] == [lv.rows for lv in want.levels]
 
     def test_refuses_letters_past_the_target(self):
-        u = AmbientContext(2, 2).full_group()
+        amb = AmbientContext(2, 2)
+        u = free_factor(amb, range(amb.n), 1)
         with pytest.raises(ValueError, match="exceeds the target alphabet"):
             embedded_copy(u, AmbientContext(3, 2), 2)
 
@@ -853,8 +855,11 @@ class TestEquality:
         assert u.equal_as_subgroup(w) and w.equal_as_subgroup(u)
 
     def test_ambient_mismatch(self, amb22):
+        other = AmbientContext(2, 3)
         with pytest.raises(ValueError, match="ambient mismatch"):
-            amb22.full_group().equal_as_subgroup(AmbientContext(2, 3).full_group())
+            free_factor(amb22, range(amb22.n), 1).equal_as_subgroup(
+                free_factor(other, range(other.n), 1)
+            )
 
 
 class TaggedTop(_Level):
@@ -904,6 +909,7 @@ def tagged_top_level(monkeypatch):
 
     monkeypatch.setattr(FilteredSubgroup, "__init__", init)
     monkeypatch.setattr(subgroups, "free_factor", tagged_free_factor)
+    monkeypatch.setattr(baer, "free_factor", tagged_free_factor)
 
 
 def assert_tags_are_row_elements(sub):
