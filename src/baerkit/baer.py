@@ -48,7 +48,7 @@ than R's stored elements.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import CertificateError
 from .intlinalg import AbelianInvariants
@@ -63,6 +63,7 @@ from .subgroups import (
     intersect_with_gamma,
     quotient_invariants,
     quotient_order,
+    _close_in_place,
 )
 
 
@@ -71,7 +72,8 @@ def relator_closure(
 ) -> FilteredSubgroup:
     """Normal closure of the relator words in the ambient nilpotent
     quotient, together with `seed` when one is given: the one way a
-    subgroup is closed from words."""
+    subgroup is closed from words, but for `working_closure`, which grows
+    its own seed in place."""
     elems = [ambient.element_of_word(r) for r in relators]
     return insert_and_close(seed, ambient, elems)
 
@@ -93,11 +95,13 @@ def working_closure(certificate: ClassBoundResult, cap: int) -> FilteredSubgroup
         return own
     ambient = AmbientContext(own.ambient.n, cap, own.ambient.monomial_budget)
     seed = free_factor(ambient, range(ambient.n), k + 1)
-    return relator_closure(certificate.presentation.relators, ambient, seed)
+    elems = [ambient.element_of_word(r) for r in certificate.presentation.relators]
+    return _close_in_place(seed, elems)  # only this closure holds the seed
 
 
-@dataclass
-class ClassBoundResult:
+class ClassBoundResult(
+    namedtuple("ClassBoundResult", "k ok order closure presentation")
+):
     """Outcome of checking a claimed nilpotency class bound k.
 
     `ok` means the relator closure fills the whole degree-(k+1) lattice, so
@@ -109,6 +113,7 @@ class ClassBoundResult:
     starts from it (`working_closure`).
     """
 
+    __slots__ = ()
     k: int
     ok: bool
     order: int | None

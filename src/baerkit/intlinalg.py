@@ -19,7 +19,7 @@ the test catalogue.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import combinations
 from math import gcd, prod
 
@@ -267,24 +267,24 @@ def echelon_solve(rows, vector) -> tuple[list[int] | None, list[int]]:
     return (None if any(v) else coords), v
 
 
-@dataclass(frozen=True)
-class AbelianInvariants:
+class AbelianInvariants(namedtuple("AbelianInvariants", "free_rank torsion")):
     """Canonical form of a finitely generated abelian group: free rank plus
-    a torsion divisor chain d1 | d2 | ... with every entry >= 2."""
+    a torsion divisor chain d1 | d2 | ... with every entry >= 2.  Immutable;
+    equal invariants compare and hash equal."""
 
-    free_rank: int
-    torsion: tuple[int, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.free_rank < 0:
+    def __new__(cls, free_rank: int, torsion: tuple[int, ...] = ()):
+        if free_rank < 0:
             raise ValueError("negative free rank")
-        object.__setattr__(self, "torsion", tuple(int(d) for d in self.torsion))
-        for d in self.torsion:
+        torsion = tuple(int(d) for d in torsion)
+        for d in torsion:
             if d < 2:
                 raise ValueError("torsion entries must be >= 2")
-        for a, b in zip(self.torsion, self.torsion[1:]):
+        for a, b in zip(torsion, torsion[1:]):
             if b % a:
                 raise ValueError("torsion is not a divisor chain")
+        return super().__new__(cls, free_rank, torsion)
 
     def order(self) -> int | None:
         """Group order, or None when infinite."""

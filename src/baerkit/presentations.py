@@ -36,7 +36,7 @@ shift series and subgroups by the same offset.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .errors import ParseError
 
@@ -68,6 +68,9 @@ class Alphabet:
         if not isinstance(other, Alphabet):
             return NotImplemented
         return self.names == other.names
+
+    def __hash__(self):
+        return hash(self.names)
 
     def __contains__(self, name: str):
         return name in self._index
@@ -154,38 +157,43 @@ class Word:
         return f"<word {self.render()}>"
 
 
-@dataclass(frozen=True)
-class Presentation:
-    """Named generating alphabet plus relator words over it."""
+class Presentation(namedtuple("Presentation", "name alphabet relators")):
+    """Named generating alphabet plus relator words over it; immutable."""
 
-    name: str
-    alphabet: Alphabet
-    relators: tuple[Word, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self):
-        for r in self.relators:
-            if r.alphabet != self.alphabet:
+    def __new__(cls, name: str, alphabet: Alphabet, relators: tuple[Word, ...] = ()):
+        for r in relators:
+            if r.alphabet != alphabet:
                 raise ValueError(f"relator {r.render()!r} uses a foreign alphabet")
+        return super().__new__(cls, name, alphabet, relators)
 
     @property
     def rank(self) -> int:
         return len(self.alphabet)
 
 
-@dataclass(frozen=True)
-class ActionSpec:
+class ActionSpec(
+    namedtuple("ActionSpec", "acting acted images inverse_images")
+):
     """A total table of images w[a,b] (words over the acted alphabet) and an
-    optional matching table for the inverse action of each acting letter."""
+    optional matching table for the inverse action of each acting letter;
+    immutable."""
 
-    acting: Presentation
-    acted: Presentation
-    images: dict = field(hash=False)
-    inverse_images: dict | None = field(default=None, hash=False)
+    __slots__ = ()
 
-    def __post_init__(self):
-        self._check_table(self.images, "action")
-        if self.inverse_images is not None:
-            self._check_table(self.inverse_images, "inverse action")
+    def __new__(
+        cls,
+        acting: Presentation,
+        acted: Presentation,
+        images: dict,
+        inverse_images: dict | None = None,
+    ):
+        self = super().__new__(cls, acting, acted, images, inverse_images)
+        self._check_table(images, "action")
+        if inverse_images is not None:
+            self._check_table(inverse_images, "inverse action")
+        return self
 
     def _check_table(self, table, label):
         for a in self.acted.alphabet.names:
@@ -349,10 +357,12 @@ _ROW_RE = re.compile(
 )
 
 
-@dataclass
-class ParsedInput:
+class ParsedInput(
+    namedtuple("ParsedInput", "presentations action", defaults=(None,))
+):
+    __slots__ = ()
     presentations: list[Presentation]
-    action: ActionSpec | None = None
+    action: ActionSpec | None
 
 
 def parse_input_file(text: str) -> ParsedInput:

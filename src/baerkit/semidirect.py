@@ -44,7 +44,7 @@ complement quotient carried by S.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from itertools import product
 
 from .baer import (
@@ -227,17 +227,21 @@ def validate_action(spec: ActionSpec, certificate: ClassBoundResult) -> list[str
     return problems
 
 
-@dataclass(frozen=True)
-class SemidirectPresentation:
+class SemidirectPresentation(
+    namedtuple(
+        "SemidirectPresentation", "combined rel_acted rel_acting rel_twist action"
+    )
+):
     """Combined presentation of the semidirect product, with the relators
     tagged by origin: acted factor, acting factor, and the twist relators
-    a^-1 * w[a,b] * [b,a] that encode the action."""
+    a^-1 * w[a,b] * [b,a] that encode the action; immutable."""
 
+    __slots__ = ()
     combined: Presentation
     rel_acted: tuple[Word, ...]
     rel_acting: tuple[Word, ...]
     rel_twist: tuple[Word, ...]
-    action: ActionSpec = field(hash=False)
+    action: ActionSpec
 
     @property
     def n_acted(self) -> int:
@@ -280,10 +284,19 @@ def build_semidirect(spec: ActionSpec) -> SemidirectPresentation:
     )
 
 
-@dataclass
-class SemidirectSubgroups:
+class SemidirectSubgroups(
+    namedtuple(
+        "SemidirectSubgroups",
+        "rel_full rel_acting rel_acted twist numerator denominator"
+        " twist_numerator twist_tower mixed_tower complement_denominator"
+        " mixed_commutators acting_gamma_embedded acting_tower_embedded"
+        " acting_full acted_normal_closure gamma_full gamma_acted_embedded"
+        " gamma_acting_embedded mixed_gamma_tower",
+    )
+):
     """Every subgroup the decomposition checks read, in one ambient."""
 
+    __slots__ = ()
     rel_full: FilteredSubgroup          # normal closure of all relators
     rel_acting: FilteredSubgroup        # closure of the acting relators
     rel_acted: FilteredSubgroup         # closure of the acted relators
@@ -448,11 +461,16 @@ def merge_invariants(
     return AbelianInvariants(x.free_rank + y.free_rank, merged.torsion)
 
 
-@dataclass
-class DecompositionReport:
+class DecompositionReport(
+    namedtuple(
+        "DecompositionReport",
+        "invariants_group invariants_acting invariants_complement merged checks",
+    )
+):
     """Per-check verdicts plus the three invariant lists; `passed` only when
     every check holds, including the direct-sum comparison."""
 
+    __slots__ = ()
     invariants_group: AbelianInvariants
     invariants_acting: AbelianInvariants
     invariants_complement: AbelianInvariants
@@ -492,7 +510,12 @@ def verify_direct_factor(
     direct-sum verdict and, in the classical c = 1 case, agreement of the
     complement denominator with its older one-step form.  `certificate`
     is the combined group's class-bound certificate; see
-    `materialize_subgroups`."""
+    `materialize_subgroups`.
+
+    At c = 1 `mixed_commutators` is `mixed_tower` itself, so
+    `classic_denominator_agrees` compares two identical constructions,
+    join(mixed_tower, twist_tower) with itself, and cannot fail; its line
+    stays in the printed report."""
     acting = resolve_acting_class_bound(
         sp.action.acting, certificate.k, certificate.closure.ambient.monomial_budget
     )

@@ -146,10 +146,9 @@ checks one inclusion.
 
 from __future__ import annotations
 
-import copy
 import heapq
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 from math import gcd, prod
 from operator import mul
 
@@ -332,8 +331,8 @@ class _TopLevel(_Level):
         return []
 
 
-@dataclass
-class SieveResult:
+class SieveResult(namedtuple("SieveResult", "member recipe residue coords")):
+    __slots__ = ()
     member: bool
     recipe: list  # ((degree, row index), exponent) pairs, in product order
     residue: GroupElement | None
@@ -346,8 +345,9 @@ class FilteredSubgroup:
 
     Subgroups may share levels: `intersect_with_gamma` hands a Hopf
     closure's levels to its numerator, and `copy` shares the rows.  So a
-    built subgroup is never changed in place; `insert_and_close` grows a
-    copy of its base."""
+    built subgroup is never changed in place: `insert_and_close` grows a
+    copy of its base.  Only a seed that no one else holds yet is grown
+    in place, by `commutator_with` and `baer.working_closure`."""
 
     def __init__(self, ambient: AmbientContext):
         self.ambient = ambient
@@ -355,7 +355,8 @@ class FilteredSubgroup:
         self.levels = [_Level(len(basis)) for basis in below] + [_TopLevel(len(top))]
 
     def copy(self) -> "FilteredSubgroup":
-        out = copy.copy(self)
+        out = FilteredSubgroup.__new__(FilteredSubgroup)
+        out.ambient = self.ambient
         out.levels = [lvl.copy() for lvl in self.levels]
         return out
 
@@ -453,13 +454,16 @@ def insert_and_close(
     arrival); identities never enter it.  Taking the least content first
     sets small pivots before large ones, so the closure's cost barely moves
     with the order of `elements`; its result never did."""
-    if base is not None:
-        if not base.ambient.compatible(ambient):
-            raise ValueError("ambient mismatch")
-        sub = base.copy()
-    else:
-        sub = FilteredSubgroup(ambient)
+    if base is None:
+        return _close_in_place(FilteredSubgroup(ambient), elements)
+    if not base.ambient.compatible(ambient):
+        raise ValueError("ambient mismatch")
+    return _close_in_place(base.copy(), elements)
 
+
+def _close_in_place(sub: FilteredSubgroup, elements) -> FilteredSubgroup:
+    """Grow `sub`, a normal closure that no one else holds, to the normal
+    closure of it and `elements`, and return it (see `insert_and_close`)."""
     work: list = []  # heap of (leading content, weight, arrival, element)
     arrivals = itertools.count()
     t = sub.full_from()  # the sequence contains gamma_t
@@ -488,7 +492,7 @@ def insert_and_close(
         if m == t - 1 and level.is_full:
             t = sub.full_from()
         if m + 1 < t:  # else each [r, x] lies in gamma_t
-            for x in ambient.generators:
+            for x in sub.ambient.generators:
                 push(r.commutator(x))
     return sub
 
@@ -552,7 +556,7 @@ def commutator_with(
             c = a.commutator(x)
             if not c.is_identity:
                 elems.append(c)
-    return insert_and_close(seed, ambient, elems)
+    return _close_in_place(seed, elems)
 
 
 def intersect_with_gamma(u: FilteredSubgroup, m: int) -> FilteredSubgroup:
@@ -563,7 +567,8 @@ def intersect_with_gamma(u: FilteredSubgroup, m: int) -> FilteredSubgroup:
     lower degrees.  It slices Hopf closures to their numerators."""
     if m > u.ambient.cap:
         raise ValueError("gamma degree exceeds the cap")
-    out = copy.copy(u)
+    out = FilteredSubgroup.__new__(FilteredSubgroup)
+    out.ambient = u.ambient
     out.levels = [
         level if j >= m else _Level(level.dim)
         for j, level in enumerate(u.levels, start=1)

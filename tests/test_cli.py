@@ -659,12 +659,13 @@ class TestClosureReuse:
 
     @staticmethod
     def relator_closures(monkeypatch, argv, presentations):
-        """Run the CLI, counting the insert_and_close calls that close one
-        of the presentations' relator lists, keyed by (name, cap); a call
-        counts for the first presentation whose relators it closes, with
-        or without a base (a working closure above the certificate's cap
-        starts from the lower-central term it contains)."""
-        original = subgroups.insert_and_close
+        """Run the CLI, counting the closures that close one of the
+        presentations' relator lists, keyed by (name, cap); a call counts
+        for the first presentation whose relators it closes, with or
+        without a base.  The closures are the insert_and_close calls and
+        the working closures above the certificate's cap, which grow their
+        own seed, the lower-central term they contain, in place."""
+        original, in_place = subgroups.insert_and_close, baer._close_in_place
         calls = []
 
         def counting(base, ambient, elements):
@@ -672,8 +673,14 @@ class TestClosureReuse:
             calls.append((ambient.n, ambient.cap, elements))
             return original(base, ambient, elements)
 
+        def counting_in_place(seed, elements):
+            elements = list(elements)
+            calls.append((seed.ambient.n, seed.ambient.cap, elements))
+            return in_place(seed, elements)
+
         for module in (subgroups, baer, semidirect):
             monkeypatch.setattr(module, "insert_and_close", counting)
+        monkeypatch.setattr(baer, "_close_in_place", counting_in_place)
         with contextlib.redirect_stdout(io.StringIO()):
             assert main(argv) == 0
         counts = {}

@@ -1,7 +1,8 @@
 """Every module of the package, and every test file, uses each name it
 imports; every name the benchmark's tracer patches exists; every public
 member of an engine module is read by the package or the tracer; only
-`magnus` reads how a series is stored."""
+`magnus` reads how a series is stored; the CLI starts without the heavy
+standard-library modules."""
 
 import ast
 import os
@@ -84,6 +85,26 @@ def test_every_import_is_used(module):
 def test_detects_an_unused_import():
     source = "from os import path, sep\nimport sys\nprint(sep, sys.argv)\n"
     assert unused_imports(source) == ["path (line 1)"]
+
+
+def test_cli_starts_without_heavy_modules():
+    """Every run is a fresh process, so what `import baerkit.cli` loads is
+    paid on every run.  These modules cost milliseconds to import (or, for
+    `dataclasses`, to generate each record); `-S` keeps out what a `.pth`
+    file of the environment would preload."""
+    heavy = ["dataclasses", "inspect", "ast", "dis", "tokenize", "typing",
+             "argparse", "copy"]
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import baerkit.cli; "
+        "print(' '.join(m for m in sys.argv[2:] if m in sys.modules))"
+    )
+    run = subprocess.run(
+        [sys.executable, "-S", "-c", code, str(ROOT / "src"), *heavy],
+        capture_output=True,
+        text=True,
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == []
 
 
 def test_tracer_finds_every_patched_name():

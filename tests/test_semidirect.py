@@ -1,4 +1,3 @@
-import dataclasses
 import random
 import time
 from itertools import product
@@ -16,7 +15,13 @@ from baerkit.baer import (
 from baerkit.errors import ActionError, CertificateError
 from baerkit.intlinalg import AbelianInvariants
 from baerkit.magnus import reindex_element
-from baerkit.presentations import Word, parse_input_file
+from baerkit.presentations import (
+    ActionSpec,
+    Alphabet,
+    Presentation,
+    Word,
+    parse_input_file,
+)
 from baerkit.selftest import SEMIDIRECT_SUITE, dihedral8, klein, suite_case
 from baerkit.semidirect import (
     SemidirectSubgroups,
@@ -751,8 +756,7 @@ class TestDerivedTable:
         sp, cert, acting = certified_presentation(text)
         table = materialize_subgroups(sp, c, cert, acting)
         want = former_subgroups(sp, c, cert, acting)
-        got = {f.name: getattr(table, f.name)
-               for f in dataclasses.fields(SemidirectSubgroups)}
+        got = {name: getattr(table, name) for name in SemidirectSubgroups._fields}
         assert got.keys() == want.keys()
         cap = cert.k + c
         for field_name, sub in got.items():
@@ -790,9 +794,7 @@ class TestChecksDetectFailure:
         perturbations = self.perturbations(table)
         assert perturbations.keys() == checks.keys()
         for check, change in perturbations.items():
-            checks = verify_subgroup_decomposition(
-                dataclasses.replace(table, **change)
-            )
+            checks = verify_subgroup_decomposition(table._replace(**change))
             assert checks[check] is False, (check, checks)
 
 
@@ -805,6 +807,81 @@ def test_suite_restates_shipped_example(name):
     assert suite.presentations == shipped.presentations
     assert suite.action.images == shipped.action.images
     assert suite.action.inverse_images == shipped.action.inverse_images
+
+
+class TestRecords:
+    """What callers read of the result records: their refusals and
+    messages, value equality and hashing, the invariants' repr, and
+    immutability of the invariants, presentations, action tables and
+    semidirect presentations."""
+
+    X, Y = Alphabet(["x"]), Alphabet(["y"])
+
+    def test_equal_invariants_hash_equal(self):
+        a, b = T(0, [2, 4]), T(free_rank=0, torsion=(2, 4))
+        assert a == b and hash(a) == hash(b)
+        assert {a: "x"}[b] == "x"
+        assert T(1, (2,)) != T(0, (2,))
+
+    def test_invariants_repr(self):
+        assert repr(T(1, (2, 6))) == "AbelianInvariants(free_rank=1, torsion=(2, 6))"
+        assert repr(T(0)) == "AbelianInvariants(free_rank=0, torsion=())"
+
+    def test_two_parses_give_equal_records(self):
+        text = (DATA / "d8.grp").read_text()
+        one, two = parse_input_file(text), parse_input_file(text)
+        assert one.presentations == two.presentations
+        assert [hash(p) for p in one.presentations] == [
+            hash(p) for p in two.presentations
+        ]
+        assert one.action == two.action
+        assert build_semidirect(one.action) == build_semidirect(two.action)
+        assert one.presentations[0] != one.presentations[1]
+
+    FROZEN = {
+        "invariants": ["free_rank", "torsion"],
+        "presentation": ["name", "alphabet", "relators"],
+        "action": ["acting", "acted", "images", "inverse_images"],
+        "semidirect": ["combined", "rel_acted", "rel_acting", "rel_twist", "action"],
+    }
+
+    @pytest.mark.parametrize("kind", list(FROZEN))
+    def test_frozen_records(self, kind):
+        spec, _ = suite_action("d8")
+        record = {
+            "invariants": T(0, (2,)),
+            "presentation": spec.acted,
+            "action": spec,
+            "semidirect": build_semidirect(spec),
+        }[kind]
+        for field in [*self.FROZEN[kind], "unlisted"]:
+            with pytest.raises(AttributeError):
+                setattr(record, field, None)
+
+    @pytest.mark.parametrize("args,message", [
+        ((-1,), "negative free rank"),
+        ((0, (2, 1)), "torsion entries must be >= 2"),
+        ((0, (4, 2)), "torsion is not a divisor chain"),
+    ])
+    def test_invariants_refusals(self, args, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            T(*args)
+
+    def test_foreign_relator_refused(self):
+        with pytest.raises(ValueError, match="^relator 'y\\^2' uses a foreign alphabet$"):
+            Presentation("G", self.X, (Word(self.Y, [(0, 1), (0, 1)]),))
+
+    def test_action_refusals(self):
+        acted, acting = Presentation("A", self.X), Presentation("B", self.Y)
+        inside = {("x", "y"): Word(self.X, [(0, 1)])}
+        outside = {("x", "y"): Word(self.Y, [(0, 1)])}
+        for images, inverse, message in [
+            ({}, None, "action table incomplete: no image of 'x' under 'y'"),
+            (inside, {}, "inverse action table incomplete: no image of 'x' under 'y'"),
+            (outside, None, "action image of 'x' under 'y' leaves the acted alphabet"),
+        ]:
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                ActionSpec(acting, acted, images, inverse)
 
 
 invariants_strategy = st.builds(
