@@ -15,7 +15,7 @@ from .errors import (
     ClassUndeterminedError,
     ParseError,
 )
-from .intlinalg import AbelianInvariants, IntMatrix, abelian_invariants, hnf, snf
+from .intlinalg import AbelianInvariants, abelian_invariants, snf
 from .lyndon import lyndon_words, witt_dimension
 from .magnus import GroupElement, TruncatedSeries, series_of_word
 from .presentations import (

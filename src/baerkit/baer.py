@@ -140,6 +140,23 @@ def verify_class_bound(
     )
 
 
+def _first_certificate(
+    pres: Presentation, k_max: int, monomial_budget: int, finite: bool
+) -> ClassBoundResult | None:
+    """The class-bound search: the certificate of the smallest k <= k_max
+    passing verify_class_bound, or None.  With `finite`, None as soon as a
+    class-(k+1) quotient is infinite."""
+    if k_max < 1:
+        raise ValueError("k_max must be >= 1")
+    for k in range(1, k_max + 1):
+        res = verify_class_bound(pres, k, monomial_budget)
+        if finite and res.order is None:
+            return None
+        if res.ok:
+            return res
+    return None
+
+
 def detect_class(
     pres: Presentation,
     k_max: int,
@@ -155,15 +172,7 @@ def detect_class(
     supply the bound of an infinite group explicitly (verify_class_bound
     alone decides).  Soundness presumes the input presents a nilpotent group.
     """
-    if k_max < 1:
-        raise ValueError("k_max must be >= 1")
-    for k in range(1, k_max + 1):
-        res = verify_class_bound(pres, k, monomial_budget)
-        if res.order is None:
-            return None
-        if res.ok:
-            return res
-    return None
+    return _first_certificate(pres, k_max, monomial_budget, finite=True)
 
 
 def certified_class_bound(
@@ -174,11 +183,7 @@ def certified_class_bound(
     """Certificate of the smallest k <= k_max passing verify_class_bound,
     without the finiteness test; the right notion for infinite nilpotent
     groups."""
-    for k in range(1, k_max + 1):
-        res = verify_class_bound(pres, k, monomial_budget)
-        if res.ok:
-            return res
-    return None
+    return _first_certificate(pres, k_max, monomial_budget, finite=False)
 
 
 def hopf_pair(

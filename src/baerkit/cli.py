@@ -353,7 +353,9 @@ def main(argv=None) -> int:
 
     handler = COMMANDS[args.command][0]
     try:
-        return handler(args, guard, out)
+        code = handler(args, guard, out)
+        sys.stdout.flush()  # a closed reader then shows here, not at exit
+        return code
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
@@ -368,6 +370,13 @@ def main(argv=None) -> int:
         for problem in exc.problems:
             print(f"  - {problem}", file=sys.stderr)
         return EXIT_ACTION
+    except BrokenPipeError:
+        # The reader closed stdout.  Pointing it at the null device keeps
+        # the flush at exit from raising again (the "Note on SIGPIPE" of
+        # the `signal` docs); SIGPIPE itself is left alone, because `main`
+        # also runs in-process.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

@@ -6,12 +6,16 @@ runs them all (`baerkit selftest`), and pytest runs each one by name as
 needs no second copy among the pytest cases.  All randomized suites draw
 from fixed seeds so reports are byte-identical across runs; capacity
 errors are not caught here, they abort the run with the dedicated exit
-code.
+code.  The linear-algebra oracles on row lists (`hnf`, `det`, `matmul`,
+`determinant_divisor`) live here too, since only checks and tests use
+them.
 """
 
 from __future__ import annotations
 
 import random
+from itertools import combinations
+from math import gcd
 
 from .baer import (
     baer_invariant,
@@ -22,11 +26,9 @@ from .baer import (
 from .errors import ParseError
 from .intlinalg import (
     AbelianInvariants,
-    IntMatrix,
     abelian_invariants,
-    determinant_divisor,
     echelon_solve,
-    hnf,
+    hermite_insert,
     snf,
 )
 from .lyndon import (
@@ -65,6 +67,73 @@ from .subgroups import (
     quotient_invariants,
     quotient_order,
 )
+
+# --- linear-algebra oracles ---------------------------------------------------
+
+
+def hnf(rows) -> tuple[list[list[int]], list[list[int]]]:
+    """Row-style Hermite normal form with its transform: (H, U) with U
+    unimodular, matmul(U, rows) == H, H in row echelon form with positive
+    pivots and entries above each pivot reduced into [0, pivot), and zero
+    rows, if any, at the bottom.  The rows are inserted one at a time with
+    unit-vector tags, which become the rows of U; the tags left over by
+    vanishing rows are the kernel rows of U."""
+    h, tags, kernel = [], [], []
+    for i, vec in enumerate(rows):
+        unit = [int(k == i) for k in range(len(rows))]
+        left = hermite_insert(
+            h, tags, vec, unit,
+            lambda s, t: [x + y for x, y in zip(s, t)],
+            lambda s, k: [k * x for x in s],
+        )
+        if left is not None:
+            kernel.append(left)
+    width = len(rows[0]) if rows else 0
+    return h + [[0] * width for _ in kernel], tags + kernel
+
+
+def det(rows) -> int:
+    """Determinant of a square matrix by fraction-free (Bareiss)
+    elimination."""
+    n = len(rows)
+    if any(len(row) != n for row in rows):
+        raise ValueError("determinant of a non-square matrix")
+    if n == 0:
+        return 1
+    m = [row[:] for row in rows]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            for i in range(k + 1, n):
+                if m[i][k]:
+                    m[k], m[i] = m[i], m[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1]
+
+
+def matmul(a, b) -> list[list[int]]:
+    """The matrix product of a and b."""
+    if any(len(row) != len(b) for row in a):
+        raise ValueError("dimension mismatch in product")
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+def determinant_divisor(rows, k: int) -> int:
+    """gcd of all k x k minors (0 for none); brute force."""
+    g = 0
+    for picked in combinations(rows, k):
+        for cols in combinations(range(len(rows[0])), k):
+            g = gcd(g, det([[row[j] for j in cols] for row in picked]))
+    return g
+
 
 # --- catalog of standing examples --------------------------------------------
 
@@ -250,12 +319,10 @@ def _random_word_text(rng, names, depth=2):
 def _random_matrix(rng, max_dim=4, max_entry=20):
     r = rng.randrange(1, max_dim + 1)
     c = rng.randrange(1, max_dim + 1)
-    return IntMatrix(
-        [
-            [rng.randrange(-max_entry, max_entry + 1) for _ in range(c)]
-            for _ in range(r)
-        ]
-    )
+    return [
+        [rng.randrange(-max_entry, max_entry + 1) for _ in range(c)]
+        for _ in range(r)
+    ]
 
 
 def _random_closure(rng, budget):
@@ -566,13 +633,9 @@ def _(budget):
         for m in range(1, 5):
             basis = get_basis(n, m)
             cols = sorted({mono for row in basis.expansions for mono in row})
-            mat = IntMatrix(
-                [[row.get(c, 0) for c in cols] for row in basis.expansions],
-                cols=len(cols),
-            )
-            h, _ = hnf(mat)
+            h, _ = hnf([[row.get(c, 0) for c in cols] for row in basis.expansions])
             _expect(
-                len(h.nonzero_rows()) == len(basis),
+                sum(map(any, h)) == len(basis),
                 f"expansion rows dependent at ({n},{m})",
             )
 
@@ -582,24 +645,22 @@ def _(budget):
 
 @_check("intlinalg/hnf-examples")
 def _(budget):
-    h, u = hnf(IntMatrix([[2, 0], [0, 2], [1, 1]]))
-    _expect(h.nonzero_rows() == [[1, 1], [0, 2]], "hand example")
-    _expect(u @ IntMatrix([[2, 0], [0, 2], [1, 1]]) == h, "transform")
-    ident = IntMatrix.identity(3)
+    m = [[2, 0], [0, 2], [1, 1]]
+    h, u = hnf(m)
+    _expect(h == [[1, 1], [0, 2], [0, 0]], "hand example")
+    _expect(matmul(u, m) == h, "transform")
+    ident = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
     h, u = hnf(ident)
     _expect(h == ident and u == ident, "identity fixed")
-    h, _ = hnf(IntMatrix.zeros(2, 3))
-    _expect(h == IntMatrix.zeros(2, 3), "zero matrix")
+    h, _ = hnf([[0, 0, 0], [0, 0, 0]])
+    _expect(h == [[0, 0, 0], [0, 0, 0]], "zero matrix")
 
 
 @_check("intlinalg/snf-examples")
 def _(budget):
-    d = snf(IntMatrix([[2, 4], [6, 8]]))
-    _expect([d.data[0][0], d.data[1][1]] == [2, 4], "diag(2,4)")
-    d = snf(IntMatrix([[6, 0], [0, 4]]))
-    _expect([d.data[0][0], d.data[1][1]] == [2, 12], "diag(2,12)")
-    d = snf(IntMatrix.identity(3))
-    _expect(d == IntMatrix.identity(3), "identity")
+    _expect(snf([[2, 4], [6, 8]]) == [2, 4], "diag(2,4)")
+    _expect(snf([[6, 0], [0, 4]]) == [2, 12], "diag(2,12)")
+    _expect(snf([[1, 0, 0], [0, 1, 0], [0, 0, 1]]) == [1, 1, 1], "identity")
 
 
 @_check("intlinalg/membership-examples")
@@ -633,16 +694,16 @@ def _(budget):
     for _ in range(200):
         m = _random_matrix(rng)
         h, u = hnf(m)
-        _expect(abs(u.det()) == 1, "U is not unimodular")
-        _expect(u @ m == h, "U*M != H")
-        nz = h.nonzero_rows()
-        for row in m.data:
+        _expect(abs(det(u)) == 1, "U is not unimodular")
+        _expect(matmul(u, m) == h, "U*M != H")
+        nz = [row for row in h if any(row)]
+        for row in m:
             _expect(echelon_solve(nz, row)[0] is not None, "row span lost")
         # The Hermite form is unique, so no insertion order may change it.
-        shuffled = m.data[:]
+        shuffled = m[:]
         shuffler.shuffle(shuffled)
-        for rows in (m.data[::-1], shuffled):
-            _expect(hnf(IntMatrix(rows))[0] == h, "insertion order changed H")
+        for rows in (m[::-1], shuffled):
+            _expect(hnf(rows)[0] == h, "insertion order changed H")
         pivots = [next(i for i, x in enumerate(r) if x) for r in nz]
         _expect(pivots == sorted(pivots) and len(set(pivots)) == len(pivots),
                 "not echelon")
@@ -658,16 +719,11 @@ def _(budget):
     rng = random.Random(302)
     for _ in range(200):
         m = _random_matrix(rng)
-        d = snf(m)
-        diag = [d.data[i][i] for i in range(min(d.rows, d.cols))]
-        for i in range(d.rows):
-            for j in range(d.cols):
-                if i != j:
-                    _expect(d.data[i][j] == 0, "D not diagonal")
-        nz = [x for x in diag if x]
+        nz = snf(m)
+        _expect(len(nz) <= min(len(m), len(m[0])), "diagonal too long")
+        _expect(all(x > 0 for x in nz), "diagonal entry not positive")
         for a, b in zip(nz, nz[1:]):
             _expect(b % a == 0, "divisor chain broken")
-        _expect(all(x == 0 for x in diag[len(nz):]), "zeros not trailing")
         # d_1 ... d_k is the gcd of the k x k minors, for every k up to the
         # rank; past the rank every minor vanishes.
         prod = 1
@@ -675,7 +731,7 @@ def _(budget):
             prod *= x
             _expect(prod == determinant_divisor(m, k),
                     f"determinantal divisor mismatch at k={k}")
-        if len(nz) < min(m.rows, m.cols):
+        if len(nz) < min(len(m), len(m[0])):
             _expect(determinant_divisor(m, len(nz) + 1) == 0, "rank too small")
 
 
@@ -684,8 +740,8 @@ def _(budget):
     rng = random.Random(303)
     for _ in range(200):
         m = _random_matrix(rng, max_dim=3, max_entry=9)
-        base = abelian_invariants(m.cols, m.data)
-        rows = [r[:] for r in m.data]
+        base = abelian_invariants(len(m[0]), m)
+        rows = [r[:] for r in m]
         rng.shuffle(rows)
         i = rng.randrange(len(rows))
         j = rng.randrange(len(rows))
@@ -693,7 +749,7 @@ def _(budget):
             q = rng.randrange(-2, 3)
             rows[i] = [a + q * b for a, b in zip(rows[i], rows[j])]
         _expect(
-            abelian_invariants(m.cols, rows) == base,
+            abelian_invariants(len(m[0]), rows) == base,
             "row operations changed the invariants",
         )
 

@@ -512,10 +512,19 @@ def verify_direct_factor(
     is the combined group's class-bound certificate; see
     `materialize_subgroups`.
 
-    At c = 1 `mixed_commutators` is `mixed_tower` itself, so
-    `classic_denominator_agrees` compares two identical constructions,
-    join(mixed_tower, twist_tower) with itself, and cannot fail; its line
-    stays in the printed report."""
+    The one-step form is [R2, ncl F1] joined with the twist tower [S, F],
+    where ncl F1 is the normal closure of the acted letters.  It is built
+    from other subgroups than the mixed tower: the normal closure of
+    [r, s] over the stored elements r of R2 and s of ncl F1 with
+    weight(r) + weight(s) <= cap (a heavier commutator is trivial), grown
+    from the twist tower.  That closure is [R2, ncl F1], because R2 and
+    ncl F1 are normal and the commutator of two normal subgroups is the
+    normal closure of the commutators of their generating sets.  It is
+    also the mixed tower at c = 1, the normal closure of [R2, F1]:
+    [r, a^g] = [r^(g^-1), a]^g, r^(g^-1) lying in R2, puts [R2, ncl F1]
+    inside it, and F1 <= ncl F1 gives the other inclusion.  So the check
+    compares two constructions of one subgroup, and can fail only through
+    a fault in one of them."""
     acting = resolve_acting_class_bound(
         sp.action.acting, certificate.k, certificate.closure.ambient.monomial_budget
     )
@@ -529,7 +538,14 @@ def verify_direct_factor(
     checks["direct_sum_matches"] = merged == invariants_group
 
     if c == 1:
-        classic = join(table.mixed_commutators, table.twist_tower)
+        ambient = table.rel_full.ambient
+        acted = table.acted_normal_closure
+        pairs = [
+            r.commutator(s)
+            for m, _, r in table.rel_acting.stored()
+            for _, _, s in acted.stored(ambient.cap - m + 1)
+        ]
+        classic = insert_and_close(table.twist_tower, ambient, pairs)
         checks["classic_denominator_agrees"] = classic.equal_as_subgroup(
             table.complement_denominator
         )

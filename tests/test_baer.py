@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -10,6 +12,7 @@ from baerkit.baer import (
 )
 from baerkit.errors import CertificateError
 from baerkit.intlinalg import AbelianInvariants
+from baerkit.presentations import parse_input_file
 from baerkit.selftest import (
     cyclic,
     dihedral8,
@@ -18,6 +21,8 @@ from baerkit.selftest import (
     klein_redundant,
     make_presentation,
 )
+
+DATA = Path(__file__).resolve().parent.parent / "data"
 
 
 class TestClassBound:
@@ -43,6 +48,24 @@ class TestDetectClass:
         zz = free_abelian(2)
         assert detect_class(zz, 3) is None
         assert certified_class_bound(zz, 3).k == 1
+
+    def test_both_searches_agree_on_finite_groups(self):
+        # One loop behind both names: on a finite group the stop at an
+        # infinite quotient never fires, so the certificates are equal.
+        checked = 0
+        for path in sorted(DATA.glob("*.grp")):
+            for pres in parse_input_file(path.read_text()).presentations:
+                want = certified_class_bound(pres, 6)
+                if want.order is None:
+                    continue
+                got = detect_class(pres, 6)
+                assert got[:3] == want[:3], (path.name, pres.name)
+                assert got.presentation == want.presentation
+                assert [lv.rows for lv in got.closure.levels] == [
+                    lv.rows for lv in want.closure.levels
+                ], (path.name, pres.name)
+                checked += 1
+        assert checked == 11
 
 
 class TestBaerInvariant:

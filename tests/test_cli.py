@@ -322,6 +322,22 @@ class TestLyndon:
         assert err == "error: c, kmax, and the cap guard must be >= 1\n"
 
 
+    def test_closed_reader_gives_no_traceback(self):
+        # The listing (about 100 kB) is longer than a pipe holds, so the
+        # writer is still writing when the reader goes away after one line.
+        root = Path(__file__).resolve().parent.parent
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "baerkit", "lyndon", "--letters", "3", "--weight", "9"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=dict(os.environ, PYTHONPATH=str(root / "src")),
+        )
+        assert proc.stdout.readline() == b"letters=3 weight=9 witt=2184\n"
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+        assert (proc.returncode, err) == (1, b"")
+
+
 class TestCapacityGuardReach:
     """The guards decide from bit lengths, without summing cap powers, and
     write a count too long to print as a power of the rank.  The first and

@@ -120,6 +120,34 @@ def test_tracer_finds_every_patched_name():
     assert run.returncode == 0, run.stderr
 
 
+def test_tracer_hooks_run_on_traced_jobs():
+    """Some tracer hooks read package names only when they are called
+    (`matrix_cells` reads `intlinalg.IntMatrix`), so installing the tracer
+    does not run them: a traced `multiplier` job and a traced
+    `semidirect --verify` run do."""
+    code = (
+        "import sys, tracing\n"
+        "tracing.install(tracing.Tracer())\n"
+        "from baerkit import cli\n"
+        "for argv in (['multiplier', '--file', sys.argv[1]],\n"
+        "             ['semidirect', '--verify', '--file', sys.argv[2]]):\n"
+        "    print(f'rc={cli.main(argv + [\"--format\", \"machine\"])}')\n"
+    )
+    run = subprocess.run(
+        [sys.executable, "-c", code,
+         str(ROOT / "data" / "klein.grp"), str(ROOT / "data" / "d8.grp")],
+        cwd=ROOT / "perfbench",
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        capture_output=True,
+        text=True,
+    )
+    assert run.returncode == 0, run.stderr
+    lines = run.stdout.splitlines()
+    assert lines.count("rc=0") == 2, run.stdout
+    assert "torsion=2" in lines and "group_torsion=2" in lines
+    assert "verdict=pass" in lines
+
+
 def test_only_magnus_reads_the_series_layout():
     """How a series is stored is `magnus`'s own: no other module of the
     package reads its grades or the helpers that build them."""

@@ -12,6 +12,7 @@ from baerkit.baer import (
     verify_class_bound,
     working_closure,
 )
+from baerkit import semidirect
 from baerkit.errors import ActionError, CertificateError
 from baerkit.intlinalg import AbelianInvariants
 from baerkit.magnus import reindex_element
@@ -796,6 +797,37 @@ class TestChecksDetectFailure:
         for check, change in perturbations.items():
             checks = verify_subgroup_decomposition(table._replace(**change))
             assert checks[check] is False, (check, checks)
+
+    @pytest.mark.parametrize(
+        "text", [Z8_CASES["z8_cube"], RANK_TWO_ACTING],
+        ids=["z8_cube", "rank_two_acting"],
+    )
+    def test_classic_denominator_check_fails_under_perturbation(
+        self, text, monkeypatch
+    ):
+        # A mixed tower built wrong (here trivial) reaches both of its
+        # uses at c = 1: `mixed_commutators` and the complement
+        # denominator.  The classic side does not read it, so the check
+        # reads False on groups whose mixed tower is not inside the twist
+        # tower, as it is not in these two.
+        sp, cert, acting = certified_presentation(text)
+        table = materialize_subgroups(sp, 1, cert, acting)
+        assert not table.twist_tower.contains_all(table.mixed_tower)
+        assert verify_direct_factor(sp, 1, cert).checks["classic_denominator_agrees"]
+        build = semidirect.materialize_subgroups
+
+        def perturbed(*args):
+            table = build(*args)
+            trivial = FilteredSubgroup(table.rel_full.ambient)
+            return table._replace(
+                mixed_tower=trivial,
+                mixed_commutators=trivial,
+                complement_denominator=table.twist_tower,
+            )
+
+        monkeypatch.setattr(semidirect, "materialize_subgroups", perturbed)
+        checks = verify_direct_factor(sp, 1, cert).checks
+        assert checks["classic_denominator_agrees"] is False, checks
 
 
 @pytest.mark.parametrize("name", list(SEMIDIRECT_SUITE))
