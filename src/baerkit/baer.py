@@ -12,9 +12,11 @@ relators cover the whole (k+1)-st lower-central section.
 
 The certificate comes from the class-bound search: `verify_class_bound`,
 `detect_class` and `certified_class_bound` return a `ClassBoundResult`
-carrying the relator closure they built at cap k + 1.  It is the only way
-into the pipeline: `working_closure`, `baer_invariant` and the semidirect
-stages take a certificate, read k, the presentation and the monomial budget
+carrying the relator closure they built at cap k + 1, and reads k, the
+verdict `ok` and the order off that closure, so no certificate carries a
+verdict its closure does not give.  It is the only way into the pipeline:
+`working_closure`, `baer_invariant` and the semidirect stages take a
+certificate, read k, the presentation and the monomial budget
 (`closure.ambient`) from it, and refuse one that is not `ok`.
 
 Lemma.  If level k + 1 of the cap-(k+1) relator closure is full, that is
@@ -99,26 +101,33 @@ def working_closure(certificate: ClassBoundResult, cap: int) -> FilteredSubgroup
     return _close_in_place(seed, elems)  # only this closure holds the seed
 
 
-class ClassBoundResult(
-    namedtuple("ClassBoundResult", "k ok order closure presentation")
-):
+class ClassBoundResult(namedtuple("ClassBoundResult", "closure presentation")):
     """Outcome of checking a claimed nilpotency class bound k.
 
-    `ok` means the relator closure fills the whole degree-(k+1) lattice, so
-    the relators force class <= k on any nilpotent quotient.  `order` is the
-    order of the class-(k+1) nilpotent quotient of the presented group (None
-    when infinite); when `ok` holds, it equals the class-k quotient's order.
     `closure` is the relator closure of `presentation` in `closure.ambient`,
     of class k + 1 and under the run's monomial budget; every pipeline stage
-    starts from it (`working_closure`).
+    starts from it (`working_closure`).  The rest is read off it.  `ok`
+    means the closure fills the whole degree-(k+1) lattice, so the relators
+    force class <= k on any nilpotent quotient.  `order` is the order of
+    the class-(k+1) nilpotent quotient of the presented group (None when
+    infinite); when `ok` holds, it equals the class-k quotient's order.
     """
 
     __slots__ = ()
-    k: int
-    ok: bool
-    order: int | None
     closure: FilteredSubgroup
     presentation: Presentation
+
+    @property
+    def k(self) -> int:
+        return self.closure.ambient.cap - 1
+
+    @property
+    def ok(self) -> bool:
+        return self.closure.levels[self.k].is_full
+
+    @property
+    def order(self) -> int | None:
+        return quotient_order(self.closure)
 
 
 def verify_class_bound(
@@ -131,13 +140,7 @@ def verify_class_bound(
     closure = relator_closure(
         pres.relators, AmbientContext(pres.rank, k + 1, monomial_budget)
     )
-    return ClassBoundResult(
-        k=k,
-        ok=closure.levels[k].is_full,
-        order=quotient_order(closure),
-        closure=closure,
-        presentation=pres,
-    )
+    return ClassBoundResult(closure, pres)
 
 
 def _first_certificate(

@@ -464,7 +464,7 @@ def merge_invariants(
 class DecompositionReport(
     namedtuple(
         "DecompositionReport",
-        "invariants_group invariants_acting invariants_complement merged checks",
+        "invariants_group invariants_acting invariants_complement checks",
     )
 ):
     """Per-check verdicts plus the three invariant lists; `passed` only when
@@ -474,8 +474,12 @@ class DecompositionReport(
     invariants_group: AbelianInvariants
     invariants_acting: AbelianInvariants
     invariants_complement: AbelianInvariants
-    merged: AbelianInvariants
     checks: dict[str, bool]
+
+    @property
+    def merged(self) -> AbelianInvariants:
+        """The direct sum of the acting and complement invariants."""
+        return merge_invariants(self.invariants_acting, self.invariants_complement)
 
     @property
     def passed(self) -> bool:
@@ -534,8 +538,10 @@ def verify_direct_factor(
     invariants_group = quotient_invariants(table.numerator, table.denominator)
     invariants_acting = baer_invariant(acting, c)
     invariants_complement = complement_factor(table)
-    merged = merge_invariants(invariants_acting, invariants_complement)
-    checks["direct_sum_matches"] = merged == invariants_group
+    checks["direct_sum_matches"] = (
+        merge_invariants(invariants_acting, invariants_complement)
+        == invariants_group
+    )
 
     if c == 1:
         ambient = table.rel_full.ambient
@@ -554,6 +560,5 @@ def verify_direct_factor(
         invariants_group=invariants_group,
         invariants_acting=invariants_acting,
         invariants_complement=invariants_complement,
-        merged=merged,
         checks=checks,
     )

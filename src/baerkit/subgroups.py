@@ -331,12 +331,15 @@ class _TopLevel(_Level):
         return []
 
 
-class SieveResult(namedtuple("SieveResult", "member recipe residue coords")):
+class SieveResult(namedtuple("SieveResult", "recipe residue coords")):
     __slots__ = ()
-    member: bool
     recipe: list  # ((degree, row index), exponent) pairs, in product order
-    residue: GroupElement | None
+    residue: GroupElement | None  # None exactly for a member
     coords: list[int] | None  # the residue's leading coordinates
+
+    @property
+    def member(self) -> bool:
+        return self.residue is None
 
 
 class FilteredSubgroup:
@@ -384,18 +387,18 @@ class FilteredSubgroup:
         while True:
             m = cur.weight()
             if m is None or stop is not None and m >= stop:
-                return SieveResult(True, recipe, None, None)
+                return SieveResult(recipe, None, None)
             _, coords = self.ambient.leading_coordinates(cur)
             level = self.levels[m - 1]
             exps, _ = echelon_solve(level.rows, coords)
             if exps is None:
-                return SieveResult(False, recipe, cur, coords)
+                return SieveResult(recipe, cur, coords)
             steps = [((m, i), e) for i, e in enumerate(exps) if e]
             recipe.extend(steps)
             if m == self.ambient.cap:
                 # Dividing off at the top degree leaves weight > cap, which
                 # is the identity here; the top level keeps no elements.
-                return SieveResult(True, recipe, None, None)
+                return SieveResult(recipe, None, None)
             for (_, i), e in steps:
                 cur = (level.elems[i] ** (-e)) * cur
 

@@ -1,3 +1,5 @@
+import itertools
+import random
 from pathlib import Path
 
 import pytest
@@ -12,7 +14,7 @@ from baerkit.baer import (
 )
 from baerkit.errors import CertificateError
 from baerkit.intlinalg import AbelianInvariants
-from baerkit.presentations import parse_input_file
+from baerkit.presentations import Presentation, Word, parse_input_file
 from baerkit.selftest import (
     cyclic,
     dihedral8,
@@ -21,6 +23,7 @@ from baerkit.selftest import (
     klein_redundant,
     make_presentation,
 )
+from baerkit.subgroups import quotient_order
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -30,6 +33,21 @@ class TestClassBound:
         assert not verify_class_bound(dihedral8(), 1).ok
         res = verify_class_bound(dihedral8(), 2)
         assert res.ok and res.order == 8
+
+    def test_certificate_is_read_off_its_closure(self):
+        # D16 has class 3, so k = 2 fails, and the class-3 quotient is D16.
+        d16 = make_presentation("D16", ["a", "b"], ["a^8", "b^2", "b^-1 a b a"])
+        cert = verify_class_bound(d16, 2)
+        assert cert._fields == ("closure", "presentation")
+        assert cert.k == 2 and cert.ok is False
+        assert cert.order == 16 == quotient_order(cert.closure)
+        with pytest.raises(ValueError):
+            cert._replace(ok=True)
+        with pytest.raises(
+            CertificateError,
+            match=r"^class bound k=2 fails for 'D16': degree-3 lattice is not full$",
+        ):
+            working_closure(cert, 4)
 
     def test_free_group_never_certifies(self):
         free2 = make_presentation("free2", ["x", "y"], [])
@@ -59,7 +77,8 @@ class TestDetectClass:
                 if want.order is None:
                     continue
                 got = detect_class(pres, 6)
-                assert got[:3] == want[:3], (path.name, pres.name)
+                assert (got.k, got.ok, got.order) == (want.k, want.ok, want.order), (
+                    path.name, pres.name)
                 assert got.presentation == want.presentation
                 assert [lv.rows for lv in got.closure.levels] == [
                     lv.rows for lv in want.closure.levels
@@ -193,3 +212,97 @@ class TestIndependence:
     def test_reflexive(self):
         first, second = self.invariants(klein(), klein(), 1)
         assert first == second
+
+
+class TestFreeNilpotent:
+    """N_{n,k} = F/gamma_{k+1}F, presented by the left-normed weight-(k+1)
+    commutators of the letters, has R = gamma_{k+1}F.  So M^(c) is
+    gamma_{max(k,c)+1}F / gamma_{k+c+1}F, free abelian of rank the sum of
+    witt(n, m) over max(k, c) < m <= k + c."""
+
+    @staticmethod
+    def presentation(n, k):
+        gens = [f"x{i}" for i in range(1, n + 1)]
+        rels = []
+        for letters in itertools.product(gens, repeat=k + 1):
+            word = letters[0]
+            for x in letters[1:]:
+                word = f"[{word},{x}]"
+            rels.append(word)
+        return make_presentation(f"N{n}{k}", gens, rels)
+
+    @pytest.mark.parametrize("n, k, ranks", [
+        (2, 2, (2, 5, 9)), (2, 3, (3, 9, 18)), (3, 2, (8, 26, 66)),
+    ])
+    def test_multipliers_are_free_abelian(self, n, k, ranks):
+        cert = verify_class_bound(self.presentation(n, k), k)
+        assert cert.ok
+        for c, rank in enumerate(ranks, start=1):
+            assert sum(witt(n, m) for m in range(max(k, c) + 1, k + c + 1)) == rank
+            assert baer_invariant(cert, c) == AbelianInvariants(rank)
+
+
+def nielsen(rng, rels, ab):
+    """x_i -> x_i x_j^(+-1) on every relator, an automorphism of F."""
+    i, j = rng.sample(range(len(ab)), 2)
+    image = Word(ab, [(i, 1), (j, rng.choice((1, -1)))])
+    images = {(i, 1): image, (i, -1): image.inverse()}
+    out = []
+    for r in rels:
+        word = Word(ab)
+        for letter in r.letters:
+            word = word * images.get(letter, Word(ab, [letter]))
+        out.append(word)
+    return out
+
+
+def conjugate(rng, rels, ab):
+    k = rng.randrange(len(rels))
+    x = Word(ab, [(rng.randrange(len(ab)), rng.choice((1, -1)))])
+    return rels[:k] + [x.inverse() * rels[k] * x] + rels[k + 1:]
+
+
+def multiply(rng, rels, ab):
+    k, l = rng.sample(range(len(rels)), 2)
+    return rels[:k] + [rels[k] * rels[l] ** rng.choice((1, -1))] + rels[k + 1:]
+
+
+def reorder(rng, rels, ab):
+    return rng.sample(rels, len(rels))
+
+
+def invert(rng, rels, ab):
+    k = rng.randrange(len(rels))
+    return rels[:k] + [rels[k].inverse()] + rels[k + 1:]
+
+
+# The written presentations the moves start from; N22 is infinite.
+MOVED_GROUPS = {
+    "D8": (["a", "b"], ["a^4", "b^2", "a^-1 a^-1 [b,a]"]),
+    "Q8": (["a", "b"], ["a^4", "a^2 b^-2", "b^-1 a b a"]),
+    "D16": (["a", "b"], ["a^8", "b^2", "b^-1 a b a"]),
+    "Z4xZ4": (["x", "y"], ["x^4", "y^4", "[x,y]"]),
+    "D8xZ2": (["a", "b", "z"], ["a^4", "b^2", "b^-1 a b a", "z^2", "[a,z]", "[b,z]"]),
+    "N22": (["x", "y"], ["[[x,y],x]", "[[x,y],y]"]),
+}
+
+
+class TestPresentationMoves:
+    """Each move keeps the presented group up to isomorphism, and the class
+    bound and the Baer invariants are isomorphism invariants."""
+
+    @pytest.mark.parametrize("name", sorted(MOVED_GROUPS))
+    def test_moves_keep_class_bound_and_invariants(self, name):
+        written = make_presentation(name, *MOVED_GROUPS[name])
+        cert = certified_class_bound(written, 6)
+        want = [baer_invariant(cert, c) for c in (1, 2)]
+        moves = (nielsen, conjugate, multiply, reorder, invert)
+        for seed in range(10):
+            rng = random.Random(seed)
+            rels = list(written.relators)
+            for _ in range(rng.randint(1, 7)):
+                rels = rng.choice(moves)(rng, rels, written.alphabet)
+            moved = Presentation(name, written.alphabet, tuple(rels))
+            got = certified_class_bound(moved, 6)
+            assert got.k == cert.k, (seed, rels)
+            assert [baer_invariant(got, c) for c in (1, 2)] == want, (seed, rels)
