@@ -42,10 +42,18 @@ the last term of the tower T_j = [R, jF], and [gamma_m, F] = gamma_{m+1}
 gives [T_{j-1} gamma_{W-c+j}, F] = T_j gamma_{W-c+j+1}.  So T_c at class W
 depends on T_{c-1} modulo gamma_W only, and by induction T_j on T_{j-1}
 modulo gamma_{W-c+j}, and T_1 on R modulo gamma_{W-c+1}.  `hopf_pair`
-therefore closes T_j at class W - c + j, and only T_c at class W (item 7
-of the `subgroups` module docstring).  Its first step pairs the images of
-the relators, which generate R as a normal subgroup, when they are fewer
-than R's stored elements.
+therefore builds T_j at class W - c + j (item 7 of the `subgroups` module
+docstring).  R, full from level t, is generated as a normal subgroup mod
+gamma_t by the relator images and by its stored elements of weight below
+t, and iterating item 6 there gives T_j = ncl{[s, x_1, ..., x_j]}
+gamma_{t+j} over either set's s and letters x_i.  So `hopf_pair` takes
+the smaller set at class W - c + 1, where stored elements of weight
+>= W - c + 1 have trivial commutators, and carries the nonidentity seeds
+[s, x_1, ..., x_j] unclosed, padding each with `at_cap`: a padded seed
+differs from a true lift only above its class, so its commutator with a
+letter is exact one class up (`magnus` module docstring, "Lifts").  It
+closes them into gamma_{t+j} at class W - c + j once they are at least as
+many as those stored elements, or at j = c, then steps by `commutator_with`.
 """
 
 from __future__ import annotations
@@ -54,6 +62,7 @@ from collections import namedtuple
 
 from .errors import CertificateError
 from .intlinalg import AbelianInvariants
+from .magnus import _word_element, generator_element
 from .presentations import Presentation
 from .subgroups import (
     AmbientContext,
@@ -190,20 +199,32 @@ def certified_class_bound(
 
 
 def hopf_pair(
-    closure: FilteredSubgroup, c: int, relators=None
+    closure: FilteredSubgroup, c: int, relators
 ) -> tuple[FilteredSubgroup, FilteredSubgroup]:
-    """The Hopf numerator and denominator of a normal closure R of class
-    W: R meet gamma_{c+1}, and the c-fold iterated commutator
-    [R, F, ..., F] of R with the full ambient group F.  The j-th term of
-    the tower is closed at class W - c + j (cut 4 of the module
-    docstring); `relators`, words whose normal closure is R, may stand in
-    for R's elements in the first step."""
+    """The Hopf numerator and denominator of R = `closure`, of class W and
+    the normal closure of the words `relators`: R meet gamma_{c+1}, and
+    the tower [R, F, ..., F] with c copies of the whole ambient group F,
+    its j-th term at class W - c + j (cut 4 of the module docstring)."""
     ambient = closure.ambient
     n, cap, budget = ambient.n, ambient.cap, ambient.monomial_budget
-    tower = closure
+    t, cls = closure.full_from(), cap - c + 1
+    stored = closure.stored(min(t, cls))
+    letters = [generator_element(i, n, cls) for i in range(n)]
+    seeds = [a for _, _, a in stored]
+    if len(relators) < len(stored):
+        seeds = [_word_element(r, letters, cls) for r in relators]
     for j in range(1, c + 1):
-        step = ambient if j == c else AmbientContext(n, cap - c + j, budget)
-        tower = commutator_with(tower, step, relators if j == 1 else None)
+        seeds = [a.at_cap(cls).commutator(x) for a in seeds for x in letters]
+        seeds = [s for s in seeds if not s.is_identity]
+        if j == c or len(seeds) >= len(stored):
+            break
+        cls += 1
+        letters = [x.at_cap(cls) for x in letters]
+    step = ambient if cls == cap else AmbientContext(n, cls, budget)
+    tower = _close_in_place(free_factor(step, range(n), t + j), seeds)
+    for cls in range(cls + 1, cap + 1):
+        step = ambient if cls == cap else AmbientContext(n, cls, budget)
+        tower = commutator_with(tower, step)
     return intersect_with_gamma(closure, c + 1), tower
 
 

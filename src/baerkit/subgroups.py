@@ -94,19 +94,16 @@ generated by those of weight >= m:
    T_j = [R, F, ..., F] with j copies of F reaches T_c only through T_j
    modulo gamma_{W-c+j+1}: [gamma_m, F] = gamma_{m+1}, so
    [T_{j-1} gamma_{W-c+j}, F] = T_j gamma_{W-c+j+1}, and T_c is T_c
-   gamma_{W+1}.  So `baer.hopf_pair` closes T_j at class W - c + j, one
-   class up per step, and only T_c at class W.  A step from u at class D
-   to class D + 1 pairs the generators with elements that generate
+   gamma_{W+1}.  So `baer.hopf_pair` builds T_j at class W - c + j (its
+   cut 4 starts the tower), and only T_c at class W.  A step from u at
+   class D to class D + 1 pairs the generators with elements that generate
    U gamma_{D+1}, since [gamma_{D+1}, F] is trivial there: u's stored
    elements and, when u's top level is not full, its top rows as products
    of bracket powers, or from a full level t on u's elements below t with
    gamma_{t+1} seeded, as in 6.  Each stored element is known modulo
    gamma_{D+1} only, and any lift will do: changing g in degrees >= D + 1
    changes [g, x] only in degrees >= D + 2 (`magnus` module docstring,
-   "Lifts").  The first step goes down to class W - c + 1 instead, where
-   truncation is the quotient map; there R's image is generated by the
-   images of its stored elements, and as a normal subgroup by the relator
-   images, and the smaller set is paired.
+   "Lifts").
 
 The top level.  The degree-cap level stores rows only (`_TopLevel`).  An
 element g of weight cap is 1 plus its leading part, since every term above
@@ -350,7 +347,8 @@ class FilteredSubgroup:
     closure's levels to its numerator, and `copy` shares the rows.  So a
     built subgroup is never changed in place: `insert_and_close` grows a
     copy of its base.  Only a seed that no one else holds yet is grown
-    in place, by `commutator_with` and `baer.working_closure`."""
+    in place, by `commutator_with`, `baer.working_closure` and
+    `baer.hopf_pair`."""
 
     def __init__(self, ambient: AmbientContext):
         self.ambient = ambient
@@ -513,15 +511,12 @@ def join(u: FilteredSubgroup, v: FilteredSubgroup) -> FilteredSubgroup:
 
 
 def commutator_with(
-    u: FilteredSubgroup,
-    ambient: AmbientContext | None = None,
-    words=None,
+    u: FilteredSubgroup, ambient: AmbientContext | None = None
 ) -> FilteredSubgroup:
     """[U, F], the commutator subgroup of u with the whole ambient group F,
-    closed in `ambient` of u's rank: u's own by default, one class above
-    (later tower steps; u's elements are lifted) or any class below (the
-    first step of `baer.hopf_pair`; they are truncated).  Iterating it
-    builds the towers [U, F, ..., F], one class up per step (item 7).
+    closed in `ambient` of u's rank: u's own by default, or one class
+    above, where u's elements are lifted.  Iterating it builds the towers
+    [U, F, ..., F], one class up per step (item 7).
 
     Generators of U are paired with the ambient generators only: for
     U = <S> and F = <X>, [U, F] is the normal closure K of the [s, x],
@@ -529,29 +524,23 @@ def commutator_with(
     every x, so U is central and [U, F] <= K.  When u is full from level t
     on, the result starts from gamma_{t+1} and only u's elements of weight
     < t are paired (module docstring, item 6); when its top level is not
-    full, its top rows are paired too, as products of bracket powers.
-    `words`, when given, generate U as a normal subgroup; their images are
-    paired instead when they are fewer."""
+    full, its top rows are paired too, as products of bracket powers."""
     own = u.ambient
     ambient = own if ambient is None else ambient
     cap, t = ambient.cap, u.full_from()
-    if ambient.n != own.n or cap > own.cap + 1:
-        raise ValueError("ambient needs u's rank and a class at most one above u's")
-    # From weight min(t, cap) on, [a, x] lies in gamma_{t+1} or is the
-    # identity at this cap; u's top rows matter only one class up.
-    stored = u.stored(min(t, cap, own.cap))
+    if ambient.n != own.n or cap not in (own.cap, own.cap + 1):
+        raise ValueError("ambient needs u's rank and u's class or one above")
+    # u's top rows matter only one class up.
+    stored = u.stored(min(t, own.cap))
     rows = u.levels[-1].rows if t > own.cap and cap > own.cap else []
-    if words is not None and len(words) < len(stored) + len(rows):
-        gens = [ambient.element_of_word(w) for w in words]
-    else:
-        lyndon = own.basis(own.cap).words
-        gens = [a.at_cap(cap) for _, _, a in stored] + [
-            prod(
-                (ambient.bracket_element(w) ** e for w, e in zip(lyndon, row) if e),
-                start=identity_element(cap),
-            )
-            for row in rows
-        ]
+    lyndon = own.basis(own.cap).words
+    gens = [a.at_cap(cap) for _, _, a in stored] + [
+        prod(
+            (ambient.bracket_element(w) ** e for w, e in zip(lyndon, row) if e),
+            start=identity_element(cap),
+        )
+        for row in rows
+    ]
     seed = free_factor(ambient, range(ambient.n), t + 1)  # empty from t = cap on
     elems = []
     for a in gens:

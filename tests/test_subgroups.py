@@ -12,6 +12,7 @@ from baerkit.baer import (
     certified_class_bound,
     hopf_pair,
     relator_closure,
+    verify_class_bound,
     working_closure,
 )
 from baerkit.errors import CapacityError
@@ -651,8 +652,18 @@ def tower_presentations(source):
 
 
 class TestGradedTowers:
-    """`hopf_pair` closes the j-th tower term at class W - c + j (`subgroups`
-    module docstring, item 7); its denominator must be the oracle's."""
+    """`hopf_pair` carries the first terms of the tower as unclosed seeds,
+    one class up per step, closes them once and steps on with
+    `commutator_with`; the j-th term lives at class W - c + j (`baer`
+    module docstring, cut 4).  Its denominator must be the oracle's."""
+
+    @staticmethod
+    def assert_matches_oracle(closure, c, relators, label):
+        want = iterated_tower(closure, c)
+        _, got = hopf_pair(closure, c, relators)
+        assert got.ambient is closure.ambient, label
+        assert [lv.rows for lv in got.levels] == [lv.rows for lv in want.levels], label
+        assert got.contains_all(want) and want.contains_all(got), label
 
     @pytest.mark.parametrize("source", RELATOR_SOURCES + sorted(TOWER_GROUPS))
     def test_matches_iterated_tower(self, source):
@@ -660,57 +671,103 @@ class TestGradedTowers:
             cert = certified_class_bound(pres, 6)
             for c in range(1, 5):
                 closure = working_closure(cert, cert.k + c)
-                want = iterated_tower(closure, c)
-                # With the relator words the first step may pair their
-                # images; without them it pairs R's stored elements.
-                for relators in (pres.relators, None):
-                    _, got = hopf_pair(closure, c, relators)
-                    label = (pres.name, c, relators is None)
-                    assert got.ambient is closure.ambient, label
-                    assert [lv.rows for lv in got.levels] == [
-                        lv.rows for lv in want.levels
-                    ], label
-                    assert got.contains_all(want) and want.contains_all(got), label
+                # The written relators start the tower from their images
+                # when they are fewer than R's stored elements; the longer
+                # list never is, so R's stored elements start it.
+                longer = pres.relators * (len(closure.stored()) + 1)
+                for relators in (pres.relators, longer):
+                    label = (pres.name, c, len(relators))
+                    self.assert_matches_oracle(closure, c, relators, label)
+
+    @pytest.mark.parametrize("source", ["d8.grp", "D16"] + sorted(TOWER_GROUPS))
+    def test_matches_iterated_tower_above_the_least_class_bound(self, source):
+        # At the least certified k, R is full from level k + 1 and the
+        # lower-central seed of the first closure is trivial; two classes
+        # above it, the seed gamma_{t+j} is not.
+        for pres in tower_presentations(source):
+            k = certified_class_bound(pres, 6).k
+            cert = verify_class_bound(pres, k + 2)
+            for c in range(1, 4):
+                closure = working_closure(cert, cert.k + c)
+                assert closure.full_from() <= cert.k, (pres.name, c)
+                longer = pres.relators * (len(closure.stored()) + 1)
+                for relators in (pres.relators, longer):
+                    label = (pres.name, c, len(relators))
+                    self.assert_matches_oracle(closure, c, relators, label)
+
+    # Reach rungs beyond the relator sources; D64 at c = 3, the third, is
+    # already a case of `test_matches_iterated_tower`.
+    @pytest.mark.parametrize("name, gens, rels, c", [
+        ("D128", ["a", "b"], ["a^64", "b^2", "b^-1 a b a"], 3),
+        ("D32xZ2", ["a", "b", "z"],
+         ["a^16", "b^2", "b^-1 a b a", "z^2", "[a,z]", "[b,z]"], 2),
+    ], ids=["D128_c3", "D32xZ2_c2"])
+    def test_reach_rungs_match_iterated_tower(self, name, gens, rels, c):
+        pres = make_presentation(name, gens, rels)
+        cert = certified_class_bound(pres, 7)
+        closure = working_closure(cert, cert.k + c)
+        self.assert_matches_oracle(closure, c, pres.relators, (name, c))
 
     def test_steps_climb_one_class_each(self, monkeypatch):
-        caps = []
-        step = baer.commutator_with
-
-        def recording(u, ambient=None, words=None):
-            caps.append((u.ambient.cap, ambient.cap, words is not None))
-            return step(u, ambient, words)
-
-        monkeypatch.setattr(baer, "commutator_with", recording)
+        # D16 (k = 3) at c = 3, W = 6: four seeds at class 4 are fewer than
+        # R's five stored elements below its full suffix, eight at class 5
+        # are not; so one closure at class 5, then one step to class 6.
         (pres,) = relator_presentations("D16")
         cert = certified_class_bound(pres, 6)
         assert cert.k == 3
-        baer_invariant(cert, 3)
-        assert caps == [(6, 4, True), (4, 5, False), (5, 6, False)]
+        closure = working_closure(cert, 6)
+        closed, steps, made = [], [], []
+        close, step, init = baer._close_in_place, baer.commutator_with, AmbientContext.__init__
+
+        def recording_close(seed, elements):
+            closed.append(seed.ambient.cap)
+            return close(seed, elements)
+
+        def recording_step(u, ambient=None):
+            steps.append((u.ambient.cap, ambient.cap))
+            return step(u, ambient)
+
+        def recording_init(self, *args):
+            init(self, *args)
+            made.append(self.cap)
+
+        monkeypatch.setattr(baer, "_close_in_place", recording_close)
+        monkeypatch.setattr(baer, "commutator_with", recording_step)
+        monkeypatch.setattr(AmbientContext, "__init__", recording_init)
+        hopf_pair(closure, 3, pres.relators)
+        assert closed == [5]
+        assert steps == [(5, 6)]
+        assert made == [5]  # the carried class 4 needs its letters only
 
     def test_first_step_pairs_the_smaller_generating_set(self, monkeypatch):
-        # D16 at class 5: three relators against R's stored elements.
+        # D16 at class 5, c = 2: three relators against R's stored elements.
         (pres,) = relator_presentations("D16")
         closure = working_closure(certified_class_bound(pres, 6), 5)
-        amb = AmbientContext(2, 4)
         words = []
-        element_of_word = AmbientContext.element_of_word
+        word_element = baer._word_element
 
-        def recording(self, word):
+        def recording(word, generators, cap):
             words.append(word)
-            return element_of_word(self, word)
+            return word_element(word, generators, cap)
 
-        monkeypatch.setattr(AmbientContext, "element_of_word", recording)
-        fewer = commutator_with(closure, amb, pres.relators)
+        monkeypatch.setattr(baer, "_word_element", recording)
+        _, fewer = hopf_pair(closure, 2, pres.relators)
         assert words == list(pres.relators)
-        more = commutator_with(closure, amb, pres.relators * len(closure.stored()))
+        _, more = hopf_pair(closure, 2, pres.relators * len(closure.stored()))
         assert len(words) == len(pres.relators)
         assert [lv.rows for lv in fewer.levels] == [lv.rows for lv in more.levels]
 
     def test_refuses_an_ambient_two_classes_up_or_of_another_rank(self):
         u = working_closure(certified_class_bound(relator_presentations("D16")[0], 6), 4)
-        for amb in (AmbientContext(2, 6), AmbientContext(3, 5)):
-            with pytest.raises(ValueError, match="class at most one above"):
+        for amb in (AmbientContext(2, 6), AmbientContext(3, 5), AmbientContext(3, 4)):
+            with pytest.raises(ValueError, match="u's class or one above"):
                 commutator_with(u, amb)
+
+    def test_refuses_an_ambient_a_class_below(self):
+        u = working_closure(certified_class_bound(relator_presentations("D16")[0], 6), 5)
+        for cap in (4, 3):
+            with pytest.raises(ValueError, match="u's class or one above"):
+                commutator_with(u, AmbientContext(2, cap))
 
 
 def level_snapshot(sub):
@@ -932,7 +989,9 @@ class TestTopLevel:
             cert = certified_class_bound(pres, 6)
             out.append(cert.closure)
             for c in (1, 2, 3):
-                numerator, tower = hopf_pair(working_closure(cert, cert.k + c), c)
+                numerator, tower = hopf_pair(
+                    working_closure(cert, cert.k + c), c, pres.relators
+                )
                 out += [numerator, tower, join(tower, numerator)]
         return out
 
